@@ -42,13 +42,6 @@ pair corpus run cold then warm against a temporary
 counts, the wall-clock saved by the warm run, and whether the warm
 verdicts are byte-identical to the cold ones (they must be).
 
-Schema 7 adds a ``"parallel"`` block (see ``bench_parallel.py``): the
-1-vs-N-worker wall-clock A/B of the sharded frontier engine on
-``broadcast_star(12)`` (``broadcast_star(10)`` under ``--quick``), the
-``cpus`` of the measurement host, and whether the sharded graph is
-bit-identical to the serial one (it must be).  ``--workers N`` picks
-the sharded side's pool size.
-
 Schema 8 adds the calculus-backend rows: ``LOSSY1`` / ``WIFI1`` pin the
 non-default semantics (noisy-channel hierarchy, topology-bounded
 broadcast), and the backend-generic rows ``B1`` / ``B2`` (dichotomy,
@@ -62,6 +55,13 @@ queries answered with zero states explored), and the A/B row comparing
 ``reach`` with and without the pre-solver on a flow-refutable
 ``broadcast_star`` variant — the abstraction answers in O(term) what
 exhaustive search pays 2^n states for.
+
+Schema 10 drops schema 7's ``"parallel"`` block together with the
+sharded frontier engine it measured (``repro batch --workers`` is the
+one process pool left), and takes the ``"cache"`` snapshot right after
+the claim rows: the flow/on-the-fly/store blocks clear the caches for
+their cold runs, so a later snapshot described the last of those runs
+instead of the ledger.
 """
 
 from __future__ import annotations
@@ -338,9 +338,6 @@ def main(argv: list[str] | None = None) -> int:
                     help="comma-separated experiment names to run")
     ap.add_argument("--quick", action="store_true",
                     help=f"run only the smoke subset {','.join(QUICK_ROWS)}")
-    ap.add_argument("--workers", type=int, default=None, metavar="N",
-                    help="worker-pool size for the parallel A/B block "
-                         "(default: min(4, cpus), at least 2)")
     ap.add_argument("--calculus", default="bpi", metavar="SPEC",
                     help="backend the backend-generic rows (B1, B2) and "
                          "the lint block run under: 'bpi' (default), "
@@ -400,10 +397,10 @@ def main(argv: list[str] | None = None) -> int:
 
         from benchmarks.bench_flow import flow_block
         from benchmarks.bench_onthefly import ab_block
-        from benchmarks.bench_parallel import parallel_block
         from benchmarks.bench_store import store_block
+        cache = cache_stats()  # before the sub-blocks clear the caches
         payload = {
-            "schema": 9,
+            "schema": 10,
             "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             "total_seconds": time.time() - wall0,
             "rows": rows,
@@ -411,9 +408,7 @@ def main(argv: list[str] | None = None) -> int:
             "flow": flow_block(quick=args.quick),
             "onthefly": ab_block(quick=args.quick),
             "store": store_block(quick=args.quick),
-            "parallel": parallel_block(quick=args.quick,
-                                       workers=args.workers),
-            "cache": cache_stats(),
+            "cache": cache,
             "obs": obs.snapshot(),
         }
         with open(args.json, "w") as fh:

@@ -39,10 +39,9 @@ serve [--store PATH]
     exits does not bounce the service over one bad client line.  This
     is deliberately different from `batch`, which exits 2 on any
     UNKNOWN or malformed input.
-graph "<process>" [--minimize] [--workers N]
-    Print the step LTS as Graphviz DOT.  --workers >= 2 shards frontier
-    expansion across a process pool (docs/parallelism.md); exit 2 with
-    a truncated graph when the budget trips.
+graph "<process>" [--minimize]
+    Print the step LTS as Graphviz DOT; exit 2 with a truncated graph
+    when the budget trips.
 
 The decision paths (`eq`, `batch`, `serve`, `repro.api.check`) accept
 --store PATH: a persistent content-addressed verdict cache (sqlite).
@@ -347,7 +346,6 @@ def _cmd_graph(args: argparse.Namespace) -> int:
         lts, root = build_step_lts(parse(args.process),
                                    budget=_budget_from(args,
                                                        default_states=2_000),
-                                   workers=args.workers,
                                    calculus=args.calculus)
     except BudgetExceeded as exc:
         lts, root = exc.partial
@@ -488,10 +486,6 @@ def main(argv: list[str] | None = None) -> int:
                        parents=[obs_parent])
     s.add_argument("process")
     s.add_argument("--minimize", action="store_true")
-    s.add_argument("--workers", type=int, default=0, metavar="N",
-                   help="shard frontier expansion across N worker "
-                        "processes (0/1 = serial; the graph is identical "
-                        "either way)")
     _add_calculus_arg(s)
     s.set_defaults(func=_cmd_graph)
 

@@ -174,7 +174,6 @@ class Exploration:
 def explore(p: "Process | str", *,
             budget: "Budget | Meter | None" = None,
             close_binders: bool = True,
-            workers: int = 0,
             calculus: "str | None" = None) -> Exploration:
     """Build the autonomous-step LTS of *p*, degrading gracefully.
 
@@ -182,18 +181,15 @@ def explore(p: "Process | str", *,
     raises on a budget trip — the partial graph comes back with
     ``complete=False`` so callers can inspect what was reached.
 
-    ``workers >= 2`` shards frontier expansion across a process pool
-    (:mod:`repro.lts.parallel`); the graph — complete or truncated — is
-    identical to the serial one, and a dead pool degrades to serial
-    expansion, never to a wrong graph.  *calculus* picks the semantic
-    backend (``"bpi"``/``"lossy"``/``"wireless:..."``).
+    *calculus* picks the semantic backend
+    (``"bpi"``/``"lossy"``/``"wireless:..."``).
     """
     from .lts.graph import DEFAULT_BUDGET, build_step_lts
     meter = resolve_meter(budget, DEFAULT_BUDGET)
     try:
         lts, root = build_step_lts(_as_process(p), budget=meter,
                                    close_binders=close_binders,
-                                   workers=workers, calculus=calculus)
+                                   calculus=calculus)
     except BudgetExceeded as exc:
         lts, root = exc.partial
         return Exploration(lts=lts, root=root, complete=False,

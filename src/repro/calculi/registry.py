@@ -11,7 +11,7 @@ importing ``core.semantics`` directly (contract Rule E).  A *spec* is
   returned as-is.
 
 Spec strings are plain text, so they are picklable and travel unchanged
-to worker processes (``lts/parallel.py`` ships them in shard payloads).
+to worker processes (``store/batch.py`` ships them in task payloads).
 One instance is cached per canonical spec, so per-backend memo tables
 persist for the session; :func:`clear_caches` drops them all (wired into
 ``core.cache.clear_caches``).

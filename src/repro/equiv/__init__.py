@@ -36,7 +36,7 @@ from .musttesting import (
     must_pass,
     must_preorder_sampled,
 )
-from .noisy import noisy_similar, strict_bisimilar
+from .noisy import strict_bisimilar
 from .onthefly import (
     DEFAULT_CLOSURES,
     Closure,
@@ -61,7 +61,7 @@ __all__ = [
     "solve_game",
     "labelled_bisimilar", "strong_bisimilar", "weak_bisimilar",
     "must_equivalent_sampled", "must_pass", "must_preorder_sampled",
-    "noisy_similar", "strict_bisimilar",
+    "strict_bisimilar",
     "Closure", "DEFAULT_CLOSURES", "PartialProduct",
     "ParallelContextClosure", "ReflexivityClosure", "RenamingClosure",
     "RewriteClosure", "SymmetryClosure",

@@ -31,13 +31,10 @@ matching discipline, not a loss model — the calculus stays perfectly
 reliable.  Since the lossy backend (Cao's noisy *channels*) entered the
 registry the overload became untenable, so the checker is named
 :func:`strict_bisimilar` (it is the one-step *strict* relation) and is
-parameterised by backend; :func:`noisy_similar` survives as a deprecated
-shim.
+parameterised by backend.
 """
 
 from __future__ import annotations
-
-import warnings
 
 from ..calculi import registry as _registry
 from ..calculi.backend import CalculusBackend
@@ -80,26 +77,6 @@ def strict_bisimilar(p: Process, q: Process, *, weak: bool = False,
     except BudgetExceeded as exc:
         return Verdict.from_exceeded(exc)
     return Verdict.of(flag, stats=meter.stats())
-
-
-def noisy_similar(p: Process, q: Process, *, weak: bool = False,
-                  budget: Budget | Meter | None = None,
-                  max_pairs: int | None = None,
-                  max_states: int | None = None) -> Verdict:
-    """Deprecated alias of :func:`strict_bisimilar` (default backend).
-
-    .. deprecated::
-        The name collided with the *lossy* ("noisy channels") backend,
-        which models actual message loss; this relation is the paper's
-        one-step strict bisimilarity over perfectly reliable broadcast.
-        Call :func:`strict_bisimilar` instead.
-    """
-    warnings.warn(
-        "noisy_similar is deprecated; use strict_bisimilar (same relation, "
-        "backend-parameterised) instead",
-        DeprecationWarning, stacklevel=2)
-    return strict_bisimilar(p, q, weak=weak, budget=budget,
-                            max_pairs=max_pairs, max_states=max_states)
 
 
 def _strict_bisimilar(p: Process, q: Process, *, weak: bool, meter: Meter,

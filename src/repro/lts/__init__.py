@@ -8,7 +8,6 @@ from .graph import (
     canonical_output_label,
 )
 from .minimize import MinimalLTS, minimal_to_dot, minimize, to_dot
-from .parallel import parallel_reachable_states, parallel_step_lts
 from .partition import (
     coarsest_partition,
     coarsest_partition_labelled,
@@ -20,7 +19,6 @@ __all__ = [
     "DEFAULT_MAX_STATES", "LTS", "build_full_lts", "build_step_lts",
     "canonical_output_label",
     "MinimalLTS", "minimal_to_dot", "minimize", "to_dot",
-    "parallel_reachable_states", "parallel_step_lts",
     "coarsest_partition", "coarsest_partition_labelled", "partition_relates",
     "reachability_closure", "weak_keys",
 ]

@@ -116,7 +116,6 @@ def build_step_lts(p: Process, *,
                    budget: Budget | Meter | None = None,
                    close_binders: bool = True,
                    max_states: int | None = None,
-                   workers: int = 0,
                    calculus: str | CalculusBackend | None = None
                    ) -> tuple[LTS, int]:
     """Explore the ``-phi->`` graph from *p*; returns (lts, initial id).
@@ -126,20 +125,11 @@ def build_step_lts(p: Process, *,
     ``exc.partial`` — the verdict layer (:func:`repro.api.explore`)
     degrades that into a truncated-but-usable result.
 
-    ``workers >= 2`` shards frontier expansion across a process pool
-    (see :mod:`repro.lts.parallel`); the resulting graph — including the
-    partial graph on a trip — is identical to the serial one.
-
     ``calculus`` selects the broadcast semantics via
     :mod:`repro.calculi.registry` (default: the paper's ``"bpi"``).
     """
     budget = legacy_cap("build_step_lts", budget, max_states=max_states)
     backend = _registry.resolve(calculus)
-    if workers >= 2:
-        from .parallel import parallel_step_lts
-        return parallel_step_lts(p, budget=budget,
-                                 close_binders=close_binders,
-                                 workers=workers, calculus=backend)
     meter = resolve_meter(budget, DEFAULT_BUDGET)
     with _tracing.span("lts.build_step") as sp:
         lts = LTS()

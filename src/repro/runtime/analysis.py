@@ -78,24 +78,16 @@ def _closed_successors(state: Process,
 def reachable_states(p: Process, *, budget: Budget | Meter | None = None,
                      collapse: bool = True,
                      max_states: int | None = None,
-                     workers: int = 0,
                      calculus: str | CalculusBackend | None = None
                      ) -> list[Process]:
     """All reachable canonical states (BFS, budget-governed).
 
     Raw-explorer contract: a budget trip raises
     :class:`~repro.engine.budget.BudgetExceeded` with the states found so
-    far on ``exc.partial``.  ``workers >= 2`` shards the frontier across
-    a process pool (:mod:`repro.lts.parallel`) and returns the identical
-    list in the identical order.
+    far on ``exc.partial``.
     """
     budget = legacy_cap("reachable_states", budget, max_states=max_states)
     backend = _registry.resolve(calculus)
-    if workers >= 2:
-        from ..lts.parallel import parallel_reachable_states
-        return parallel_reachable_states(p, budget=budget,
-                                         collapse=collapse, workers=workers,
-                                         calculus=backend)
     meter = resolve_meter(budget, DEFAULT_BUDGET)
     canon = _canon(collapse)
     start = canon(p)
@@ -131,7 +123,6 @@ def find_quiescent(p: Process, **kw) -> list[Process]:
 def can_diverge(p: Process, *, budget: Budget | Meter | None = None,
                 collapse: bool = True,
                 max_states: int | None = None,
-                workers: int = 0,
                 calculus: str | CalculusBackend | None = None) -> Verdict:
     """Is a tau-only cycle reachable?  (Infinite internal chatter.)
 
@@ -144,7 +135,7 @@ def can_diverge(p: Process, *, budget: Budget | Meter | None = None,
     canon = _canon(collapse)
     try:
         states = reachable_states(p, budget=meter, collapse=collapse,
-                                  workers=workers, calculus=backend)
+                                  calculus=backend)
     except BudgetExceeded as exc:
         return Verdict.from_exceeded(exc)
     index = {s: i for i, s in enumerate(states)}
@@ -181,7 +172,6 @@ def invariant_holds(p: Process, predicate: Predicate, *,
                     budget: Budget | Meter | None = None,
                     collapse: bool = True, max_states: int | None = None,
                     witness: list | None = None,
-                    workers: int = 0,
                     calculus: str | CalculusBackend | None = None,
                     presolve: bool = True) -> Verdict:
     """Does *predicate* hold in every reachable state?
@@ -210,7 +200,7 @@ def invariant_holds(p: Process, predicate: Predicate, *,
     meter = resolve_meter(budget, DEFAULT_BUDGET)
     try:
         for s in reachable_states(p, budget=meter, collapse=collapse,
-                                  workers=workers, calculus=calculus):
+                                  calculus=calculus):
             if not predicate(s):
                 if witness is not None:
                     witness.append(s)
@@ -230,8 +220,7 @@ def invariant_holds(p: Process, predicate: Predicate, *,
 def eventually_always(p: Process, predicate: Predicate, *,
                       budget: Budget | Meter | None = None,
                       collapse: bool = True,
-                      max_states: int | None = None,
-                      workers: int = 0) -> Verdict:
+                      max_states: int | None = None) -> Verdict:
     """Does *predicate* hold in every reachable *quiescent* state?
 
     Vacuously true when the system never quiesces within the bound;
@@ -240,8 +229,7 @@ def eventually_always(p: Process, predicate: Predicate, *,
     budget = legacy_cap("eventually_always", budget, max_states=max_states)
     meter = resolve_meter(budget, DEFAULT_BUDGET)
     try:
-        quiescent = find_quiescent(p, budget=meter, collapse=collapse,
-                                   workers=workers)
+        quiescent = find_quiescent(p, budget=meter, collapse=collapse)
     except BudgetExceeded as exc:
         backend = _registry.default()
         for s in (exc.partial or ()):

@@ -54,7 +54,7 @@ from ..core.syntax import (
 )
 
 __all__ = ["CodecError", "encode", "decode", "term_digest", "state_digest",
-           "pair_key", "MAGIC", "action_to_wire", "action_from_wire"]
+           "pair_key", "MAGIC"]
 
 #: Format tag: bumped whenever the wire layout changes, so a store
 #: written by one version can never be misread by another.
@@ -327,45 +327,6 @@ def state_digest(p: Process) -> str:
     structural-congruence class shares one digest.  Requires a closed
     term (the same precondition as the checkers themselves)."""
     return hashlib.sha256(encode(canonical_state(p))).hexdigest()
-
-
-def action_to_wire(action: object) -> tuple:
-    """Flatten an LTS action label into a plain picklable tuple.
-
-    The parallel frontier engine ships transition labels from worker
-    processes back to the coordinator; sending :class:`Action` objects
-    through pickle would tie the wire format to class internals, so the
-    label crosses as a tagged tuple of strings instead (the same
-    stability argument as the term encoding above).
-    """
-    from ..core.actions import InputAction, OutputAction, TauAction
-
-    if isinstance(action, TauAction):
-        return ("tau",)
-    if isinstance(action, InputAction):
-        return ("in", action.chan, action.objects)
-    if isinstance(action, OutputAction):
-        return ("out", action.chan, action.objects, action.binders)
-    raise CodecError(f"cannot encode action {type(action).__name__}")
-
-
-def action_from_wire(wire: tuple) -> object:
-    """Rebuild the action label encoded by :func:`action_to_wire`."""
-    from ..core.actions import TAU, InputAction, OutputAction
-
-    if not isinstance(wire, tuple) or not wire:
-        raise CodecError(f"bad action wire value {wire!r}")
-    tag = wire[0]
-    try:
-        if tag == "tau" and len(wire) == 1:
-            return TAU
-        if tag == "in" and len(wire) == 3:
-            return InputAction(wire[1], tuple(wire[2]))
-        if tag == "out" and len(wire) == 4:
-            return OutputAction(wire[1], tuple(wire[2]), tuple(wire[3]))
-    except (TypeError, ValueError) as exc:
-        raise CodecError(f"malformed action wire {wire!r}: {exc}") from exc
-    raise CodecError(f"unknown action wire tag {wire!r}")
 
 
 def pair_key(p: Process, q: Process, calculus: str = "bpi") -> str:

@@ -31,6 +31,15 @@ class TestReachable:
                              budget=Budget(max_states=2))
 
 
+    def test_budget_partial_is_prefix(self):
+        # a trip hands back the BFS prefix, in discovery order
+        star = parse("a<v> | " + " | ".join(f"a(x{i}).r{i}<x{i}>"
+                                            for i in range(6)))
+        with pytest.raises(StateSpaceExceeded) as ei:
+            reachable_states(star, budget=Budget(max_states=17))
+        assert ei.value.partial == reachable_states(star)[:17]
+
+
 class TestQuiescence:
     def test_terminating(self):
         [q] = find_quiescent(parse("a!.b!"))

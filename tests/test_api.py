@@ -1,11 +1,32 @@
 """Tests for the top-level facade (``repro.api``, re-exported by ``repro``)."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 import repro
 from repro.api import RELATIONS, Exploration
 from repro.core.syntax import Process
 from repro.engine import Budget, Verdict
+
+
+class TestImport:
+    def test_import_loads_no_process_pool(self):
+        # `repro batch --workers` imports its pool lazily; a plain
+        # `import repro` must not pay for multiprocessing
+        src = pathlib.Path(__file__).parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")]))
+        code = ("import repro, sys; print(sorted(m for m in sys.modules "
+                "if m in ('multiprocessing', 'concurrent.futures.process')))")
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert result.stdout.strip() == "[]"
 
 
 class TestParse:

@@ -3,8 +3,8 @@
 Four concerns, one file:
 
 * the **default-backend oracle** — routing ``bpi`` through the registry
-  is bit-identical to driving ``core.semantics`` by hand, serially, under
-  ``workers=2``, and on the partial graphs left by a budget trip;
+  is bit-identical to driving ``core.semantics`` by hand, both on complete
+  graphs and on the partial graph left by a budget trip;
 * the **lossy** backend reproduces the strict hierarchy of Cao's noisy
   channels (arXiv:0801.3117) in *both* directions;
 * the **wireless** backend restricts broadcast reach to the connectivity
@@ -26,7 +26,7 @@ from repro.core.parser import parse
 from repro.core.semantics import step_transitions as bpi_step_transitions
 from repro.core.syntax import Restrict
 from repro.engine.budget import Budget, BudgetExceeded
-from repro.equiv.noisy import noisy_similar, strict_bisimilar
+from repro.equiv.noisy import strict_bisimilar
 from repro.lts.graph import build_step_lts
 
 
@@ -132,28 +132,16 @@ class TestDefaultBackendOracle:
             assert lts.states == want_states
             assert lts.edges == want_edges
 
-    @pytest.mark.parametrize("source", ORACLE_TERMS)
-    def test_workers_match_raw_core(self, source):
-        p = parse(source)
-        want_states, want_edges = oracle_step_lts(p)
-        lts, _root = build_step_lts(p, workers=2)
-        assert lts.states == want_states
-        assert lts.edges == want_edges
-
-    def test_trip_partials_identical_serial_and_sharded(self):
+    def test_trip_partial_is_oracle_prefix(self):
         p = parse("a!.b!.c!.d!.e!.f!.g!.h!")
-
-        def partial(**kw):
-            with pytest.raises(BudgetExceeded) as info:
-                build_step_lts(p, budget=Budget(max_states=4), **kw)
-            assert info.value.partial is not None
-            return info.value.partial
-
-        lts_serial, root_serial = partial()
-        lts_shard, root_shard = partial(workers=2)
-        assert root_serial == root_shard
-        assert lts_serial.states == lts_shard.states
-        assert lts_serial.edges == lts_shard.edges
+        want_states, want_edges = oracle_step_lts(p)
+        with pytest.raises(BudgetExceeded) as info:
+            build_step_lts(p, budget=Budget(max_states=4))
+        lts, root = info.value.partial
+        assert root == 0
+        assert lts.n_states == 4
+        assert lts.states == want_states[:4]
+        assert lts.edges[:3] == want_edges[:3]
 
 
 # -- lossy: the hierarchy is strict in both directions ----------------------
@@ -295,15 +283,6 @@ class TestBudgetContract:
 
 
 # -- deprecation shim -------------------------------------------------------
-
-class TestNoisySimilarShim:
-    def test_warns_and_delegates(self):
-        p, q = parse("a!"), parse("a!")
-        with pytest.warns(DeprecationWarning, match="strict_bisimilar"):
-            v = noisy_similar(p, q)
-        assert v.is_true
-        assert v == strict_bisimilar(p, q)
-
 
 # -- store keying: verdicts never cross calculi -----------------------------
 

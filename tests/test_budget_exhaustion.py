@@ -104,6 +104,19 @@ class TestCancellationMidGame:
                                budget=Budget(cancel=token))
         assert v.is_true
 
+    def test_cancelled_exploration_keeps_partial(self):
+        # the token is polled every POLL_INTERVAL charges: 7 parallel
+        # outputs make a 128-state graph, enough to reach a poll point
+        from repro.lts.graph import build_step_lts
+        token = CancelToken()
+        token.cancel()
+        big = parse(" | ".join(f"a{i}!" for i in range(7)))
+        with pytest.raises(BudgetExceeded) as ei:
+            build_step_lts(big, budget=Budget(cancel=token))
+        assert ei.value.reason == "cancelled"
+        lts, root = ei.value.partial
+        assert root == 0 and 1 <= lts.n_states < 128
+
 
 class TestGracefulDegradation:
     def test_explore_returns_partial_graph(self):
@@ -113,6 +126,16 @@ class TestGracefulDegradation:
         assert not ex.complete and ex.reason == "max-states"
         assert 1 <= ex.n_states <= 11
         assert ex.stats["tripped"] == "max-states"
+
+    def test_explore_partial_is_prefix_of_full(self):
+        import repro
+        star = " | ".join(["a<v>"] + [f"a(x{i}).r{i}<x{i}>"
+                                      for i in range(6)])
+        ex = repro.explore(star, budget=Budget(max_states=23))
+        assert not ex.complete and ex.reason == "max-states"
+        assert ex.n_states == 23
+        full = repro.explore(star)
+        assert full.complete and full.states[:23] == ex.states
 
     def test_invariant_refutation_survives_trip(self):
         # the violating state is inside the truncated prefix: FALSE, not
@@ -225,6 +248,18 @@ def test_budget_monotonicity_reachability(p, cap):
     small = Budget(max_states=cap)
     v_small = can_reach_barb(p, "a", budget=small)
     v_big = can_reach_barb(p, "a", budget=small.scaled(10))
+    if v_small.is_definite:
+        assert v_big.truth == v_small.truth
+
+
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(p=processes1, cap=st.integers(2, 40))
+def test_budget_monotonicity_invariant(p, cap):
+    from repro.runtime.analysis import invariant_holds
+    small = Budget(max_states=cap)
+    v_small = invariant_holds(p, lambda s: True, budget=small)
+    v_big = invariant_holds(p, lambda s: True, budget=small.scaled(10))
     if v_small.is_definite:
         assert v_big.truth == v_small.truth
 

@@ -56,14 +56,6 @@ class TestCli:
                      "--minimize"]) == 0
         assert "B0" in capsys.readouterr().out
 
-    def test_graph_workers_identical_dot(self, capsys):
-        # sharded exploration must emit the very same DOT text: the
-        # in-order merge makes the graph (numbering, edge order) identical
-        assert main(["graph", "a<v> | a(x).r<x>"]) == 0
-        serial = capsys.readouterr().out
-        assert main(["graph", "a<v> | a(x).r<x>", "--workers", "2"]) == 0
-        assert capsys.readouterr().out == serial
-
     def test_bad_syntax_exits_2_with_caret(self, capsys):
         # parse failures are reported, not raised: message + caret excerpt
         # on stderr, exit status 2 (the "no verdict" code)

@@ -34,17 +34,6 @@ Rule C (``worker-not-verdict``)
     worker itself must be verdict-level (the annotation also opts the
     function into Rules A/B).
 
-Rule D (``wire-worker``)
-    Sub-verdict pool shards (:data:`WIRE_WORKERS`, e.g.
-    ``lts/parallel.py``'s ``expand_shard``) also cross a process
-    boundary, but run *inside* a raw explorer — below the verdict layer,
-    so they cannot return a ``Verdict``.  The contract is stricter
-    instead: the shard must exist and must not reference
-    ``BudgetExceeded`` at all.  A tripped slice is reported as *data*
-    (``{"tripped": ...}``) for the coordinator's meter to adjudicate;
-    raising across the futures boundary would surface as a broken
-    future, catching would invite silent truncation.
-
 Rule E (``direct-semantics``)
     The Table 2/3 kernel (``core.semantics``, ``core.discard``) is an
     implementation detail of the default ``"bpi"`` backend.  Only
@@ -100,8 +89,6 @@ RAW_EXPLORERS = frozenset({
     "output_traces",
     "traces_upto",
     "acceptance_sets",
-    "parallel_step_lts",
-    "parallel_reachable_states",
 })
 
 #: Facade modules translating trips into their own vocabulary
@@ -114,14 +101,6 @@ EXEMPT_FILES = frozenset({"api.py", "__main__.py"})
 #: as UNKNOWN data rather than an exception through the futures protocol.
 VERDICT_WORKERS: dict[str, frozenset[str]] = {
     "batch.py": frozenset({"evaluate_request"}),
-}
-
-#: Sub-verdict pool shards, by file name (Rule D): process-boundary
-#: workers running *inside* a raw explorer.  They cannot return a
-#: Verdict, so instead they must never reference BudgetExceeded — a
-#: tripped slice comes back as data for the coordinator to adjudicate.
-WIRE_WORKERS: dict[str, frozenset[str]] = {
-    "parallel.py": frozenset({"expand_shard"}),
 }
 
 #: Semantic-kernel modules (Rule E): the Table 2/3 implementation.
@@ -309,7 +288,6 @@ def check_source(source: str, path: str = "<string>") -> list[Violation]:
                 and _returns_verdict(node)):
             _check_verdict_fn(node, path, violations)
     _check_workers(tree, path, violations)
-    _check_wire_workers(tree, path, violations)
     _check_semantic_imports(tree, path, violations)
     _check_flow_rules(tree, path, violations)
     return violations
@@ -381,34 +359,6 @@ def _check_workers(tree: ast.Module, path: str,
                 f"pool worker `{name}` must be annotated `-> Verdict`; a "
                 f"BudgetExceeded crossing the pool boundary breaks the "
                 f"future instead of degrading to UNKNOWN"))
-
-
-def _check_wire_workers(tree: ast.Module, path: str,
-                        violations: list[Violation]) -> None:
-    """Rule D: sub-verdict pool shards exist and never touch the
-    budget exceptions — a tripped slice must come back as data."""
-    required = WIRE_WORKERS.get(Path(path).name)
-    if not required:
-        return
-    defined = {node.name: node for node in ast.walk(tree)
-               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
-    for name in sorted(required):
-        fn = defined.get(name)
-        if fn is None:
-            violations.append(Violation(
-                path, 1, "wire-worker",
-                f"pool shard `{name}` must be defined in this module; it "
-                f"is the expansion core the frontier pool executes"))
-            continue
-        for node in ast.walk(fn):
-            if (isinstance(node, ast.Name)
-                    and node.id in BUDGET_EXCEPTIONS):
-                violations.append(Violation(
-                    path, node.lineno, "wire-worker",
-                    f"pool shard `{name}` references `{node.id}`: shards "
-                    f"run below the verdict layer and must report a "
-                    f"tripped slice as data, never raise or catch it "
-                    f"across the futures boundary"))
 
 
 def _check_flow_scope(nodes: list[ast.stmt], owner: str, is_verdict: bool,
