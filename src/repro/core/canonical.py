@@ -68,12 +68,14 @@ def _stable_fingerprint(p: Process) -> bytes:
     """A PYTHONHASHSEED-independent structural fingerprint of *p*.
 
     The builtin ``hash`` cannot orient siblings: string hashing is salted
-    per process, so two workers would disagree on the orientation of
-    ``a! + b!`` — and with it on ``canonical_state``, ``state_digest``
-    and every ``repro.store`` key.  This digest is a pure function of the
-    structure (sha256 over class names, name fields and child digests),
-    memoized per interned node, so it is O(1) amortized like the cached
-    hash it replaces.
+    per process (``PYTHONHASHSEED``), so two processes — a CLI run and a
+    ``repro serve`` over the same verdict store, or ``batch --workers``
+    pool members — would disagree on the orientation of ``a! + b!``, and
+    with it on ``canonical_state``, ``state_digest`` and every
+    ``repro.store`` key written to disk.  This digest is a pure function
+    of the structure (sha256 over class names, name fields and child
+    digests), memoized per interned node, so it is O(1) amortized like
+    the cached hash it replaces.
     """
     got = getattr(p, "_stable", None)
     if got is None:
@@ -94,10 +96,15 @@ def _sort_key(p: Process) -> tuple:
     Sorting must be stable under alpha-variance, so the key is taken on
     the alpha-canonical form; the fingerprint makes the resulting
     orientation identical across processes (a property the persistent
-    verdict store relies on).
+    verdict store relies on).  Memoized on the node.
     """
+    try:
+        return p._sk
+    except AttributeError:
+        pass
     c = canonical_alpha(p)
-    return (c.__class__.__name__, _stable_fingerprint(c))
+    got = p._sk = (c.__class__.__name__, _stable_fingerprint(c))
+    return got
 
 
 def canonical_state(p: Process) -> Process:
@@ -169,7 +176,9 @@ def _normalize_uncached(p: Process, collapse: bool) -> Process:
     if isinstance(p, Sum):
         parts = []
         for q in _flatten(p, Sum):
-            nq = _normalize_summand(q, collapse)
+            # Summands may be restrictions, matches or nested structure;
+            # law (k) hoists restrictions only at the composition layer.
+            nq = _normalize(q, collapse)
             if not isinstance(nq, Nil):  # (S1)
                 parts.append(nq)
         # (S2)-(S4): dedup modulo alpha, sort, right-nest.
@@ -185,17 +194,6 @@ def _normalize_uncached(p: Process, collapse: bool) -> Process:
     if isinstance(p, (Par, Restrict)):
         return _normalize_composition(p, collapse)
     raise TypeError(f"unexpected node {type(p).__name__} in closed state")
-
-
-def _normalize_summand(q: Process, collapse: bool) -> Process:
-    """Normalize one summand of a choice.
-
-    Summands may themselves be restrictions, matches or nested structure
-    (the grammar is unrestricted); hoisting a restriction out of a summand
-    uses law (k) ``(nu x p) + q ~ nu x (p + q)`` only at the composition
-    layer, so here we simply normalize recursively.
-    """
-    return _normalize(q, collapse)
 
 
 def _normalize_composition(p: Process, collapse: bool) -> Process:
@@ -271,8 +269,12 @@ def _normalize_composition(p: Process, collapse: bool) -> Process:
     binder_set = frozenset(binders)
 
     def blind_key(q: Process) -> tuple:
-        mapping = {b: "_hole" for b in binder_set & free_names(q)}
-        return _sort_key(apply_subst(q, mapping)) + _sort_key(q)
+        k = _sort_key(q)
+        hidden = binder_set & free_names(q)
+        if not hidden:
+            return k + k
+        mapping = {b: "_hole" for b in hidden}
+        return _sort_key(apply_subst(q, mapping)) + k
 
     components.sort(key=blind_key)
     if collapse:
@@ -292,57 +294,49 @@ def _normalize_composition(p: Process, collapse: bool) -> Process:
     body = _rebuild(components, Par, NIL)
     # Drop unused binders (law h), order used ones by first free occurrence
     # in the sorted body (laws i + j make any order equivalent), so that
-    # `nu x nu y` and `nu y nu x` canonicalise identically.
-    used = free_names(body)
-    occurrence = {name: i for i, name in enumerate(_free_occurrence_order(body))}
-    live = sorted((b for b in binders if b in used),
-                  key=lambda b: occurrence[b])
+    # `nu x nu y` and `nu y nu x` canonicalise identically.  The body's
+    # order is its components' orders in turn: the Par spine is new in
+    # every state, so it is not memoized itself.
+    occurrence: dict[Name, int] = {}
+    for comp in components:
+        for name in _free_occurrence_order(comp):
+            occurrence.setdefault(name, len(occurrence))
+    live = sorted((b for b in binders if b in occurrence),
+                  key=occurrence.__getitem__)
     out = body
     for b in reversed(live):
         out = Restrict(b, out)
     return out
 
 
-def _free_occurrence_order(p: Process) -> list[Name]:
-    """Free names of *p* in order of first occurrence (pre-order walk)."""
-    seen: list[Name] = []
-    seen_set: set[Name] = set()
+def _free_occurrence_order(p: Process) -> tuple[Name, ...]:
+    """Free names of *p* in order of first occurrence in a pre-order walk.
 
-    def note(name: Name, shadow: frozenset[Name]) -> None:
-        if name not in shadow and name not in seen_set:
-            seen_set.add(name)
-            seen.append(name)
-
-    def walk(q: Process, shadow: frozenset[Name]) -> None:
-        if isinstance(q, Nil):
-            return
-        if isinstance(q, Tau):
-            walk(q.cont, shadow)
-        elif isinstance(q, Input):
-            note(q.chan, shadow)
-            walk(q.cont, shadow | frozenset(q.params))
-        elif isinstance(q, Output):
-            note(q.chan, shadow)
-            for a in q.args:
-                note(a, shadow)
-            walk(q.cont, shadow)
-        elif isinstance(q, Restrict):
-            walk(q.body, shadow | {q.name})
-        elif isinstance(q, Match):
-            note(q.left, shadow)
-            note(q.right, shadow)
-            walk(q.then, shadow)
-            walk(q.orelse, shadow)
-        elif isinstance(q, (Sum, Par)):
-            walk(q.left, shadow)
-            walk(q.right, shadow)
-        elif isinstance(q, Rec):
-            for a in q.args:
-                note(a, shadow)
-            walk(q.body, shadow | frozenset(q.params))
-        else:  # Ident
-            for a in getattr(q, "args", ()):
-                note(a, shadow)
-
-    walk(p, frozenset())
-    return seen
+    Memoized on the node and built from the children's orders: the node's
+    own names come first, then each child's order minus the names the
+    node binds, keeping first occurrences.
+    """
+    try:
+        return p._fo
+    except AttributeError:
+        pass
+    if isinstance(p, Input):
+        own: tuple[Name, ...] = (p.chan,)
+        bound: tuple[Name, ...] = p.params
+    elif isinstance(p, Output):
+        own, bound = (p.chan,) + p.args, ()
+    elif isinstance(p, Match):
+        own, bound = (p.left, p.right), ()
+    elif isinstance(p, Restrict):
+        own, bound = (), (p.name,)
+    elif isinstance(p, Rec):
+        own, bound = p.args, p.params
+    else:  # Nil, Tau, Sum, Par, Ident
+        own, bound = getattr(p, "args", ()), ()
+    order = dict.fromkeys(own)
+    for child in p.children():
+        for name in _free_occurrence_order(child):
+            if name not in bound:
+                order.setdefault(name)
+    got = p._fo = tuple(order)
+    return got

@@ -205,61 +205,118 @@ def canonical_alpha(p: Process) -> Process:
         return p._alpha
     except AttributeError:
         pass
-    result = _canonical_alpha(p)
-    p._alpha = result
-    result._alpha = result
-    return result
+    return _walk_alpha(p, {}, [0])
 
 
-def _canonical_alpha(p: Process) -> Process:
-    counter = [0]
-
-    def next_name() -> Name:
-        n = f"{BOUND_PREFIX}{counter[0]}"
-        counter[0] += 1
-        return n
-
-    def walk(q: Process, env: dict[Name, Name]) -> Process:
-        if isinstance(q, Nil):
-            return q
-        if isinstance(q, Tau):
-            return Tau(walk(q.cont, env))
-        if isinstance(q, Input):
-            chan = env.get(q.chan, q.chan)
-            new_params = tuple(next_name() for _ in q.params)
-            inner = dict(env)
-            inner.update(zip(q.params, new_params))
-            return Input(chan, new_params, walk(q.cont, inner))
-        if isinstance(q, Output):
-            return Output(env.get(q.chan, q.chan),
-                          tuple(env.get(a, a) for a in q.args),
-                          walk(q.cont, env))
-        if isinstance(q, Restrict):
-            new_name = next_name()
-            inner = dict(env)
-            inner[q.name] = new_name
-            return Restrict(new_name, walk(q.body, inner))
-        if isinstance(q, Match):
-            return Match(env.get(q.left, q.left), env.get(q.right, q.right),
-                         walk(q.then, env), walk(q.orelse, env))
-        if isinstance(q, Sum):
-            return Sum(walk(q.left, env), walk(q.right, env))
-        if isinstance(q, Par):
-            return Par(walk(q.left, env), walk(q.right, env))
-        if isinstance(q, Ident):
-            return Ident(q.ident, tuple(env.get(a, a) for a in q.args))
-        if isinstance(q, Rec):
-            args = tuple(env.get(a, a) for a in q.args)
-            new_params = tuple(next_name() for _ in q.params)
-            inner = dict(env)
-            inner.update(zip(q.params, new_params))
-            return Rec(q.ident, new_params, walk(q.body, inner), args)
-        raise TypeError(f"unknown process node {type(q).__name__}")
-
-    return walk(p, {})
+def _binder_count(p: Process) -> int:
+    """How many canonical names :func:`canonical_alpha` allocates in *p*
+    (one per input/rec parameter and restriction; memoized on the node)."""
+    try:
+        return p._nb
+    except AttributeError:
+        pass
+    if isinstance(p, (Input, Rec)):
+        n = len(p.params)
+    else:
+        n = 1 if isinstance(p, Restrict) else 0
+    for child in p.children():
+        n += _binder_count(child)
+    p._nb = n
+    return n
 
 
-canonical_alpha.cache_clear = lambda: purge_node_caches(("_alpha",))  # type: ignore[attr-defined]
+def _walk_alpha(q: Process, env: dict[Name, Name], counter: list[int]) -> Process:
+    """Alpha-canonicalise *q* under the binder renaming *env*, numbering
+    its binders from ``counter[0]`` and advancing the counter past them.
+
+    Binders are numbered in pre-order across a whole term, so a shared
+    subterm gets a different alpha-form at each offset it occurs at.  The
+    renaming reads *env* only at q's free names; when it renames none of
+    them, q's form depends on the offset alone (and is q itself if q binds
+    nothing), so it is memoized per node and offset — offset 0 in the
+    ``canonical_alpha`` slot.
+    """
+    if env and not env.keys().isdisjoint(free_names(q)):
+        return _rebuild_alpha(q, env, counter)
+    try:
+        n = q._nb
+    except AttributeError:
+        n = _binder_count(q)
+    if not n:
+        return q
+    at = counter[0]
+    if at == 0:
+        got = getattr(q, "_alpha", None)
+    else:
+        try:
+            memo = q._ao
+        except AttributeError:
+            memo = q._ao = {}
+        got = memo.get(at)
+    if got is not None:
+        counter[0] = at + n
+        return got
+    got = _rebuild_alpha(q, env, counter)
+    if at == 0:
+        q._alpha = got
+        got._alpha = got
+    else:
+        memo[at] = got
+    return got
+
+
+def _fresh_bound(k: int, counter: list[int]) -> tuple[Name, ...]:
+    at = counter[0]
+    counter[0] = at + k
+    return tuple(f"{BOUND_PREFIX}{i}" for i in range(at, at + k))
+
+
+def _rebuild_alpha(q: Process, env: dict[Name, Name],
+                   counter: list[int]) -> Process:
+    """One renaming step at *q*; the children go through :func:`_walk_alpha`."""
+    if isinstance(q, Nil):
+        return q
+    if isinstance(q, Tau):
+        return Tau(_walk_alpha(q.cont, env, counter))
+    if isinstance(q, Input):
+        chan = env.get(q.chan, q.chan)
+        new_params = _fresh_bound(len(q.params), counter)
+        inner = dict(env)
+        inner.update(zip(q.params, new_params))
+        return Input(chan, new_params, _walk_alpha(q.cont, inner, counter))
+    if isinstance(q, Output):
+        return Output(env.get(q.chan, q.chan),
+                      tuple(env.get(a, a) for a in q.args),
+                      _walk_alpha(q.cont, env, counter))
+    if isinstance(q, Restrict):
+        (new_name,) = _fresh_bound(1, counter)
+        inner = dict(env)
+        inner[q.name] = new_name
+        return Restrict(new_name, _walk_alpha(q.body, inner, counter))
+    if isinstance(q, Match):
+        return Match(env.get(q.left, q.left), env.get(q.right, q.right),
+                     _walk_alpha(q.then, env, counter),
+                     _walk_alpha(q.orelse, env, counter))
+    if isinstance(q, Sum):
+        return Sum(_walk_alpha(q.left, env, counter),
+                   _walk_alpha(q.right, env, counter))
+    if isinstance(q, Par):
+        return Par(_walk_alpha(q.left, env, counter),
+                   _walk_alpha(q.right, env, counter))
+    if isinstance(q, Ident):
+        return Ident(q.ident, tuple(env.get(a, a) for a in q.args))
+    if isinstance(q, Rec):
+        args = tuple(env.get(a, a) for a in q.args)
+        new_params = _fresh_bound(len(q.params), counter)
+        inner = dict(env)
+        inner.update(zip(q.params, new_params))
+        return Rec(q.ident, new_params, _walk_alpha(q.body, inner, counter),
+                   args)
+    raise TypeError(f"unknown process node {type(q).__name__}")
+
+
+canonical_alpha.cache_clear = (  # type: ignore[attr-defined]
+    lambda: purge_node_caches(("_alpha", "_ao", "_nb")))
 
 
 def alpha_eq(p: Process, q: Process) -> bool:

@@ -24,8 +24,9 @@ object.  This makes ``==`` an identity check in the common case, dict/set
 operations O(1) without tree walks, and lets semantic functions cache
 their results directly on the node (``free_names``, ``canonical_state``,
 ``step_transitions`` ... use the ``_NODE_CACHE_SLOTS`` below instead of
-module-level ``lru_cache``s).  :mod:`repro.core.cache` exposes
-``clear_caches()`` / ``cache_stats()`` over this machinery.
+module-level ``lru_cache``s; the comment beside each slot names its
+owner).  :mod:`repro.core.cache` exposes ``clear_caches()`` /
+``cache_stats()`` over this machinery.
 """
 
 from __future__ import annotations
@@ -35,14 +36,16 @@ from typing import Any, Iterator
 from .names import Name
 
 #: Slots reserved on every node for memoized semantic results.  Each is
-#: owned by one function (see repro.core.cache for the mapping); they are
-#: pure functions of the term's structure, so sharing nodes shares results.
+#: owned by the one function named in its comment; they are pure
+#: functions of the term's structure, so sharing nodes shares results.
 _NODE_CACHE_SLOTS = (
     "_fn",       # freenames.free_names
     "_bn",       # freenames.bound_names
     "_canon",    # canonical.canonical_state
     "_canon2",   # canonical.canonical_state_collapsed
     "_alpha",    # substitution.canonical_alpha
+    "_ao",       # substitution._walk_alpha (offset -> alpha-form, offset > 0)
+    "_nb",       # substitution._binder_count
     "_steps",    # semantics.step_transitions
     "_caps",     # semantics.input_capabilities
     "_barbs",    # reduction.barbs
@@ -50,6 +53,8 @@ _NODE_CACHE_SLOTS = (
     "_nf",       # canonical._normalize(p, collapse=False)
     "_nf2",      # canonical._normalize(p, collapse=True)
     "_stable",   # canonical._stable_fingerprint
+    "_sk",       # canonical._sort_key
+    "_fo",       # canonical._free_occurrence_order
     "_phisucc",  # equiv.reduction_graph.phi_successors (steps=True)
     "_tausucc",  # equiv.reduction_graph.phi_successors (steps=False)
 )
@@ -95,8 +100,12 @@ class _InternMeta(type):
 
 
 def purge_node_caches(slots: tuple[str, ...] = _NODE_CACHE_SLOTS) -> None:
-    """Drop the given memoized results from every interned node."""
-    for node in _INTERN.values():
+    """Drop the given memoized results from every interned node.
+
+    The ``NIL`` singleton is purged too: it is used directly without
+    passing the constructor, so it may be out of the table yet memoized.
+    """
+    for node in (*_INTERN.values(), NIL):
         for slot in slots:
             try:
                 delattr(node, slot)

@@ -5,16 +5,34 @@ The key soundness property: canonicalization preserves one-step behaviour —
 matching transition sets modulo re-canonicalization of the targets.
 """
 
-from hypothesis import given
+from hypothesis import given, settings
 
 from repro.core.actions import TAU
-from repro.core.canonical import canonical_state
+from repro.core.cache import clear_caches
+from repro.core.canonical import (
+    _free_occurrence_order,
+    canonical_state,
+    canonical_state_collapsed,
+)
 from repro.core.discard import discards
 from repro.core.freenames import free_names
 from repro.core.parser import parse
+from repro.core.pretty import pretty
 from repro.core.reduction import barbs
 from repro.core.semantics import input_continuations, step_transitions
 from repro.core.substitution import canonical_alpha
+from repro.core.syntax import (
+    Input,
+    Match,
+    Nil,
+    Output,
+    Par,
+    Rec,
+    Restrict,
+    Sum,
+    Tau,
+    iter_subterms,
+)
 from tests.strategies import processes0, processes1
 
 
@@ -131,3 +149,125 @@ def test_input_continuations_preserved(p):
             lhs = {canonical_state(q) for q in input_continuations(p, a, (v,))}
             rhs = {canonical_state(q) for q in input_continuations(c, a, (v,))}
             assert lhs == rhs
+
+
+# -- memoized parts of canonical forms ---------------------------------------
+
+def _oracle_occurrence_order(p):
+    """Free names of *p* by first occurrence, as a plain pre-order walk."""
+    seen = []
+
+    def note(name, shadow):
+        if name not in shadow and name not in seen:
+            seen.append(name)
+
+    def walk(q, shadow):
+        if isinstance(q, Nil):
+            return
+        if isinstance(q, Tau):
+            walk(q.cont, shadow)
+        elif isinstance(q, Input):
+            note(q.chan, shadow)
+            walk(q.cont, shadow | frozenset(q.params))
+        elif isinstance(q, Output):
+            note(q.chan, shadow)
+            for a in q.args:
+                note(a, shadow)
+            walk(q.cont, shadow)
+        elif isinstance(q, Restrict):
+            walk(q.body, shadow | {q.name})
+        elif isinstance(q, Match):
+            note(q.left, shadow)
+            note(q.right, shadow)
+            walk(q.then, shadow)
+            walk(q.orelse, shadow)
+        elif isinstance(q, (Sum, Par)):
+            walk(q.left, shadow)
+            walk(q.right, shadow)
+        elif isinstance(q, Rec):
+            for a in q.args:
+                note(a, shadow)
+            walk(q.body, shadow | frozenset(q.params))
+        else:  # Ident
+            for a in q.args:
+                note(a, shadow)
+
+    walk(p, frozenset())
+    return tuple(seen)
+
+
+def _oracle_alpha(p):
+    """canonical_alpha as one plain walk numbering binders in pre-order."""
+    count = [0]
+
+    def fresh(names):
+        out = tuple(f"_v{count[0] + i}" for i in range(len(names)))
+        count[0] += len(names)
+        return out
+
+    def walk(q, env):
+        def r(name):
+            return env.get(name, name)
+
+        if isinstance(q, Nil):
+            return q
+        if isinstance(q, Tau):
+            return Tau(walk(q.cont, env))
+        if isinstance(q, Input):
+            params = fresh(q.params)
+            return Input(r(q.chan), params,
+                         walk(q.cont, {**env, **dict(zip(q.params, params))}))
+        if isinstance(q, Output):
+            return Output(r(q.chan), tuple(map(r, q.args)), walk(q.cont, env))
+        if isinstance(q, Restrict):
+            (name,) = fresh((q.name,))
+            return Restrict(name, walk(q.body, {**env, q.name: name}))
+        if isinstance(q, Match):
+            return Match(r(q.left), r(q.right), walk(q.then, env),
+                         walk(q.orelse, env))
+        if isinstance(q, (Sum, Par)):
+            return type(q)(walk(q.left, env), walk(q.right, env))
+        raise TypeError(type(q).__name__)  # no Rec/Ident in the strategies
+
+    return walk(p, {})
+
+
+def _warm(p):
+    """Canonicalise every subterm of *p* inside contexts that shift its
+    binder numbering (largest shift first), with and without binding its
+    free names."""
+    for s in set(iter_subterms(p)):
+        wrapped = [Input("c", tuple(f"w{i}" for i in range(k)), s)
+                   for k in (5, 3, 2, 1)]
+        wrapped += [Input("c", (n,), s) for n in sorted(free_names(s))]
+        for w in wrapped + [s]:
+            canonical_alpha(w)
+            canonical_state(Par(w, s))
+            canonical_state_collapsed(Par(s, Par(w, s)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(processes1)
+def test_canonical_forms_independent_of_memo_state(p):
+    clear_caches()
+    cold = parse(pretty(p))
+    expected = (canonical_state(cold), canonical_alpha(cold),
+                canonical_state_collapsed(cold))
+    clear_caches()
+    warm = parse(pretty(p))
+    _warm(warm)
+    assert (canonical_state(warm), canonical_alpha(warm),
+            canonical_state_collapsed(warm)) == expected
+    assert canonical_alpha(warm) == _oracle_alpha(warm)
+
+
+@given(processes1)
+def test_free_occurrence_order_matches_preorder_walk(p):
+    for q in iter_subterms(p):
+        assert _free_occurrence_order(q) == _oracle_occurrence_order(q)
+
+
+def test_free_occurrence_order_under_rec():
+    p = parse("rec X(x := a, y := b). x(z).(y<z> | X<y, x>) | c!")
+    assert _free_occurrence_order(p) == _oracle_occurrence_order(p) \
+        == ("a", "b", "c")

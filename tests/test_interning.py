@@ -15,12 +15,26 @@ from hypothesis import strategies as st
 from tests.strategies import processes0, processes1
 
 from repro.core.cache import cache_stats, clear_caches
-from repro.core.canonical import canonical_state
+from repro.core.canonical import (
+    _free_occurrence_order,
+    _sort_key,
+    canonical_state,
+    canonical_state_collapsed,
+)
 from repro.core.freenames import free_names
 from repro.core.parser import parse
 from repro.core.pretty import pretty
 from repro.core.semantics import step_transitions
-from repro.core.syntax import NIL, Output, Par, Sum, Tau, intern_stats
+from repro.core.syntax import (
+    _INTERN,
+    _NODE_CACHE_SLOTS,
+    NIL,
+    Output,
+    Par,
+    Sum,
+    Tau,
+    intern_stats,
+)
 from repro.lts.partition import (
     coarsest_partition,
     coarsest_partition_labelled,
@@ -83,6 +97,25 @@ class TestClearCaches:
         stats = cache_stats()
         assert stats["interned"] == 0
         assert stats["hits"] == 0 and stats["misses"] == 0
+
+    def test_clear_drops_every_node_memo(self):
+        clear_caches()
+        for src in ("a<v> | a(x).nu y (x<y> | y?) | a(x).nu y (y?.x<y>)",
+                    "nu p nu q (p!.a! | q?.b! | a?.p!) + b!.0",
+                    "rec X(x := a). x(z).(z! | X<x>)"):
+            p = parse(src)
+            canonical_state(p)
+            canonical_state_collapsed(p)
+            _sort_key(p)
+            _free_occurrence_order(p)
+        nodes = [*_INTERN.values(), NIL]
+        memoized = {slot for q in nodes for slot in _NODE_CACHE_SLOTS
+                    if hasattr(q, slot)}
+        # the canonical-form memos were populated, so the check below bites
+        assert {"_fo", "_sk", "_ao", "_nb", "_alpha", "_canon"} <= memoized
+        clear_caches()
+        assert [(q, slot) for q in nodes for slot in _NODE_CACHE_SLOTS
+                if hasattr(q, slot)] == []
 
     def test_old_nodes_remain_usable(self):
         p = parse("a! | a?.c!")

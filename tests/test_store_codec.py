@@ -9,6 +9,12 @@ receiving intern table's unique representative back.
 
 from __future__ import annotations
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -111,6 +117,83 @@ class TestDigests:
         assert pair_key(a, b) != pair_key(b, a)
         assert pair_key(canonical_state(a), canonical_state(b)) \
             == pair_key(a, b)
+
+
+#: Sources covering each canonicalisation step, with their digests.
+#: Each row is (source, state_digest, term_digest, pair_key against the
+#: first source).  The hex values are the ones written to existing verdict
+#: stores: a change to canonical forms that moves any of them orphans
+#: every stored verdict, so they are pinned, not recomputed.
+_PINNED = [
+    # a star with input binders
+    ("a<v> | a(x).r0<x> | a(y).r1<y> | a(z).r2<z>",
+     "88dbfc59bab6156d0197cdf740c23e9a043cd952b93bd56c99e5c2caebd0e35f",
+     "6c119b7d4e2f456a0e89de5ecd6a267a74a6e23f9c07795a5a8334d64afce8f9",
+     "aebf250f491d12a2c38f2245c95bf6fc2636aafcea8836e4f34f408b6a391585"),
+    # a nu-relay: a shared private channel stays hoisted
+    ("nu c (a(x).c<x> | c(y).b<y>) | a<v>",
+     "dda8db36be7332d6fb4ebafb6ad4c4984a0609b72bb85850e9cc038b9bf2a330",
+     "64e5ce38ed6f774595d99aeb31fb12b723faea7e92ee2f7b8054e932e14f2bcb",
+     "e2840f9c50115041cbbef272e2c757700e5fd21df0f6cd14e6733e6bef35e68a"),
+    # a sum that needs orienting
+    ("b!.tau.0 + a! + c?.b!",
+     "74136f5b71bd24ea2f7e90aef436d66e30e0053a934741d6529b8bff6786df62",
+     "a9fda62085839475d3b39476431e82233b896c036414a4b78f125b54bc806193",
+     "e0ca67427e4b3494f632d799ed55fa27ac1298007a69ddca6733db43812a7cdb"),
+    # q is private to one component and is pushed back inside it
+    ("nu p nu q (p!.a! | q?.b! | a?.p!) | c!",
+     "f2960bb287b8390f2278b69dcbd6c706d62b94f0fc8d47a410481a1246662525",
+     "dc9a6a08ffda6576ab37da7c59057b2054e4cdf0a93e1e00a093aa911cc9565e",
+     "2c49b26f37d785c3bd672720b46247ad23ec8d32bfdb4735fe755b5c70653da3"),
+    # matches resolved both ways
+    ("[a=a]{nu x (x! | a<x>)}{b!} | [a=b]{c!}{a?.c!}",
+     "532d9045e7d7536c560242206d15a4d493e36175f4073868d7d71063e56da5a4",
+     "b807670144acc4fbf9c17e85e9345b28ac73ea60fcc2e1538948d157a3e53046",
+     "d2fc75f5ad249db53e8c63612bf96bfb5b260aa119b31d0e0d47714152716c8b"),
+    # a rec (atomic at the state level)
+    ("rec X(x := a, y := b). x(z).(y<z> | X<y, x>)",
+     "a7055bf3a34cfb3d005b99e2dbfc5c608551ac8d39b5f54fd681eb41044772ce",
+     "a7055bf3a34cfb3d005b99e2dbfc5c608551ac8d39b5f54fd681eb41044772ce",
+     "fe259647d046bd2862e0e9773ca906b234c3391875961a66dd5005cfcd9327fd"),
+    # clashing binder names, a dead restriction, binders under a sum
+    ("nu k (k<a>.0 | k(u).u! | nu k k?) + tau.nu m (m! | a(w).w<m>)",
+     "17ab74a573d11469972a055feb2f441fe70f2fd6b6204f2aab0fd21b20ab10e8",
+     "096ca15258112fa1597dfdb425b05f0f35da97c663f39f78e46a6b3c89ea570f",
+     "bf3b1fb71f3da47153368d069fd4d1aa82e232c2281cea6924226a9c9f38cd68"),
+    # the same binder names at different pre-order offsets
+    ("a(x).nu y (x<y> | y?.a!) | a(x).nu y (y?.x<y>)",
+     "77c2aae4d544239d38a5388f94700226af8ca1b2dffbdc62fab08b3919c4178e",
+     "ac5d02b2815f79386e6ae5544c3837005a4b1fedff4161dd0fae865494985334",
+     "82443facf07408940e7490a1b8c76e368616b2f8e002d2cb3dabd7aaee15f78f"),
+]
+
+_DIGEST_SCRIPT = """
+import json, sys
+from repro.core.parser import parse
+from repro.store.codec import pair_key, state_digest, term_digest
+sources = json.loads(sys.argv[1])
+first = parse(sources[0])
+print(json.dumps([[state_digest(parse(s)), term_digest(parse(s)),
+                   pair_key(parse(s), first)] for s in sources]))
+"""
+
+
+class TestCrossProcessDigests:
+    @pytest.mark.parametrize("hash_seed", ["0", "1", "random"])
+    def test_digests_pinned_under_every_hash_seed(self, hash_seed):
+        # Store keys are written by one process and read by another, each
+        # with its own string-hash salt; the digests must not depend on it.
+        src = pathlib.Path(__file__).parent.parent / "src"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")]))
+        sources = [row[0] for row in _PINNED]
+        result = subprocess.run(
+            [sys.executable, "-c", _DIGEST_SCRIPT, json.dumps(sources)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr[-2000:]
+        got = json.loads(result.stdout)
+        assert got == [list(row[1:]) for row in _PINNED]
 
 
 class TestStrictDecoding:
