@@ -19,12 +19,14 @@ and *a*, exactly one of "``input_continuations(p, a, v)`` is non-empty for
 well-sorted *v*" and "``discards(p, a)``" holds.  The property suite
 checks this per registered backend.
 
-Engine layers (``lts/``, ``equiv/``, ``runtime/``, the facade and CLI)
-resolve a backend through :mod:`repro.calculi.registry` and call these
-methods; they never import ``core.semantics`` / ``core.discard`` directly
-(contract Rule E).  The default :class:`BpiBackend` delegates to exactly
-those memoized core functions, so the default path is bit-identical to
-calling them directly.
+Every backend is an instance of :class:`~repro.core.semantics.Table3`, the
+one implementation of the rules: :class:`BpiBackend` is that class as
+written, and the extensions subclass :class:`StructuralBackend`, which
+gives each instance its own memo tables, and override the hooks where
+their semantics deviates.  Engine layers (``lts/``, ``equiv/``,
+``runtime/``, the facade and CLI) resolve a backend through
+:mod:`repro.calculi.registry` and call these methods; they never import
+``core.semantics`` / ``core.discard`` directly (contract Rule E).
 """
 
 from __future__ import annotations
@@ -32,31 +34,12 @@ from __future__ import annotations
 import abc
 from typing import Iterable
 
-from ..core.actions import TAU, InputAction, OutputAction, TauAction
-from ..core.binders import freshen_action_binders
-from ..core.discard import discards as _bpi_discards
-from ..core.discard import listening_channels as _bpi_listening
+from ..core.actions import OutputAction
 from ..core.freenames import free_names
 from ..core.names import Name
-from ..core.reduction import barbs as _bpi_barbs
-from ..core.semantics import Transition, check_sorts as _bpi_check_sorts
-from ..core.semantics import input_capabilities as _bpi_caps
-from ..core.semantics import input_continuations as _bpi_inputs
-from ..core.semantics import step_transitions as _bpi_steps
-from ..core.substitution import unfold_rec
-from ..core.syntax import (
-    Ident,
-    Input,
-    Match,
-    Nil,
-    Output,
-    Par,
-    Process,
-    Rec,
-    Restrict,
-    Sum,
-    Tau,
-)
+from ..core.semantics import Table3, Transition
+from ..core.semantics import check_sorts as _bpi_check_sorts
+from ..core.syntax import Process
 
 
 class CalculusBackend(abc.ABC):
@@ -121,9 +104,13 @@ class CalculusBackend(abc.ABC):
     def input_capabilities(self, p: Process) -> frozenset[tuple[Name, int]]:
         """The (channel, arity) pairs at which *p* can currently receive."""
 
+    @abc.abstractmethod
     def listening_channels(self, p: Process) -> frozenset[Name]:
         """``In(p)``: channels whose broadcasts *p* does not discard."""
-        return frozenset(c for (c, _k) in self.input_capabilities(p))
+
+    @abc.abstractmethod
+    def transitions(self, p: Process, universe) -> list[Transition]:
+        """Steps plus inputs instantiated over a finite name universe."""
 
     def barbs(self, p: Process) -> frozenset[Name]:
         """The observables of *p* (output subjects, in every backend)."""
@@ -135,15 +122,6 @@ class CalculusBackend(abc.ABC):
         """Backend sort rules; raises ``ValueError`` on a violation."""
         return _bpi_check_sorts(p)
 
-    def transitions(self, p: Process, universe) -> list[Transition]:
-        """Steps plus inputs instantiated over a finite name universe."""
-        result: list[Transition] = list(self.step_transitions(p))
-        for chan, arity in sorted(self.input_capabilities(p)):
-            for values in universe.vectors(arity):
-                for target in self.input_continuations(p, chan, values):
-                    result.append((InputAction(chan, values), target))
-        return result
-
     def clear_caches(self) -> None:
         """Drop per-instance memo tables (hook for ``core.cache``)."""
         self._scratch.clear()
@@ -152,57 +130,28 @@ class CalculusBackend(abc.ABC):
         return f"<{type(self).__name__} {self.spec!r}>"
 
 
-class BpiBackend(CalculusBackend):
+class BpiBackend(Table3, CalculusBackend):
     """The paper's semantics, verbatim.
 
-    Every method forwards to the memoized free functions in
-    ``core.semantics`` / ``core.discard`` / ``core.reduction`` — same
-    caches, same tuples, same ordering — so routing through the registry
-    is observationally identical to the pre-protocol code.
+    :class:`~repro.core.semantics.Table3` as written, memoized on the node
+    slots and tables the module-level ``core.semantics`` functions share,
+    so routing through the registry is observationally identical to
+    calling those functions.
     """
 
     name = "bpi"
 
-    def step_transitions(self, p: Process) -> tuple[Transition, ...]:
-        return _bpi_steps(p)
 
-    def input_continuations(self, p: Process, chan: Name,
-                            values: tuple[Name, ...]) -> tuple[Process, ...]:
-        return _bpi_inputs(p, chan, values)
+class StructuralBackend(Table3, CalculusBackend):
+    """Table 3 with per-instance memo tables, for semantics that deviate.
 
-    def discards(self, p: Process, a: Name) -> bool:
-        return _bpi_discards(p, a)
-
-    def input_capabilities(self, p: Process) -> frozenset[tuple[Name, int]]:
-        return _bpi_caps(p)
-
-    def listening_channels(self, p: Process) -> frozenset[Name]:
-        return _bpi_listening(p)
-
-    def barbs(self, p: Process) -> frozenset[Name]:
-        return _bpi_barbs(p)
-
-
-class StructuralBackend(CalculusBackend):
-    """Table-3-shaped semantics parameterised on delivery and discard.
-
-    Subclasses supply :meth:`discards` and the delivery judgement
-    ``input_continuations``; the step relation keeps the paper's rule
-    structure (tau/output prefixes, sums, matches, recursion, the
-    restriction rules (5)-(7) and the parallel rules (13)/(14)) but
-    routes the passive side of a broadcast through the subclass's
-    delivery and discard — which is exactly where lossy and wireless
-    semantics deviate from the paper.
-
-    Steps and deliveries are memoized per backend instance, keyed on the
-    interned nodes, mirroring the slot caches of the default semantics.
+    The node-slot memos of :class:`~repro.core.semantics.Table3` are shared
+    by every instance, so they can hold only one semantics — the paper's.
+    Subclasses override Table 3's hooks (who hears a broadcast, how a
+    parallel composition takes one, which names fresh binders avoid) and
+    memoize steps and deliveries here, keyed on the interned nodes.
     """
 
-    def _freshen_avoid(self) -> frozenset[Name]:
-        """Extra names that freshly generated binders must avoid."""
-        return frozenset()
-
-    # ----------------------------------------------------------- steps
     def step_transitions(self, p: Process) -> tuple[Transition, ...]:
         memo = self.memo("steps")
         try:
@@ -213,86 +162,8 @@ class StructuralBackend(CalculusBackend):
         memo[p] = result
         return result
 
-    def _compute_steps(self, p: Process) -> tuple[Transition, ...]:
-        if isinstance(p, (Nil, Input)):
-            return ()
-        if isinstance(p, Tau):
-            return ((TAU, p.cont),)  # rule (2)
-        if isinstance(p, Output):
-            return ((OutputAction(p.chan, p.args, ()), p.cont),)  # rule (4)
-        if isinstance(p, Sum):  # rule (8)
-            return self.step_transitions(p.left) + self.step_transitions(p.right)
-        if isinstance(p, Match):  # rules (9), (10)
-            branch = p.then if p.left == p.right else p.orelse
-            return self.step_transitions(branch)
-        if isinstance(p, Rec):  # rule (11)
-            return self.step_transitions(unfold_rec(p))
-        if isinstance(p, Restrict):
-            return tuple(self._restrict_steps(p))
-        if isinstance(p, Par):
-            return tuple(self._par_steps(p))
-        if isinstance(p, Ident):
-            raise ValueError(
-                f"cannot take transitions of open process (free identifier {p.ident!r})")
-        raise TypeError(f"unknown process node {type(p).__name__}")
-
-    def _restrict_steps(self, p: Restrict) -> list[Transition]:
-        x, body = p.name, p.body
-        out: list[Transition] = []
-        for action, target in self.step_transitions(body):
-            if isinstance(action, TauAction):  # rule (7)
-                out.append((TAU, Restrict(x, target)))
-                continue
-            assert isinstance(action, OutputAction)
-            if action.chan == x:
-                # Rule (6): a broadcast on the restricted channel is
-                # internal; the scope of extruded names is re-established.
-                q = target
-                for b in reversed(action.binders):
-                    q = Restrict(b, q)
-                out.append((TAU, Restrict(x, q)))
-                continue
-            if x in action.binders:
-                action, target = freshen_action_binders(
-                    action, target, frozenset((x,)) | self._freshen_avoid())
-            if x in action.objects:
-                # Rule (5): scope extrusion.
-                out.append((OutputAction(action.chan, action.objects,
-                                         action.binders + (x,)), target))
-            else:
-                # Rule (7): x not involved, keep the restriction.
-                out.append((action, Restrict(x, target)))
-        return out
-
-    def _par_steps(self, p: Par) -> list[Transition]:
-        out: list[Transition] = []
-        for active, passive, rebuild in (
-            (p.left, p.right, lambda a, b: Par(a, b)),
-            (p.right, p.left, lambda a, b: Par(b, a)),
-        ):
-            for action, target in self.step_transitions(active):
-                if isinstance(action, TauAction):
-                    out.append((TAU, rebuild(target, passive)))
-                    continue
-                assert isinstance(action, OutputAction)
-                action, target = freshen_action_binders(
-                    action, target,
-                    frozenset(free_names(passive)) | self._freshen_avoid())
-                if self.discards(passive, action.chan):
-                    # Rule (14): the passive side cannot hear; unchanged.
-                    out.append((action, rebuild(target, passive)))
-                else:
-                    # Rule (13), backend delivery: every residual the
-                    # delivery judgement admits (lossy delivery includes
-                    # the "message lost at this listener" residual).
-                    for received in self.input_continuations(
-                            passive, action.chan, action.objects):
-                        out.append((action, rebuild(target, received)))
-        return out
-
-    # -------------------------------------------------------- delivery
-    def input_continuations(self, p: Process, chan: Name,
-                            values: tuple[Name, ...]) -> tuple[Process, ...]:
+    def _deliver(self, p: Process, chan: Name,
+                 values: tuple[Name, ...]) -> tuple[Process, ...]:
         memo = self.memo("inputs")
         key = (p, chan, values)
         try:
@@ -302,11 +173,6 @@ class StructuralBackend(CalculusBackend):
         result = self._compute_inputs(p, chan, values)
         memo[key] = result
         return result
-
-    @abc.abstractmethod
-    def _compute_inputs(self, p: Process, chan: Name,
-                        values: tuple[Name, ...]) -> tuple[Process, ...]:
-        """Uncached delivery judgement; see :meth:`input_continuations`."""
 
 
 def dichotomy_channels(p: Process,

@@ -32,99 +32,35 @@ hierarchy is strict in both directions (checked in the suite):
 
 from __future__ import annotations
 
-from ..core.discard import discards as _bpi_discards
-from ..core.discard import listening_channels as _bpi_listening
-from ..core.freenames import free_names
-from ..core.names import Name, fresh_name
-from ..core.semantics import input_capabilities as _bpi_caps
-from ..core.substitution import apply_subst, unfold_rec
-from ..core.syntax import (
-    Ident,
-    Input,
-    Match,
-    Nil,
-    Output,
-    Par,
-    Process,
-    Rec,
-    Restrict,
-    Sum,
-    Tau,
-)
+from ..core.names import Name
+from ..core.syntax import Par, Process
 from .backend import StructuralBackend
 
 
 class LossyBackend(StructuralBackend):
-    """The paper's calculus with per-listener message loss."""
+    """The paper's calculus with per-listener message loss.
+
+    Table 3 verbatim except for how a listener takes a broadcast: loss
+    does not change who is listening (Table 2 stands), it only adds, for
+    each listener, the residual where the message never arrived.
+    """
 
     name = "lossy"
 
-    def discards(self, p: Process, a: Name) -> bool:
-        # Loss does not change who is listening — Table 2 verbatim.
-        return _bpi_discards(p, a)
-
-    def input_capabilities(self, p: Process) -> frozenset[tuple[Name, int]]:
-        return _bpi_caps(p)
-
-    def listening_channels(self, p: Process) -> frozenset[Name]:
-        return _bpi_listening(p)
-
-    def _compute_inputs(self, p: Process, chan: Name,
-                        values: tuple[Name, ...]) -> tuple[Process, ...]:
+    def input_continuations(self, p: Process, chan: Name,
+                            values: tuple[Name, ...]) -> tuple[Process, ...]:
         if self.discards(p, chan):
             return ()
         # A listener's delivery options: every genuine (at least one
         # component received) residual, plus total loss — p unchanged.
-        return self._genuine(p, chan, values) + (p,)
+        return self._deliver(p, chan, values) + (p,)
 
-    def _genuine(self, p: Process, chan: Name,
-                 values: tuple[Name, ...]) -> tuple[Process, ...]:
-        """Residuals where the message reached at least one receiver."""
-        if isinstance(p, (Nil, Tau, Output)):
-            return ()
-        if isinstance(p, Input):
-            if p.chan != chan or len(p.params) != len(values):
-                return ()
-            return (apply_subst(p.cont, dict(zip(p.params, values))),)
-        if isinstance(p, Sum):
-            # A reception inside a branch commits the sum; losing the
-            # message leaves the whole sum intact (handled by the caller's
-            # total-loss residual, not per branch).
-            return (self._genuine(p.left, chan, values)
-                    + self._genuine(p.right, chan, values))
-        if isinstance(p, Match):
-            branch = p.then if p.left == p.right else p.orelse
-            return self._genuine(branch, chan, values)
-        if isinstance(p, Rec):
-            return self._genuine(unfold_rec(p), chan, values)
-        if isinstance(p, Restrict):
-            x, body = p.name, p.body
-            if x == chan:
-                return ()
-            if x in values:
-                nx = fresh_name(
-                    free_names(body) | set(values) | {chan, x}, hint=x)
-                body = apply_subst(body, {x: nx})
-                x = nx
-            return tuple(Restrict(x, q)
-                         for q in self._genuine(body, chan, values))
-        if isinstance(p, Par):
-            # Each side independently receives or loses; at least one
-            # side must genuinely receive for the residual to be genuine.
-            def options(side: Process) -> tuple[tuple[Process, bool], ...]:
-                if self.discards(side, chan):
-                    return ((side, False),)
-                return (tuple((g, True)
-                              for g in self._genuine(side, chan, values))
-                        + ((side, False),))
-
-            out: list[Process] = []
-            for lres, lgot in options(p.left):
-                for rres, rgot in options(p.right):
-                    if lgot or rgot:
-                        out.append(Par(lres, rres))
-            return tuple(out)
-        if isinstance(p, Ident):
-            raise ValueError(
-                f"cannot take transitions of open process (free identifier {p.ident!r})")
-        raise TypeError(f"unknown process node {type(p).__name__}")
+    def _par_inputs(self, p: Par, chan: Name,
+                    values: tuple[Name, ...]) -> tuple[Process, ...]:
+        # Each side independently receives or loses the message; a side
+        # that is not listening stays put.  Every option list ends with
+        # the side unchanged, so the last combination is the one where no
+        # side received: that is total loss, added once at the top.
+        lefts = self.input_continuations(p.left, chan, values) or (p.left,)
+        rights = self.input_continuations(p.right, chan, values) or (p.right,)
+        return tuple(Par(l, r) for l in lefts for r in rights)[:-1]

@@ -7,14 +7,15 @@ importing ``core.semantics`` directly (contract Rule E).  A *spec* is
 * a name — ``"bpi"``, ``"lossy"``, ``"wireless"``;
 * a parameterised name — ``"wireless:a-b,b-c"`` (the parameter string is
   handed to the backend family's factory);
-* an already-constructed :class:`~repro.calculi.backend.CalculusBackend`,
-  returned as-is.
+* an already-constructed :class:`~repro.calculi.backend.CalculusBackend`
+  (e.g. from ``WirelessBackend.connect``), which stands for its spec.
 
 Spec strings are plain text, so they are picklable and travel unchanged
 to worker processes (``store/batch.py`` ships them in task payloads).
-One instance is cached per canonical spec, so per-backend memo tables
-persist for the session; :func:`clear_caches` drops them all (wired into
-``core.cache.clear_caches``).
+One instance is cached per canonical spec — an instance built outside the
+registry is registered under its spec the first time it is resolved — so
+one spec means one set of memo tables, persisting for the session;
+:func:`clear_caches` drops them all (wired into ``core.cache.clear_caches``).
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def resolve(spec: str | CalculusBackend | None = None) -> CalculusBackend:
     if spec is None:
         spec = "bpi"
     if isinstance(spec, CalculusBackend):
-        return spec
+        return _INSTANCES.setdefault(spec.spec, spec)
     if not isinstance(spec, str):
         raise TypeError(
             f"calculus spec must be a name, 'name:params' string, or a "

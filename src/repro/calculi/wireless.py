@@ -14,6 +14,11 @@ must receive (rule (13)); a listener whose cell is not reachable discards
 the broadcast (rule (14)) — that is the wireless discard relation, and
 the input/discard dichotomy holds for it verbatim.
 
+The backend is Table 3 itself with the topology plugged into its hooks:
+:meth:`WirelessBackend.hears` is :meth:`Topology.hears`, ``In(p)`` widens
+to the neighbours of the cells *p* is tuned to, and fresh binders avoid
+the cells.
+
 Topology mutation (handover, node movement) is modelled at the meta
 level: :meth:`Topology.connect` / :meth:`Topology.disconnect` — and the
 corresponding :meth:`WirelessBackend.connect` / ``disconnect`` — return a
@@ -32,25 +37,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from ..core.discard import listening_channels as _bpi_listening
-from ..core.freenames import free_names
-from ..core.names import Name, fresh_name
-from ..core.semantics import check_sorts as _bpi_check_sorts
-from ..core.semantics import input_capabilities as _bpi_caps
-from ..core.substitution import apply_subst, unfold_rec
-from ..core.syntax import (
-    Ident,
-    Input,
-    Match,
-    Nil,
-    Output,
-    Par,
-    Process,
-    Rec,
-    Restrict,
-    Sum,
-    Tau,
-)
+from ..core.names import Name
+from ..core.syntax import Input, Process, Restrict
 from .backend import StructuralBackend
 
 
@@ -120,6 +108,7 @@ class WirelessBackend(StructuralBackend):
     def __init__(self, topology: Topology | None = None) -> None:
         super().__init__()
         self.topology = topology if topology is not None else Topology(frozenset())
+        self.avoid = self.topology.cells
 
     @property
     def spec(self) -> str:
@@ -137,21 +126,22 @@ class WirelessBackend(StructuralBackend):
     def disconnect(self, a: Name, b: Name) -> "WirelessBackend":
         return WirelessBackend(self.topology.disconnect(a, b))
 
-    def _freshen_avoid(self) -> frozenset[Name]:
-        return self.topology.cells
+    def hears(self, chan: Name, listener: Name) -> bool:
+        return self.topology.hears(chan, listener)
 
     # ---------------------------------------------------------- discard
-    def discards(self, p: Process, a: Name) -> bool:
-        # p discards a broadcast on cell `a` iff none of its (externally
-        # addressable) listening cells can hear it.
-        hears = self.topology.hears
-        return not any(hears(a, b) for b in _bpi_listening(p))
+    def listening_channels(self, p: Process) -> frozenset[Name]:
+        # p hears a broadcast on cell `a` iff one of its (externally
+        # addressable) listening cells is `a` or adjacent to it; p
+        # discards every other cell.
+        tuned = super().listening_channels(p)
+        return tuned.union(*map(self.topology.neighbours, tuned))
 
     def input_capabilities(self, p: Process) -> frozenset[tuple[Name, int]]:
         # A listener tuned to cell b at arity k can be reached by a
         # broadcast on b itself or on any adjacent cell.
         caps = set()
-        for b, k in _bpi_caps(p):
+        for b, k in super().input_capabilities(p):
             caps.add((b, k))
             for a in self.topology.neighbours(b):
                 caps.add((a, k))
@@ -162,7 +152,7 @@ class WirelessBackend(StructuralBackend):
         cells = self.topology.cells
         if cells:
             self._reject_bound_cells(p, cells)
-        sorts = _bpi_check_sorts(p)
+        sorts = super().check_sorts(p)
         # Adjacent cells exchange the same broadcasts, so they must agree
         # on arity wherever both are used.
         for a, b in sorted(self.topology.edges):
@@ -189,52 +179,3 @@ class WirelessBackend(StructuralBackend):
                 walk(c)
 
         walk(p)
-
-    # --------------------------------------------------------- delivery
-    def _compute_inputs(self, p: Process, chan: Name,
-                        values: tuple[Name, ...]) -> tuple[Process, ...]:
-        if isinstance(p, (Nil, Tau, Output)):
-            return ()
-        if isinstance(p, Input):
-            if not self.topology.hears(chan, p.chan) \
-                    or len(p.params) != len(values):
-                return ()
-            return (apply_subst(p.cont, dict(zip(p.params, values))),)
-        if isinstance(p, Sum):
-            return (self.input_continuations(p.left, chan, values)
-                    + self.input_continuations(p.right, chan, values))
-        if isinstance(p, Match):
-            branch = p.then if p.left == p.right else p.orelse
-            return self.input_continuations(branch, chan, values)
-        if isinstance(p, Rec):
-            return self.input_continuations(unfold_rec(p), chan, values)
-        if isinstance(p, Restrict):
-            x, body = p.name, p.body
-            # The bound name is a private channel: it must neither capture
-            # received values nor spuriously hear the outer broadcast via
-            # a topology edge that names its spelling.
-            if x in values or self.topology.hears(chan, x):
-                nx = fresh_name(free_names(body) | set(values)
-                                | self.topology.cells | {chan, x}, hint=x)
-                body = apply_subst(body, {x: nx})
-                x = nx
-            return tuple(Restrict(x, q)
-                         for q in self.input_continuations(body, chan, values))
-        if isinstance(p, Par):
-            left_deaf = self.discards(p.left, chan)
-            right_deaf = self.discards(p.right, chan)
-            if left_deaf and right_deaf:
-                return ()
-            if left_deaf:
-                return tuple(Par(p.left, r) for r in
-                             self.input_continuations(p.right, chan, values))
-            if right_deaf:
-                return tuple(Par(l, p.right) for l in
-                             self.input_continuations(p.left, chan, values))
-            lefts = self.input_continuations(p.left, chan, values)
-            rights = self.input_continuations(p.right, chan, values)
-            return tuple(Par(l, r) for l in lefts for r in rights)
-        if isinstance(p, Ident):
-            raise ValueError(
-                f"cannot take transitions of open process (free identifier {p.ident!r})")
-        raise TypeError(f"unknown process node {type(p).__name__}")

@@ -2,10 +2,11 @@
 
 The hash-consing kernel (:mod:`repro.core.syntax`) interns every process
 term and memoizes semantic results (free names, canonical forms, step
-transitions, barbs ...) directly on the interned nodes.  A handful of
-multi-argument relations (``discards(p, a)``, ``input_continuations(p, a,
-v~)``) still live in ``functools.lru_cache``s.  This module gives tests and
-benchmarks one switch for all of it:
+transitions, barbs, ``In(p)`` ...) directly on the interned nodes.  The one
+multi-argument relation of the default semantics,
+``input_continuations(p, a, v~)``, lives in a ``functools.lru_cache``, as do
+a few of the baseline calculi.  This module gives tests and benchmarks one
+switch for all of it:
 
 * :func:`clear_caches` — forget every memoized result and empty the intern
   table, returning the kernel to a cold state (live terms held by callers
@@ -28,12 +29,9 @@ from . import syntax
 def _lru_functions() -> list[Callable[..., Any]]:
     """The surviving multi-argument ``lru_cache``s, collected lazily so the
     calculi sub-package (which imports ``repro.core``) stays import-safe."""
-    from . import discard, semantics
+    from . import semantics
 
-    fns: list[Callable[..., Any]] = [
-        discard.discards,
-        semantics.input_continuations,
-    ]
+    fns: list[Callable[..., Any]] = [semantics.input_continuations]
     try:
         from ..calculi import cbs, pi
         fns += [pi.pi_step_transitions, pi.pi_input_continuations,

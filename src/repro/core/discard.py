@@ -14,6 +14,9 @@
     (9)  p1 || p2 -a/->          if p1 -a/-> and p2 -a/->
     (10) (rec X(x~).p)<y~> -a/-> if the unfolding discards a
 
+The rules are computed once, as the set ``In(p)`` of channels *p* listens
+on: ``p -a/->`` iff ``a`` is not in ``In(p)``, rule by rule.
+
 A key invariant of the calculus (property-tested in the suite) is the
 *input/discard dichotomy*: for every process *p* and channel *a*, exactly
 one of "p has an a-input transition" and "p discards a" holds.  A process
@@ -22,8 +25,6 @@ observe it.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .names import Name
 from .syntax import (
@@ -42,33 +43,9 @@ from .syntax import (
 )
 
 
-@lru_cache(maxsize=65536)
 def discards(p: Process, a: Name) -> bool:
     """Return True iff ``p -a/->`` (p discards all outputs made on *a*)."""
-    if isinstance(p, (Nil, Tau, Output)):
-        return True
-    if isinstance(p, Input):
-        return p.chan != a
-    if isinstance(p, Restrict):
-        # If the restricted name coincides with *a*, the body can only be
-        # listening on the *local* a, which is a different channel from the
-        # external one — so the restriction discards the external a.
-        return p.name == a or discards(p.body, a)
-    if isinstance(p, Sum):
-        return discards(p.left, a) and discards(p.right, a)
-    if isinstance(p, Match):
-        if p.left == p.right:
-            return discards(p.then, a)
-        return discards(p.orelse, a)
-    if isinstance(p, Par):
-        return discards(p.left, a) and discards(p.right, a)
-    if isinstance(p, Rec):
-        from .substitution import unfold_rec
-        return discards(unfold_rec(p), a)
-    if isinstance(p, Ident):
-        raise ValueError(
-            f"discard relation undefined on open process (free identifier {p.ident!r})")
-    raise TypeError(f"unknown process node {type(p).__name__}")
+    return a not in listening_channels(p)
 
 
 def listening_channels(p: Process) -> frozenset[Name]:
@@ -89,19 +66,21 @@ def listening_channels(p: Process) -> frozenset[Name]:
 
 
 def _listening_channels(p: Process) -> frozenset[Name]:
-    if isinstance(p, (Nil, Tau, Output)):
+    if isinstance(p, (Nil, Tau, Output)):  # rules (1)-(3)
         return frozenset()
-    if isinstance(p, Input):
+    if isinstance(p, Input):  # rule (4)
         return frozenset((p.chan,))
     if isinstance(p, Restrict):
+        # Rule (5): a body listening on x listens on the *local* x, a
+        # different channel from the external one of the same spelling.
         return listening_channels(p.body) - {p.name}
-    if isinstance(p, (Sum, Par)):
+    if isinstance(p, (Sum, Par)):  # rules (6), (9)
         return listening_channels(p.left) | listening_channels(p.right)
-    if isinstance(p, Match):
+    if isinstance(p, Match):  # rules (7), (8)
         if p.left == p.right:
             return listening_channels(p.then)
         return listening_channels(p.orelse)
-    if isinstance(p, Rec):
+    if isinstance(p, Rec):  # rule (10)
         from .substitution import unfold_rec
         return listening_channels(unfold_rec(p))
     if isinstance(p, Ident):

@@ -25,8 +25,8 @@ from ..engine.budget import (
 from ..engine.verdict import Verdict
 from .actions import OutputAction, TauAction
 from .names import Name
-from .semantics import step_transitions
-from .syntax import Process, purge_node_caches
+from .semantics import Transition, step_transitions
+from .syntax import Process, Restrict, purge_node_caches
 
 __all__ = [
     "StateSpaceExceeded", "barbs", "has_barb", "tau_successors",
@@ -70,23 +70,31 @@ def step_successors(p: Process) -> tuple[Process, ...]:
     return tuple(t for _, t in step_transitions(p))
 
 
-def step_successors_closed(p: Process) -> tuple[Process, ...]:
-    """Step successors with extruded names re-restricted.
+def _closed_successors(steps: Callable[[Process], tuple[Transition, ...]]
+                       ) -> Callable[[Process], tuple[Process, ...]]:
+    """Step successors under *steps*, with extruded names re-restricted."""
 
-    For a *closed* system under reachability analysis there is no
-    environment to remember an extruded name, so re-binding it around the
-    residual preserves all reachable barbs on the original free channels
-    while keeping the state space canonical (fresh names do not accumulate
-    path-dependent identities).
-    """
-    from .syntax import Restrict
-    out = []
-    for action, target in step_transitions(p):
-        if isinstance(action, OutputAction) and action.binders:
-            for b in reversed(action.binders):
-                target = Restrict(b, target)
-        out.append(target)
-    return tuple(out)
+    def step_successors_closed(p: Process) -> tuple[Process, ...]:
+        """Step successors with extruded names re-restricted.
+
+        For a *closed* system under reachability analysis there is no
+        environment to remember an extruded name, so re-binding it around
+        the residual preserves all reachable barbs on the original free
+        channels while keeping the state space canonical (fresh names do
+        not accumulate path-dependent identities).
+        """
+        out = []
+        for action, target in steps(p):
+            if isinstance(action, OutputAction) and action.binders:
+                for b in reversed(action.binders):
+                    target = Restrict(b, target)
+            out.append(target)
+        return tuple(out)
+
+    return step_successors_closed
+
+
+step_successors_closed = _closed_successors(step_transitions)
 
 
 #: Default budget for the weak-barb closures.
@@ -179,22 +187,6 @@ def reachable_by_steps(p: Process, *, budget: Budget | Meter | None = None,
     return _bounded_closure(p, step_successors, meter)
 
 
-def _closed_successors_for(backend) -> Callable[[Process], tuple[Process, ...]]:
-    """`step_successors_closed` generalised to any calculus backend."""
-    from .syntax import Restrict
-
-    def successors(p: Process) -> tuple[Process, ...]:
-        out = []
-        for action, target in backend.step_transitions(p):
-            if isinstance(action, OutputAction) and action.binders:
-                for b in reversed(action.binders):
-                    target = Restrict(b, target)
-            out.append(target)
-        return tuple(out)
-
-    return successors
-
-
 def can_reach_barb(p: Process, chan: Name, *,
                    budget: Budget | Meter | None = None,
                    collapse_duplicates: bool = False,
@@ -242,13 +234,10 @@ def can_reach_barb(p: Process, chan: Name, *,
     canon = canonical_state_collapsed if collapse_duplicates else canonical_state
     budget = legacy_cap("can_reach_barb", budget, max_states=max_states)
     meter = resolve_meter(budget, DEFAULT_REACH_BUDGET)
-    if calculus is None:
-        successors = step_successors_closed
-    else:
-        # Lazy import: calculi imports core at module level, so core must
-        # only reach back at call time.
-        from ..calculi import registry as _registry
-        successors = _closed_successors_for(_registry.resolve(calculus))
+    # Lazy import: calculi imports core at module level, so core must only
+    # reach back at call time.
+    from ..calculi import registry as _registry
+    successors = _closed_successors(_registry.resolve(calculus).step_transitions)
     explored = 0
     try:
         for q in _bounded_closure(p, successors, meter,

@@ -23,9 +23,10 @@ per-process intern table, so structurally equal terms are the *same*
 object.  This makes ``==`` an identity check in the common case, dict/set
 operations O(1) without tree walks, and lets semantic functions cache
 their results directly on the node (``free_names``, ``canonical_state``,
-``step_transitions`` ... use the ``_NODE_CACHE_SLOTS`` below instead of
-module-level ``lru_cache``s; the comment beside each slot names its
-owner).  :mod:`repro.core.cache` exposes ``clear_caches()`` /
+``step_transitions``, ``In(p)`` ... use the ``_NODE_CACHE_SLOTS`` below
+instead of module-level ``lru_cache``s — the discard relation reads
+``In(p)``, so only the multi-argument ``input_continuations`` keeps one;
+the comment beside each slot names its owner).  :mod:`repro.core.cache` exposes ``clear_caches()`` /
 ``cache_stats()`` over this machinery.
 """
 
@@ -46,10 +47,10 @@ _NODE_CACHE_SLOTS = (
     "_alpha",    # substitution.canonical_alpha
     "_ao",       # substitution._walk_alpha (offset -> alpha-form, offset > 0)
     "_nb",       # substitution._binder_count
-    "_steps",    # semantics.step_transitions
+    "_steps",    # semantics.Table3.step_transitions (the paper's rules)
     "_caps",     # semantics.input_capabilities
     "_barbs",    # reduction.barbs
-    "_listen",   # discard.listening_channels
+    "_listen",   # discard.listening_channels (In(p); discards reads it)
     "_nf",       # canonical._normalize(p, collapse=False)
     "_nf2",      # canonical._normalize(p, collapse=True)
     "_stable",   # canonical._stable_fingerprint

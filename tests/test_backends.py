@@ -13,9 +13,11 @@ Four concerns, one file:
   search degrades to UNKNOWN, never to a definite flip.
 """
 
+import hashlib
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
 
 import repro
 from repro.calculi import registry
@@ -23,11 +25,14 @@ from repro.calculi.backend import BpiBackend, CalculusBackend
 from repro.core.actions import OutputAction
 from repro.core.canonical import canonical_state
 from repro.core.parser import parse
+from repro.core.pretty import pretty
 from repro.core.semantics import step_transitions as bpi_step_transitions
 from repro.core.syntax import Restrict
 from repro.engine.budget import Budget, BudgetExceeded
 from repro.equiv.noisy import strict_bisimilar
-from repro.lts.graph import build_step_lts
+from repro.lts.graph import build_full_lts, build_step_lts
+
+from tests.strategies import finite_processes
 
 
 # -- registry ---------------------------------------------------------------
@@ -44,6 +49,21 @@ class TestRegistry:
     def test_instance_passes_through(self):
         backend = registry.resolve("lossy")
         assert registry.resolve(backend) is backend
+
+    def test_clear_caches_reaches_backends_built_outside_the_registry(self):
+        # connect/disconnect and apps.radio construct instances directly;
+        # resolving one yields the registry's instance for its spec, so
+        # the memo tables the engine fills are the ones clear_caches empties
+        from repro.apps.radio import cellular_backend
+        from repro.core import clear_caches
+        for built in (registry.resolve("wireless:a-b").connect("a", "c"),
+                      cellular_backend(("a", "b"), ("a", "d"))):
+            backend = registry.resolve(built)
+            repro.explore(RADIO, calculus=built)
+            assert backend.memo("steps") and backend.memo("inputs")
+            clear_caches()
+            assert not backend.memo("steps") and not backend.memo("inputs")
+            assert backend is registry.resolve(built.spec)
 
     def test_wireless_specs_share_canonical_instance(self):
         # equivalent spellings resolve to one cached instance (and one
@@ -204,6 +224,14 @@ class TestWireless:
         assert repro.reach(RADIO, "ok", calculus="wireless").is_false
         assert repro.reach(RADIO, "ok").is_false
 
+    @settings(max_examples=60, deadline=None)
+    @given(finite_processes(arity=1))
+    def test_empty_topology_builds_the_bpi_step_graph(self, p):
+        wireless, _ = build_step_lts(p, calculus="wireless")
+        bpi, _ = build_step_lts(p)
+        assert wireless.states == bpi.states
+        assert wireless.edges == bpi.edges
+
     def test_wider_topology_reaches_the_far_cell(self):
         assert repro.reach(RADIO, "far", calculus="wireless:a-b,a-c").is_true
 
@@ -256,6 +284,41 @@ class TestWireless:
         assert any(d.code == "BP103" for d in report.diagnostics)
         clean = lint("a! | b?", calculus="wireless:a-b")
         assert not any(d.code == "BP103" for d in clean.diagnostics)
+
+
+# -- non-default backends: graphs pinned ------------------------------------
+
+#: sha256 of the step and full graphs of every term above, per backend.
+BACKEND_PINS = {
+    "lossy":
+        "4f6ff9c8a2cf7838594fb70c66d58a750a6048bcb4bf486ab113283eb556e0f2",
+    "wireless:a-b":
+        "86cb85d388041e6f5ff8e6b214a2dc8f95e137f1f85fec8d96fb8146bb153bb4",
+    "wireless:a-b,b-c":
+        "7c17b2641688e37a765c2dd76c5221d829ea9bbd4badf8eb8b448de06b2c6f9f",
+}
+
+
+def graph_digest(calculus):
+    """sha256 over the state and edge lists of ``build_step_lts`` and
+    ``build_full_lts`` for the oracle, hierarchy and radio terms."""
+    h = hashlib.sha256()
+    for source in ORACLE_TERMS + LOSSY_EQUATES + RELIABLE_EQUATES + (RADIO,):
+        for build in (build_step_lts, build_full_lts):
+            lts, root = build(parse(source), calculus=calculus)
+            h.update(f"{source} {build.__name__} {root}\n".encode())
+            for state in lts.states:
+                h.update(pretty(state).encode() + b"\n")
+            for sid, out in enumerate(lts.edges):
+                for action, tid in out:
+                    h.update(f"{sid} {action} {tid}\n".encode())
+    return h.hexdigest()
+
+
+class TestBackendPins:
+    @pytest.mark.parametrize("calculus", sorted(BACKEND_PINS))
+    def test_graphs_match_pin(self, calculus):
+        assert graph_digest(calculus) == BACKEND_PINS[calculus]
 
 
 # -- budget contract: trips degrade to UNKNOWN in every backend -------------

@@ -35,13 +35,15 @@ Rule C (``worker-not-verdict``)
     function into Rules A/B).
 
 Rule E (``direct-semantics``)
-    The Table 2/3 kernel (``core.semantics``, ``core.discard``) is an
-    implementation detail of the default ``"bpi"`` backend.  Only
-    ``core/`` itself and the backend implementations in ``calculi/``
-    may import it — directly or through the names ``core/__init__``
-    re-exports.  Everything else resolves a ``CalculusBackend`` through
-    ``repro.calculi.registry``, so the lossy and wireless semantics
-    stay pluggable instead of being silently bypassed.
+    The Table 2/3 kernel (``core.semantics``, ``core.discard``) is
+    reached through the backends.  Only ``core/`` itself and
+    ``calculi/backend.py``, which binds the kernel's ``Table3`` class to
+    the ``CalculusBackend`` protocol, may import it — directly or
+    through the names ``core/__init__`` re-exports; the lossy and
+    wireless backends inherit the rules from there.  Everything else
+    resolves a ``CalculusBackend`` through ``repro.calculi.registry``,
+    so the lossy and wireless semantics stay pluggable instead of being
+    silently bypassed.
 
 Rule F (``flow-*``)
     The flow pre-solver (``flow/presolve.py``) is a *may*-analysis: it
@@ -115,8 +117,8 @@ SEMANTIC_NAMES = frozenset({
 })
 
 #: File names under ``calculi/`` allowed to import the kernel directly:
-#: the backend implementations that *wrap* it.
-SEMANTIC_IMPORTERS = frozenset({"backend.py", "lossy.py", "wireless.py"})
+#: the module that binds its ``Table3`` class to the backend protocol.
+SEMANTIC_IMPORTERS = frozenset({"backend.py"})
 
 #: Flow pre-solver entry points (Rule F): one-sided provers whose
 #: results may only surface through the verdict layer.
