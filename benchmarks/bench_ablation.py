@@ -24,6 +24,7 @@ from repro.core.reduction import (
     step_successors_closed,
 )
 from repro.core.substitution import canonical_alpha
+from repro.engine import Budget
 
 QUOTIENTS = {
     "alpha": canonical_alpha,
@@ -36,7 +37,8 @@ def explore(p, canon, cap, stop_barb=None):
     """Return (#states, found) exploring up to *cap* states."""
     n, found = 0, False
     try:
-        for s in _bounded_closure(p, step_successors_closed, cap,
+        for s in _bounded_closure(p, step_successors_closed,
+                                  Budget(max_states=cap).meter(),
                                   canonical=canon):
             n += 1
             if stop_barb is not None and stop_barb in barbs(s):

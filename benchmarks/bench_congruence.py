@@ -23,7 +23,7 @@ def test_partition_sweep_growth(benchmark, n_names):
         # tau.0 vs 0 differ strongly; the checker must refute.
         return congruent(p, q)
 
-    assert benchmark(verify) is False
+    assert benchmark(verify).is_false
 
 
 def test_identifications_enumeration(benchmark):

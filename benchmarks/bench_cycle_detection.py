@@ -9,6 +9,7 @@ whole collapsed state space).
 import pytest
 
 from repro.apps.cycle_detection import detects_cycle, has_cycle_reference
+from repro.engine import Budget
 
 
 def ring(n):
@@ -36,7 +37,7 @@ def test_chain_exoneration(benchmark, n):
     edges = chain(n)
 
     def verify():
-        got = detects_cycle(edges, max_states=6_000)
+        got = detects_cycle(edges, budget=Budget(max_states=6_000))
         assert got is False
         return got
 

@@ -13,6 +13,7 @@ from repro.core.actions import OutputAction
 from repro.core.parser import parse
 from repro.core.reduction import can_reach_barb
 from repro.core.semantics import step_transitions
+from repro.engine import Budget
 
 
 def test_pi_encoding_handshake(benchmark):
@@ -20,7 +21,8 @@ def test_pi_encoding_handshake(benchmark):
 
     def verify():
         enc = pi_to_bpi(src)
-        assert can_reach_barb(enc, "done", max_states=30_000,
+        assert can_reach_barb(enc, "done",
+                              budget=Budget(max_states=30_000),
                               collapse_duplicates=True)
         return enc.size() / src.size()
 
@@ -36,7 +38,8 @@ def test_pi_encoding_contention(benchmark, n_receivers):
     def verify():
         enc = pi_to_bpi(src)
         return any(
-            can_reach_barb(enc, f"r{i}", max_states=80_000,
+            can_reach_barb(enc, f"r{i}",
+                           budget=Budget(max_states=80_000),
                            collapse_duplicates=True)
             for i in range(n_receivers))
 

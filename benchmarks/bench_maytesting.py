@@ -46,4 +46,4 @@ def test_observer_family_sweep(benchmark):
 
     # a!.b! vs a!|b!: a sequential listener hearing b then a succeeds only
     # against the parallel version — may-testing distinguishes them.
-    assert benchmark(verify) is False
+    assert benchmark(verify).is_false

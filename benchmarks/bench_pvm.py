@@ -4,6 +4,7 @@ import pytest
 
 from repro.apps.pvm import Bcast, Emit, JoinGroup, Receive, machine
 from repro.core.reduction import can_reach_barb
+from repro.engine import Budget
 
 
 def group_system(n_members: int):
@@ -21,7 +22,8 @@ def test_bcast_delivery_scaling(benchmark, n):
 
     def verify():
         return all(
-            can_reach_barb(system, f"seen{i}", max_states=60_000,
+            can_reach_barb(system, f"seen{i}",
+                           budget=Budget(max_states=60_000),
                            collapse_duplicates=True)
             for i in range(n))
 
@@ -36,7 +38,8 @@ def test_point_to_point(benchmark):
     })
 
     def verify():
-        return can_reach_barb(system, "rcv", max_states=30_000,
+        return can_reach_barb(system, "rcv",
+                              budget=Budget(max_states=30_000),
                               collapse_duplicates=True)
 
     assert benchmark(verify)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.apps.radio import can_deliver, reliable_network
+from repro.engine import Budget
 
 
 @pytest.mark.parametrize("n_receivers", [1, 2, 3])
@@ -21,7 +22,8 @@ def test_sender_completion(benchmark):
     system = reliable_network("frame1", ["rx0"])
 
     def verify():
-        return can_reach_barb(system, "sent_ok", max_states=60_000,
+        return can_reach_barb(system, "sent_ok",
+                              budget=Budget(max_states=60_000),
                               collapse_duplicates=True)
 
     assert benchmark(verify)

@@ -7,6 +7,7 @@ from repro.apps.transactions import (
     detects_inconsistency,
     is_consistent_reference,
 )
+from repro.engine import Budget
 
 T = Transaction
 
@@ -37,6 +38,6 @@ def test_same_partition_history_scaling(benchmark, n_txns):
     assert is_consistent_reference(log)
 
     def verify():
-        return detects_inconsistency(log, max_states=60_000)
+        return detects_inconsistency(log, budget=Budget(max_states=60_000))
 
-    assert benchmark(verify) is False
+    assert benchmark(verify).is_false

@@ -37,6 +37,7 @@ from ..core.builder import call, define, inp, match_eq, nu, out, par
 from ..core.names import Name
 from ..core.reduction import can_reach_barb
 from ..core.syntax import Process, Rec
+from ..engine.budget import Budget, resolve_meter
 from ..runtime.simulator import run
 from ..runtime.trace import Trace
 
@@ -45,6 +46,9 @@ Edge = tuple[Name, Name]
 #: Default channel names for the detector interface.
 EDGE_CHANNEL = "i"
 SIGNAL_CHANNEL = "o"
+
+#: Default budget for :func:`detects_cycle`.
+DEFAULT_BUDGET = Budget(max_states=30_000)
 
 
 def edge_manager(o: Name, a: Name, b: Name) -> Process:
@@ -109,7 +113,6 @@ def prefed_system(edges: Sequence[Edge], o: Name = SIGNAL_CHANNEL) -> Process:
 
 
 def detects_cycle(edges: Sequence[Edge], *, budget=None,
-                  max_states: int | None = None,
                   prefed: bool = True) -> bool:
     """Can the detector system reach a cycle signal?  (Bounded search.)
 
@@ -123,12 +126,9 @@ def detects_cycle(edges: Sequence[Edge], *, budget=None,
     practice — the tests cross-check against the graph-theoretic
     reference on every digraph up to isomorphism-covering families.
     """
-    from ..engine.budget import Budget, legacy_cap
-    budget = legacy_cap("detects_cycle", budget, max_states=max_states)
-    if budget is None:
-        budget = Budget(max_states=30_000)
     system = prefed_system(edges) if prefed else build_system(edges)
-    return can_reach_barb(system, SIGNAL_CHANNEL, budget=budget,
+    return can_reach_barb(system, SIGNAL_CHANNEL,
+                          budget=resolve_meter(budget, DEFAULT_BUDGET),
                           collapse_duplicates=True).is_true
 
 

@@ -36,10 +36,14 @@ from ..core.builder import call, define, inp, nu, out, par
 from ..core.names import Name
 from ..core.reduction import can_reach_barb
 from ..core.syntax import Process
+from ..engine.budget import Budget, resolve_meter
 from ..runtime.simulator import run
 from ..runtime.trace import Trace
 
 DIRECTORY = "directory"
+
+#: Default budget for :func:`delivered`.
+DEFAULT_BUDGET = Budget(max_states=60_000)
 
 
 def publisher(payloads: Sequence[Name], directory: Name = DIRECTORY) -> Process:
@@ -84,21 +88,17 @@ def network(payloads: Sequence[Name], subscribers: Sequence[Name],
     return par(*parts)
 
 
-def delivered(system: Process, deliver: Name, payload: Name, *,
-              budget=None, max_states: int | None = None):
+def delivered(system: Process, deliver: Name, payload: Name, *, budget=None):
     """Can *payload* be delivered on *deliver*?  (Bounded search.)
 
     Returns the three-valued :class:`~repro.engine.Verdict` of the
     underlying reachability query.
     """
-    from ..engine.budget import Budget, legacy_cap
-    budget = legacy_cap("delivered", budget, max_states=max_states)
-    if budget is None:
-        budget = Budget(max_states=60_000)
     signal = f"{deliver}_got_{payload}"
     probe = _eq_probe(deliver, payload, signal)
     return can_reach_barb(par(system, probe), signal,
-                          budget=budget, collapse_duplicates=True)
+                          budget=resolve_meter(budget, DEFAULT_BUDGET),
+                          collapse_duplicates=True)
 
 
 def _eq_probe(deliver: Name, expected: Name, signal: Name) -> Process:

@@ -46,9 +46,14 @@ from ..core.builder import call, define, inp, nu, out, par, tau
 from ..core.names import Name
 from ..core.reduction import can_reach_barb
 from ..core.syntax import Process
+from ..engine.budget import Budget, resolve_meter
 
 AIR = "air"      # sender -> medium
 WAVE = "wave"    # medium -> receivers
+
+#: Default budgets for :func:`can_deliver` and :func:`can_hear`.
+DEFAULT_BUDGET = Budget(max_states=60_000)
+DEFAULT_HEAR_BUDGET = Budget(max_states=10_000)
 
 
 def lossy_medium(air: Name = AIR, wave: Name = WAVE) -> Process:
@@ -130,21 +135,17 @@ def _delivery_probe(deliver: Name, payload: Name, signal: Name) -> Process:
     return watch(deliver, payload, signal)
 
 
-def can_deliver(system: Process, deliver: Name, payload: Name, *,
-                budget=None, max_states: int | None = None):
+def can_deliver(system: Process, deliver: Name, payload: Name, *, budget=None):
     """May the payload ever be delivered on *deliver*?
 
     Returns the three-valued :class:`~repro.engine.Verdict` of the
     underlying reachability query.
     """
-    from ..engine.budget import Budget, legacy_cap
-    budget = legacy_cap("can_deliver", budget, max_states=max_states)
-    if budget is None:
-        budget = Budget(max_states=60_000)
     signal = f"{deliver}_rx"
     probe = _delivery_probe(deliver, payload, signal)
     return can_reach_barb(par(system, probe), signal,
-                          budget=budget, collapse_duplicates=True)
+                          budget=resolve_meter(budget, DEFAULT_BUDGET),
+                          collapse_duplicates=True)
 
 
 # --------------------------------------------------------------------------
@@ -181,16 +182,13 @@ def handover(backend, radio: Name, old_cell: Name, new_cell: Name):
 
 
 def can_hear(system: Process, deliver: Name, *, calculus,
-             budget=None, max_states: int | None = None):
+             budget=None):
     """May the mobile delivering on *deliver* ever receive a frame?
 
     *calculus* is the wireless backend (or registry spec) describing the
     current radio ranges; with no relevant edge the broadcast never
     reaches the mobile's cell and the verdict is definitely false.
     """
-    from ..engine.budget import Budget, legacy_cap
-    budget = legacy_cap("can_hear", budget, max_states=max_states)
-    if budget is None:
-        budget = Budget(max_states=10_000)
-    return can_reach_barb(system, deliver, budget=budget,
+    return can_reach_barb(system, deliver,
+                          budget=resolve_meter(budget, DEFAULT_HEAR_BUDGET),
                           collapse_duplicates=True, calculus=calculus)

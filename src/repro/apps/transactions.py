@@ -49,6 +49,7 @@ from ..core.builder import call, define, inp, match_eq, out, par
 from ..core.names import Name
 from ..core.reduction import can_reach_barb
 from ..core.syntax import NIL, Process
+from ..engine.budget import Budget, resolve_meter
 from ..runtime.simulator import run
 from ..runtime.trace import Trace
 from .cycle_detection import edge_manager
@@ -56,6 +57,9 @@ from .cycle_detection import edge_manager
 ERROR_CHANNEL = "error"
 UNIF_CHANNEL = "unif"
 READ, WRITE = "r", "w"
+
+#: Default budget for :func:`detects_inconsistency`.
+DEFAULT_BUDGET = Budget(max_states=120_000)
 
 
 @dataclass(frozen=True)
@@ -276,20 +280,15 @@ def build_system(log: Sequence[Transaction]) -> Process:
     return par(build_database(items, partitions), transaction_feeder(log))
 
 
-def detects_inconsistency(log: Sequence[Transaction], *, budget=None,
-                          max_states: int | None = None):
+def detects_inconsistency(log: Sequence[Transaction], *, budget=None):
     """Can the process system reach an ``error`` broadcast?
 
     Returns the three-valued :class:`~repro.engine.Verdict` of the
     underlying reachability query.
     """
-    from ..engine.budget import Budget, legacy_cap
-    budget = legacy_cap("detects_inconsistency", budget,
-                        max_states=max_states)
-    if budget is None:
-        budget = Budget(max_states=120_000)
     return can_reach_barb(build_system(log), ERROR_CHANNEL,
-                          budget=budget, collapse_duplicates=True)
+                          budget=resolve_meter(budget, DEFAULT_BUDGET),
+                          collapse_duplicates=True)
 
 
 def simulate(log: Sequence[Transaction], *, seed: int = 0,

@@ -46,7 +46,6 @@ from ..engine.budget import (
     Budget,
     BudgetExceeded,
     Meter,
-    legacy_cap,
     resolve_meter,
 )
 
@@ -292,8 +291,8 @@ def _rewrite_once(p: Process) -> "tuple[str, Process] | None":
     return None
 
 
-def normalize(p: Process, *, budget: Budget | Meter | None = None,
-              max_steps: int | None = None) -> Derivation:
+def normalize(p: Process, *,
+              budget: Budget | Meter | None = None) -> Derivation:
     """Rewrite *p* to a normal form, recording every step.
 
     Each rewrite step charges one unit against the budget; exhaustion
@@ -301,7 +300,6 @@ def normalize(p: Process, *, budget: Budget | Meter | None = None,
     ``RuntimeError``, as the old cap was) with the partial derivation on
     ``exc.partial``.
     """
-    budget = legacy_cap("normalize", budget, max_steps=max_steps)
     meter = resolve_meter(budget, DEFAULT_BUDGET)
     d = Derivation(source=p, target=p)
     current = p
@@ -325,8 +323,7 @@ def normalize(p: Process, *, budget: Budget | Meter | None = None,
 
 
 def prove_equal(p: Process, q: Process, *,
-                budget: Budget | Meter | None = None,
-                max_steps: int | None = None) -> "Derivation | None":
+                budget: Budget | Meter | None = None) -> "Derivation | None":
     """Try to prove ``p = q`` in A by joining their normal forms.
 
     Returns a derivation from *p* to *q* (the q-side steps reversed —
@@ -334,7 +331,6 @@ def prove_equal(p: Process, q: Process, *,
     differ (which does NOT refute ``p ~c q``; see the module docstring).
     Both normalizations draw from one shared budget.
     """
-    budget = legacy_cap("prove_equal", budget, max_steps=max_steps)
     meter = resolve_meter(budget, DEFAULT_BUDGET)
     dp = normalize(p, budget=meter)
     dq = normalize(q, budget=meter)

@@ -270,7 +270,7 @@ def cbs_transitions(p: CbsProcess, values: frozenset[str],
 
 
 def cbs_bisimilar(p: CbsProcess, q: CbsProcess, *, noisy: bool = True,
-                  budget=None, max_states: int | None = None):
+                  budget=None):
     """Strong bisimilarity of CBS terms via explicit LTS + refinement.
 
     ``noisy=True`` (the CBS notion): hearing may be answered by a discard,
@@ -280,12 +280,9 @@ def cbs_bisimilar(p: CbsProcess, q: CbsProcess, *, noisy: bool = True,
     """
     from collections import deque
 
-    from ..engine.budget import (
-        Budget, BudgetExceeded, legacy_cap, resolve_meter,
-    )
+    from ..engine.budget import Budget, BudgetExceeded, resolve_meter
     from ..engine.verdict import Verdict
 
-    budget = legacy_cap("cbs_bisimilar", budget, max_states=max_states)
     meter = resolve_meter(budget, Budget(max_states=20_000))
 
     values = alphabet(p) | alphabet(q) | {"_w"}

@@ -158,7 +158,6 @@ def pi_input_continuations(p: Process, chan: Name,
     raise TypeError(f"unknown process node {type(p).__name__}")
 
 
-@lru_cache(maxsize=65536)
 def pi_barbs(p: Process) -> frozenset[Name]:
     """Output barbs of *p* under pi semantics."""
     return frozenset(a.chan for a, _ in pi_step_transitions(p)
@@ -171,7 +170,7 @@ def pi_tau_successors(p: Process) -> tuple[Process, ...]:
 
 
 def pi_barbed_bisimilar(p: Process, q: Process, *, weak: bool = False,
-                        budget=None, max_states: int | None = None):
+                        budget=None):
     """Barbed bisimilarity under pi semantics (for the comparative tests).
 
     Returns a three-valued :class:`~repro.engine.Verdict`.
@@ -179,14 +178,11 @@ def pi_barbed_bisimilar(p: Process, q: Process, *, weak: bool = False,
     from collections import deque
 
     from ..core.canonical import canonical_alpha
-    from ..engine.budget import (
-        Budget, BudgetExceeded, legacy_cap, resolve_meter,
-    )
+    from ..engine.budget import Budget, BudgetExceeded, resolve_meter
     from ..engine.verdict import Verdict
     from ..lts.partition import coarsest_partition
     from ..lts.weak import reachability_closure, weak_keys
 
-    budget = legacy_cap("pi_barbed_bisimilar", budget, max_states=max_states)
     meter = resolve_meter(budget, Budget(max_states=20_000))
 
     states: list[Process] = []

@@ -35,7 +35,7 @@ def _lru_functions() -> list[Callable[..., Any]]:
     try:
         from ..calculi import cbs, pi
         fns += [pi.pi_step_transitions, pi.pi_input_continuations,
-                pi.pi_barbs, cbs.speaks, cbs.hears]
+                cbs.speaks, cbs.hears]
     except ImportError:  # pragma: no cover - calculi are optional extras
         pass
     return fns

@@ -19,7 +19,6 @@ from ..engine.budget import (
     BudgetExceeded,
     Meter,
     StateSpaceExceeded,
-    legacy_cap,
     resolve_meter,
 )
 from ..engine.verdict import Verdict
@@ -136,14 +135,13 @@ def _bounded_closure(p: Process,
             queue.append(key)
 
 
-def weak_barbs(p: Process, *, budget: Budget | Meter | None = None,
-               max_states: int | None = None) -> frozenset[Name]:
+def weak_barbs(p: Process, *,
+               budget: Budget | Meter | None = None) -> frozenset[Name]:
     """The weak barbs of *p*: ``{a | p ==> p' and p' |down a}``.
 
     ``==>`` is the reflexive-transitive closure of ``-tau->``.  Raises
     :class:`BudgetExceeded` (raw-explorer contract) on budget trip.
     """
-    budget = legacy_cap("weak_barbs", budget, max_states=max_states)
     meter = resolve_meter(budget, DEFAULT_CLOSURE_BUDGET)
     out: set[Name] = set()
     for q in _bounded_closure(p, tau_successors, meter):
@@ -152,10 +150,8 @@ def weak_barbs(p: Process, *, budget: Budget | Meter | None = None,
 
 
 def has_weak_barb(p: Process, chan: Name, *,
-                  budget: Budget | Meter | None = None,
-                  max_states: int | None = None) -> bool:
+                  budget: Budget | Meter | None = None) -> bool:
     """``p |Down chan``."""
-    budget = legacy_cap("has_weak_barb", budget, max_states=max_states)
     meter = resolve_meter(budget, DEFAULT_CLOSURE_BUDGET)
     for q in _bounded_closure(p, tau_successors, meter):
         if has_barb(q, chan):
@@ -163,15 +159,14 @@ def has_weak_barb(p: Process, chan: Name, *,
     return False
 
 
-def weak_step_barbs(p: Process, *, budget: Budget | Meter | None = None,
-                    max_states: int | None = None) -> frozenset[Name]:
+def weak_step_barbs(p: Process, *, budget: Budget | Meter | None = None
+                    ) -> frozenset[Name]:
     """``{a | p (-phi->)* p' and p' |down a}`` — step-weak barbs.
 
     Step-bisimulation (Definition 5) uses this observability predicate: a
     channel counts as observable if the process can broadcast on it after
     some autonomous steps (including other broadcasts, not only taus).
     """
-    budget = legacy_cap("weak_step_barbs", budget, max_states=max_states)
     meter = resolve_meter(budget, DEFAULT_CLOSURE_BUDGET)
     out: set[Name] = set()
     for q in _bounded_closure(p, step_successors, meter):
@@ -179,10 +174,9 @@ def weak_step_barbs(p: Process, *, budget: Budget | Meter | None = None,
     return frozenset(out)
 
 
-def reachable_by_steps(p: Process, *, budget: Budget | Meter | None = None,
-                       max_states: int | None = None) -> Iterator[Process]:
+def reachable_by_steps(p: Process, *, budget: Budget | Meter | None = None
+                       ) -> Iterator[Process]:
     """All processes reachable from *p* by ``-phi->`` steps (bounded BFS)."""
-    budget = legacy_cap("reachable_by_steps", budget, max_states=max_states)
     meter = resolve_meter(budget, DEFAULT_CLOSURE_BUDGET)
     return _bounded_closure(p, step_successors, meter)
 
@@ -190,7 +184,6 @@ def reachable_by_steps(p: Process, *, budget: Budget | Meter | None = None,
 def can_reach_barb(p: Process, chan: Name, *,
                    budget: Budget | Meter | None = None,
                    collapse_duplicates: bool = False,
-                   max_states: int | None = None,
                    calculus=None,
                    presolve: bool = True) -> Verdict:
     """Reachability query: can *p* autonomously reach a state barbing *chan*?
@@ -232,7 +225,6 @@ def can_reach_barb(p: Process, chan: Name, *,
                               evidence=flow_evidence)
     from .canonical import canonical_state, canonical_state_collapsed
     canon = canonical_state_collapsed if collapse_duplicates else canonical_state
-    budget = legacy_cap("can_reach_barb", budget, max_states=max_states)
     meter = resolve_meter(budget, DEFAULT_REACH_BUDGET)
     # Lazy import: calculi imports core at module level, so core must only
     # reach back at call time.

@@ -29,7 +29,6 @@ from .budget import (
     StateSpaceExceeded,
     active_meter,
     govern,
-    legacy_cap,
     resolve_meter,
 )
 from .verdict import IndeterminateVerdict, Truth, Verdict
@@ -38,5 +37,5 @@ __all__ = [
     "Budget", "BudgetExceeded", "CancelToken", "Meter",
     "StateSpaceExceeded", "IndeterminateVerdict", "Truth", "Verdict",
     "UNLIMITED", "POLL_INTERVAL",
-    "active_meter", "govern", "legacy_cap", "resolve_meter",
+    "active_meter", "govern", "resolve_meter",
 ]

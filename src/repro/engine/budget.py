@@ -37,7 +37,6 @@ catching budget trips.
 from __future__ import annotations
 
 import time
-import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -303,41 +302,3 @@ def resolve_meter(budget: "Budget | Meter | None",
         return active
     return (default if default is not None else UNLIMITED).meter()
 
-
-# ---------------------------------------------------------------------------
-# Deprecation shims for the pre-Budget bound kwargs
-# ---------------------------------------------------------------------------
-
-def legacy_cap(func_name: str, budget: "Budget | Meter | None",
-               **legacy: int | None) -> "Budget | Meter | None":
-    """Translate deprecated ``max_states=``/``max_pairs=``-style kwargs.
-
-    Returns *budget* unchanged when no legacy kwarg was passed; otherwise
-    emits a :class:`DeprecationWarning` and returns a :class:`Budget`
-    with the cap routed through ``max_states``.  Passing both the new and
-    a deprecated spelling is an error.
-    """
-    given = {k: v for k, v in legacy.items() if v is not None}
-    if not given:
-        return budget
-    if budget is not None:
-        raise TypeError(
-            f"{func_name}() got budget= and deprecated "
-            f"{sorted(given)}; pass only budget=")
-    spelt = ", ".join(f"{k}={v}" for k, v in sorted(given.items()))
-    # All legacy caps bound the same kind of interning; when several are
-    # given the loosest governs the unified pool (the historical caps
-    # bounded *different* sub-searches, so the pool must not be tighter
-    # than the largest of them).
-    cap = max(given.values())
-    merged = ""
-    if len(given) > 1:
-        merged = (f"; the caps are unified into one shared pool of "
-                  f"max_states={cap} — each historical cap bounded its "
-                  f"own sub-search, so sub-searches previously bounded "
-                  f"by a smaller cap may now explore up to the pool")
-    warnings.warn(
-        f"{func_name}({spelt}) is deprecated; pass "
-        f"budget=repro.engine.Budget(max_states=N) instead{merged}",
-        DeprecationWarning, stacklevel=3)
-    return Budget(max_states=cap)

@@ -32,7 +32,6 @@ from ..engine.budget import (
     Budget,
     BudgetExceeded,
     Meter,
-    legacy_cap,
     resolve_meter,
 )
 from ..engine.verdict import Verdict
@@ -83,22 +82,19 @@ def _after(p: Process, trace: Trace, meter: Meter) -> set[Process]:
 
 def acceptance_sets(p: Process, trace: Trace = (), *,
                     budget: Budget | Meter | None = None,
-                    max_states: int | None = None,
                     ) -> frozenset[frozenset[Name]]:
     """The barb-sets of the stable states reachable after *trace*.
 
     Raw-explorer contract: raises
     :class:`~repro.engine.budget.BudgetExceeded` on budget trip.
     """
-    budget = legacy_cap("acceptance_sets", budget, max_states=max_states)
     meter = resolve_meter(budget, DEFAULT_BUDGET)
     return frozenset(barbs(s) for s in _after(p, trace, meter)
                      if is_stable(s))
 
 
 def traces_upto(p: Process, max_depth: int = 4, *,
-                budget: Budget | Meter | None = None,
-                max_states: int | None = None) -> frozenset[Trace]:
+                budget: Budget | Meter | None = None) -> frozenset[Trace]:
     """Output-subject traces of length <= max_depth (prefix-closed).
 
     ``max_depth`` is semantic.  Raw-explorer contract: a budget trip
@@ -108,7 +104,6 @@ def traces_upto(p: Process, max_depth: int = 4, *,
     complete one (comparing truncated languages for (in)equality would
     fabricate definite verdicts from an exhausted budget).
     """
-    budget = legacy_cap("traces_upto", budget, max_states=max_states)
     meter = resolve_meter(budget, DEFAULT_BUDGET)
     out: set[Trace] = {()}
     frontier = deque([(canonical_state(p), ())])
@@ -143,8 +138,7 @@ def traces_upto(p: Process, max_depth: int = 4, *,
 
 
 def accepts_refines(p: Process, q: Process, *, max_depth: int = 3,
-                    budget: Budget | Meter | None = None,
-                    max_states: int | None = None) -> Verdict:
+                    budget: Budget | Meter | None = None) -> Verdict:
     """Smyth refinement of acceptance sets: for every common trace, each
     acceptance set of *q* includes some acceptance set of *p*.
 
@@ -152,7 +146,6 @@ def accepts_refines(p: Process, q: Process, *, max_depth: int = 3,
     the denotational shadow of ``p <=must q`` for output-only behaviour.
     All sub-explorations share one meter; UNKNOWN on trip.
     """
-    budget = legacy_cap("accepts_refines", budget, max_states=max_states)
     meter = resolve_meter(budget, DEFAULT_BUDGET)
     try:
         for trace in sorted(traces_upto(p, max_depth, budget=meter)):
@@ -170,10 +163,8 @@ def accepts_refines(p: Process, q: Process, *, max_depth: int = 3,
 
 
 def acceptance_equal(p: Process, q: Process, *, max_depth: int = 3,
-                     budget: Budget | Meter | None = None,
-                     max_states: int | None = None) -> Verdict:
+                     budget: Budget | Meter | None = None) -> Verdict:
     """Same traces and same acceptance sets after each (bounded)."""
-    budget = legacy_cap("acceptance_equal", budget, max_states=max_states)
     meter = resolve_meter(budget, DEFAULT_BUDGET)
     try:
         tp = traces_upto(p, max_depth, budget=meter)

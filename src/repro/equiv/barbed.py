@@ -28,7 +28,6 @@ from ..engine.budget import (
     Budget,
     BudgetExceeded,
     Meter,
-    legacy_cap,
     resolve_meter,
 )
 from ..engine.verdict import Verdict
@@ -41,14 +40,11 @@ from .step import _onthefly_reduction
 
 def strong_barbed_bisimilar(p: Process, q: Process, *,
                             budget: Budget | Meter | None = None,
-                            max_states: int | None = None,
                             strategy: str = "onthefly",
                             calculus: str | CalculusBackend | None = None
                             ) -> Verdict:
     """Decide ``p ~b q`` (strong barbed bisimilarity)."""
     validate_strategy(strategy)
-    budget = legacy_cap("strong_barbed_bisimilar", budget,
-                        max_states=max_states)
     meter = resolve_meter(budget, DEFAULT_BUDGET)
     backend = _registry.resolve(calculus)
     if strategy == "onthefly":
@@ -66,14 +62,11 @@ def strong_barbed_bisimilar(p: Process, q: Process, *,
 
 def weak_barbed_bisimilar(p: Process, q: Process, *,
                           budget: Budget | Meter | None = None,
-                          max_states: int | None = None,
                           strategy: str = "onthefly",
                           calculus: str | CalculusBackend | None = None
                           ) -> Verdict:
     """Decide ``p ~~b q`` (weak barbed bisimilarity)."""
     validate_strategy(strategy)
-    budget = legacy_cap("weak_barbed_bisimilar", budget,
-                        max_states=max_states)
     meter = resolve_meter(budget, DEFAULT_BUDGET)
     backend = _registry.resolve(calculus)
     if strategy == "onthefly":
@@ -92,11 +85,9 @@ def weak_barbed_bisimilar(p: Process, q: Process, *,
 
 def barbed_bisimilar(p: Process, q: Process, *, weak: bool = False,
                      budget: Budget | Meter | None = None,
-                     max_states: int | None = None,
                      strategy: str = "onthefly",
                      calculus: str | CalculusBackend | None = None) -> Verdict:
     """Dispatch on *weak*."""
-    budget = legacy_cap("barbed_bisimilar", budget, max_states=max_states)
     if weak:
         return weak_barbed_bisimilar(p, q, budget=budget, strategy=strategy,
                                      calculus=calculus)

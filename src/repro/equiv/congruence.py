@@ -20,7 +20,7 @@ from ..core.freenames import free_names
 from ..core.names import Name
 from ..core.substitution import apply_subst
 from ..core.syntax import Process
-from ..engine.budget import Budget, Meter, legacy_cap, resolve_meter
+from ..engine.budget import Budget, Meter, resolve_meter
 from ..engine.verdict import Verdict
 from .labelled import DEFAULT_BUDGET
 from .noisy import strict_bisimilar
@@ -68,7 +68,6 @@ def identification_substitutions(names: frozenset[Name],
 
 def congruent(p: Process, q: Process, *, weak: bool = False,
               budget: Budget | Meter | None = None,
-              max_pairs: int | None = None, max_states: int | None = None,
               witness: list | None = None,
               calculus: str | CalculusBackend | None = None) -> Verdict:
     """Decide ``p ~c q`` (strong) or ``p ~~c q`` (weak).
@@ -79,8 +78,6 @@ def congruent(p: Process, q: Process, *, weak: bool = False,
     whole check to ``UNKNOWN`` (a truncated sub-search can never certify
     the universal quantification).
     """
-    budget = legacy_cap("congruent", budget,
-                        max_pairs=max_pairs, max_states=max_states)
     meter = resolve_meter(budget, DEFAULT_BUDGET)
     names = free_names(p) | free_names(q)
     for sigma in identification_substitutions(names):

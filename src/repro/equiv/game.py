@@ -42,7 +42,6 @@ from ..engine.budget import (
     Budget,
     BudgetExceeded,
     Meter,
-    legacy_cap,
     resolve_meter,
 )
 from ..obs import metrics as _metrics, progress as _progress, tracing as _tracing
@@ -62,8 +61,7 @@ DEFAULT_BUDGET = Budget(max_states=DEFAULT_MAX_PAIRS)
 
 
 def solve_game(root: Hashable, challenges_of: ChallengeFn, *,
-               budget: Budget | Meter | None = None,
-               max_pairs: int | None = None) -> bool:
+               budget: Budget | Meter | None = None) -> bool:
     """Return True iff *root* is in the greatest fixpoint of the game.
 
     Raw-explorer contract: a budget trip (one unit charged per explored
@@ -71,7 +69,6 @@ def solve_game(root: Hashable, challenges_of: ChallengeFn, *,
     :class:`~repro.engine.budget.BudgetExceeded` with the pairs explored
     so far on ``exc.partial``.
     """
-    budget = legacy_cap("solve_game", budget, max_pairs=max_pairs)
     meter = resolve_meter(budget, DEFAULT_BUDGET)
     with _tracing.span("game.solve") as sp:
         # Phase 1: explore the pair graph.

@@ -39,7 +39,6 @@ from ..engine.budget import (
     Budget,
     BudgetExceeded,
     Meter,
-    legacy_cap,
     resolve_meter,
 )
 from ..engine.verdict import Verdict
@@ -271,8 +270,6 @@ DEFAULT_BUDGET = Budget(max_states=DEFAULT_MAX_PAIRS)
 
 def labelled_bisimilar(p: Process, q: Process, *, weak: bool = False,
                        budget: Budget | Meter | None = None,
-                       max_pairs: int | None = None,
-                       max_states: int | None = None,
                        strategy: str = "onthefly",
                        closures: "tuple[Closure, ...] | None" = None,
                        calculus: str | CalculusBackend | None = None,
@@ -288,8 +285,6 @@ def labelled_bisimilar(p: Process, q: Process, *, weak: bool = False,
     (default: the paper's ``"bpi"`` backend).
     """
     validate_strategy(strategy)
-    budget = legacy_cap("labelled_bisimilar", budget,
-                        max_pairs=max_pairs, max_states=max_states)
     meter = resolve_meter(budget, DEFAULT_BUDGET)
     game = _LabelledGame(weak, meter, lazy=(strategy == "onthefly"),
                          backend=_registry.resolve(calculus))

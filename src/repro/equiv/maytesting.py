@@ -30,7 +30,7 @@ from ..core.names import Name
 from ..core.reduction import can_reach_barb
 from ..core.actions import OutputAction
 from ..core.syntax import Par, Process
-from ..engine.budget import Budget, Meter, legacy_cap, resolve_meter
+from ..engine.budget import Budget, Meter, resolve_meter
 from ..engine.verdict import Verdict
 
 SUCCESS = "succ_omega"
@@ -40,17 +40,15 @@ DEFAULT_BUDGET = Budget(max_states=20_000)
 
 
 def may_pass(p: Process, observer: Process, *, success: Name = SUCCESS,
-             budget: Budget | Meter | None = None,
-             max_states: int | None = None) -> Verdict:
+             budget: Budget | Meter | None = None) -> Verdict:
     """Can ``p | observer`` ever broadcast on the success channel?"""
-    budget = legacy_cap("may_pass", budget, max_states=max_states)
     meter = resolve_meter(budget, DEFAULT_BUDGET)
     return can_reach_barb(Par(p, observer), success, budget=meter)
 
 
 def output_traces(p: Process, max_depth: int = 6, *,
-                  budget: Budget | Meter | None = None,
-                  max_states: int | None = None) -> frozenset[tuple[str, ...]]:
+                  budget: Budget | Meter | None = None
+                  ) -> frozenset[tuple[str, ...]]:
     """The (bounded) output-trace language of *p* over autonomous steps.
 
     Traces record ``chan<objs>`` strings of the broadcasts along phi-runs
@@ -64,7 +62,6 @@ def output_traces(p: Process, max_depth: int = 6, *,
     """
     from ..core.canonical import canonical_state
     from ..engine.budget import BudgetExceeded
-    budget = legacy_cap("output_traces", budget, max_states=max_states)
     meter = resolve_meter(budget, DEFAULT_BUDGET)
     traces: set[tuple[str, ...]] = {()}
     seen: set[tuple[Process, tuple[str, ...]]] = set()
@@ -139,13 +136,10 @@ def _channel_arities(p: Process, q: Process) -> dict[Name, int]:
 def may_preorder_sampled(p: Process, q: Process, *, success: Name = SUCCESS,
                          observers: list[Process] | None = None,
                          budget: Budget | Meter | None = None,
-                         max_states: int | None = None,
                          witness: list | None = None) -> Verdict:
     """``p <=may q`` over the sampled observer family: every experiment p
     may pass, q may pass too.  Refutation-sound; any UNKNOWN experiment
     makes the whole preorder UNKNOWN (the observer rides as evidence)."""
-    budget = legacy_cap("may_preorder_sampled", budget,
-                        max_states=max_states)
     meter = resolve_meter(budget, DEFAULT_BUDGET)
     obs = observers if observers is not None else observer_family(p, q,
                                                                   success=success)

@@ -24,7 +24,6 @@ from ..engine.budget import (
     Budget,
     BudgetExceeded,
     Meter,
-    legacy_cap,
     resolve_meter,
 )
 from ..engine.verdict import Verdict
@@ -35,15 +34,13 @@ DEFAULT_BUDGET = Budget(max_states=20_000)
 
 
 def must_pass(p: Process, observer: Process, *, success: Name = SUCCESS,
-              budget: Budget | Meter | None = None,
-              max_states: int | None = None) -> Verdict:
+              budget: Budget | Meter | None = None) -> Verdict:
     """Does every maximal run of ``p | observer`` reach a *success* state?
 
     Must-verdicts cannot be truncated soundly in either direction, so a
     budget trip yields ``UNKNOWN`` — a FALSE needs a witnessed failing
     run, a TRUE needs the whole graph.
     """
-    budget = legacy_cap("must_pass", budget, max_states=max_states)
     meter = resolve_meter(budget, DEFAULT_BUDGET)
     try:
         flag = _must_pass(p, observer, success, meter)
@@ -100,7 +97,6 @@ def _must_pass(p: Process, observer: Process, success: Name,
 def must_preorder_sampled(p: Process, q: Process, *, success: Name = SUCCESS,
                           observers: list[Process] | None = None,
                           budget: Budget | Meter | None = None,
-                          max_states: int | None = None,
                           witness: list | None = None) -> Verdict:
     """``p <=must q`` over the sampled observer family.
 
@@ -108,8 +104,6 @@ def must_preorder_sampled(p: Process, q: Process, *, success: Name = SUCCESS,
     experiment's observer rides along as evidence); all experiments draw
     from one shared meter.
     """
-    budget = legacy_cap("must_preorder_sampled", budget,
-                        max_states=max_states)
     meter = resolve_meter(budget, DEFAULT_BUDGET)
     obs = observers if observers is not None else observer_family(
         p, q, success=success)

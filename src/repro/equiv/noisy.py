@@ -40,7 +40,7 @@ from ..calculi import registry as _registry
 from ..calculi.backend import CalculusBackend
 from ..core.freenames import free_names
 from ..core.syntax import Process
-from ..engine.budget import Budget, BudgetExceeded, Meter, legacy_cap, resolve_meter
+from ..engine.budget import Budget, BudgetExceeded, Meter, resolve_meter
 from ..engine.verdict import Verdict
 from .labelled import (
     DEFAULT_BUDGET,
@@ -57,8 +57,6 @@ from .labelled import (
 
 def strict_bisimilar(p: Process, q: Process, *, weak: bool = False,
                      budget: Budget | Meter | None = None,
-                     max_pairs: int | None = None,
-                     max_states: int | None = None,
                      calculus: str | CalculusBackend | None = None) -> Verdict:
     """Decide ``p ~+ q`` (or the weak ``p ~~+ q``).
 
@@ -67,8 +65,6 @@ def strict_bisimilar(p: Process, q: Process, *, weak: bool = False,
     yields ``UNKNOWN``.  *calculus* selects the broadcast semantics via
     :mod:`repro.calculi.registry` (default: the paper's ``"bpi"``).
     """
-    budget = legacy_cap("strict_bisimilar", budget,
-                        max_pairs=max_pairs, max_states=max_states)
     meter = resolve_meter(budget, DEFAULT_BUDGET)
     backend = _registry.resolve(calculus)
     try:

@@ -33,7 +33,6 @@ from ..engine.budget import (
     Budget,
     BudgetExceeded,
     Meter,
-    legacy_cap,
     resolve_meter,
 )
 
@@ -144,7 +143,6 @@ class ReductionGraph:
 
 def build_reduction_graph(roots: tuple[Process, ...], *, steps: bool,
                           budget: Budget | Meter | None = None,
-                          max_states: int | None = None,
                           backend: CalculusBackend | None = None,
                           ) -> tuple[ReductionGraph, tuple[int, ...]]:
     """Explore the tau-graph (``steps=False``) or phi-graph (``steps=True``)
@@ -154,8 +152,6 @@ def build_reduction_graph(roots: tuple[Process, ...], *, steps: bool,
     :class:`~repro.engine.budget.BudgetExceeded` with the partial
     ``(graph, root_ids)`` attached to ``exc.partial``.
     """
-    budget = legacy_cap("build_reduction_graph", budget,
-                        max_states=max_states)
     backend = _registry.resolve(backend)
     meter = resolve_meter(budget, DEFAULT_BUDGET)
     graph = ReductionGraph()

@@ -19,7 +19,6 @@ from ..engine.budget import (
     Budget,
     BudgetExceeded,
     Meter,
-    legacy_cap,
     resolve_meter,
 )
 from ..engine.verdict import Verdict
@@ -37,12 +36,8 @@ class _SimulationGame(_LabelledGame):
 
 def simulates(q: Process, p: Process, *, weak: bool = False,
               budget: Budget | Meter | None = None,
-              max_pairs: int | None = None,
-              max_states: int | None = None,
               calculus: str | CalculusBackend | None = None) -> Verdict:
     """Does *q* simulate *p* (``p <= q``)?"""
-    budget = legacy_cap("simulates", budget,
-                        max_pairs=max_pairs, max_states=max_states)
     meter = resolve_meter(budget, DEFAULT_BUDGET)
     game = _SimulationGame(weak, meter, backend=calculus)
     cache: dict = {}
@@ -62,16 +57,13 @@ def simulates(q: Process, p: Process, *, weak: bool = False,
 
 def similar(p: Process, q: Process, *,
             budget: Budget | Meter | None = None,
-            max_pairs: int | None = None,
-            max_states: int | None = None, **kw) -> Verdict:
+            **kw) -> Verdict:
     """Mutual simulation (coarser than bisimilarity).
 
     Kleene conjunction of the two directions, drawn from one shared
     meter; a FALSE direction refutes regardless of the other going
     UNKNOWN.
     """
-    budget = legacy_cap("similar", budget,
-                        max_pairs=max_pairs, max_states=max_states)
     meter = resolve_meter(budget, DEFAULT_BUDGET)
     forward = simulates(q, p, budget=meter, **kw)
     if forward.is_false:

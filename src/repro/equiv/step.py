@@ -26,7 +26,6 @@ from ..engine.budget import (
     Budget,
     BudgetExceeded,
     Meter,
-    legacy_cap,
     resolve_meter,
 )
 from ..engine.verdict import Verdict
@@ -56,14 +55,11 @@ def _onthefly_reduction(p: Process, q: Process, *, steps: bool, weak: bool,
 
 def strong_step_bisimilar(p: Process, q: Process, *,
                           budget: Budget | Meter | None = None,
-                          max_states: int | None = None,
                           strategy: str = "onthefly",
                           calculus: str | CalculusBackend | None = None
                           ) -> Verdict:
     """Decide ``p ~phi q`` (strong step-bisimilarity)."""
     validate_strategy(strategy)
-    budget = legacy_cap("strong_step_bisimilar", budget,
-                        max_states=max_states)
     meter = resolve_meter(budget, DEFAULT_BUDGET)
     backend = _registry.resolve(calculus)
     if strategy == "onthefly":
@@ -81,14 +77,11 @@ def strong_step_bisimilar(p: Process, q: Process, *,
 
 def weak_step_bisimilar(p: Process, q: Process, *,
                         budget: Budget | Meter | None = None,
-                        max_states: int | None = None,
                         strategy: str = "onthefly",
                         calculus: str | CalculusBackend | None = None
                         ) -> Verdict:
     """Decide ``p ~~phi q`` (weak step-bisimilarity)."""
     validate_strategy(strategy)
-    budget = legacy_cap("weak_step_bisimilar", budget,
-                        max_states=max_states)
     meter = resolve_meter(budget, DEFAULT_BUDGET)
     backend = _registry.resolve(calculus)
     if strategy == "onthefly":
@@ -107,11 +100,9 @@ def weak_step_bisimilar(p: Process, q: Process, *,
 
 def step_bisimilar(p: Process, q: Process, *, weak: bool = False,
                    budget: Budget | Meter | None = None,
-                   max_states: int | None = None,
                    strategy: str = "onthefly",
                    calculus: str | CalculusBackend | None = None) -> Verdict:
     """Dispatch on *weak*."""
-    budget = legacy_cap("step_bisimilar", budget, max_states=max_states)
     if weak:
         return weak_step_bisimilar(p, q, budget=budget, strategy=strategy,
                                    calculus=calculus)

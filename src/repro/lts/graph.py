@@ -33,7 +33,6 @@ from ..engine.budget import (
     Budget,
     BudgetExceeded,
     Meter,
-    legacy_cap,
     resolve_meter,
 )
 from ..obs import metrics as _metrics, progress as _progress, tracing as _tracing
@@ -115,7 +114,6 @@ def _close_binders(action: Action, target: Process) -> Process:
 def build_step_lts(p: Process, *,
                    budget: Budget | Meter | None = None,
                    close_binders: bool = True,
-                   max_states: int | None = None,
                    calculus: str | CalculusBackend | None = None
                    ) -> tuple[LTS, int]:
     """Explore the ``-phi->`` graph from *p*; returns (lts, initial id).
@@ -128,7 +126,6 @@ def build_step_lts(p: Process, *,
     ``calculus`` selects the broadcast semantics via
     :mod:`repro.calculi.registry` (default: the paper's ``"bpi"``).
     """
-    budget = legacy_cap("build_step_lts", budget, max_states=max_states)
     backend = _registry.resolve(calculus)
     meter = resolve_meter(budget, DEFAULT_BUDGET)
     with _tracing.span("lts.build_step") as sp:
@@ -189,7 +186,6 @@ def canonical_output_label(action: OutputAction) -> OutputAction:
 def build_full_lts(p: Process, universe: NameUniverse | None = None, *,
                    budget: Budget | Meter | None = None,
                    n_fresh: int = 1,
-                   max_states: int | None = None,
                    calculus: str | CalculusBackend | None = None
                    ) -> tuple[LTS, int]:
     """Explore outputs, taus *and* universe-instantiated inputs from *p*.
@@ -200,7 +196,6 @@ def build_full_lts(p: Process, universe: NameUniverse | None = None, *,
     trip raises :class:`BudgetExceeded` with the partial ``(lts, root)``
     attached to ``exc.partial``.
     """
-    budget = legacy_cap("build_full_lts", budget, max_states=max_states)
     backend = _registry.resolve(calculus)
     meter = resolve_meter(budget, DEFAULT_BUDGET)
     if universe is None:

@@ -47,7 +47,6 @@ from ..engine.budget import (
     Budget,
     BudgetExceeded,
     Meter,
-    legacy_cap,
     resolve_meter,
 )
 from ..engine.verdict import Verdict
@@ -77,7 +76,6 @@ def _closed_successors(state: Process,
 
 def reachable_states(p: Process, *, budget: Budget | Meter | None = None,
                      collapse: bool = True,
-                     max_states: int | None = None,
                      calculus: str | CalculusBackend | None = None
                      ) -> list[Process]:
     """All reachable canonical states (BFS, budget-governed).
@@ -86,7 +84,6 @@ def reachable_states(p: Process, *, budget: Budget | Meter | None = None,
     :class:`~repro.engine.budget.BudgetExceeded` with the states found so
     far on ``exc.partial``.
     """
-    budget = legacy_cap("reachable_states", budget, max_states=max_states)
     backend = _registry.resolve(calculus)
     meter = resolve_meter(budget, DEFAULT_BUDGET)
     canon = _canon(collapse)
@@ -122,14 +119,12 @@ def find_quiescent(p: Process, **kw) -> list[Process]:
 
 def can_diverge(p: Process, *, budget: Budget | Meter | None = None,
                 collapse: bool = True,
-                max_states: int | None = None,
                 calculus: str | CalculusBackend | None = None) -> Verdict:
     """Is a tau-only cycle reachable?  (Infinite internal chatter.)
 
     ``UNKNOWN`` when the reachable set is truncated by the budget — an
     unexplored region may still hide a cycle.
     """
-    budget = legacy_cap("can_diverge", budget, max_states=max_states)
     backend = _registry.resolve(calculus)
     meter = resolve_meter(budget, DEFAULT_BUDGET)
     canon = _canon(collapse)
@@ -170,7 +165,7 @@ def can_diverge(p: Process, *, budget: Budget | Meter | None = None,
 
 def invariant_holds(p: Process, predicate: Predicate, *,
                     budget: Budget | Meter | None = None,
-                    collapse: bool = True, max_states: int | None = None,
+                    collapse: bool = True,
                     witness: list | None = None,
                     calculus: str | CalculusBackend | None = None,
                     presolve: bool = True) -> Verdict:
@@ -196,7 +191,6 @@ def invariant_holds(p: Process, predicate: Predicate, *,
             return Verdict.of(True,
                               stats={"states": 0, "presolve": "flow"},
                               evidence=flow_evidence)
-    budget = legacy_cap("invariant_holds", budget, max_states=max_states)
     meter = resolve_meter(budget, DEFAULT_BUDGET)
     try:
         for s in reachable_states(p, budget=meter, collapse=collapse,
@@ -219,14 +213,12 @@ def invariant_holds(p: Process, predicate: Predicate, *,
 
 def eventually_always(p: Process, predicate: Predicate, *,
                       budget: Budget | Meter | None = None,
-                      collapse: bool = True,
-                      max_states: int | None = None) -> Verdict:
+                      collapse: bool = True) -> Verdict:
     """Does *predicate* hold in every reachable *quiescent* state?
 
     Vacuously true when the system never quiesces within the bound;
     ``UNKNOWN`` when the budget trips before the graph is exhausted.
     """
-    budget = legacy_cap("eventually_always", budget, max_states=max_states)
     meter = resolve_meter(budget, DEFAULT_BUDGET)
     try:
         quiescent = find_quiescent(p, budget=meter, collapse=collapse)

@@ -345,8 +345,6 @@ class TestBudgetContract:
         assert 0 < ex.n_states <= 3
 
 
-# -- deprecation shim -------------------------------------------------------
-
 # -- store keying: verdicts never cross calculi -----------------------------
 
 class TestStoreKeying:

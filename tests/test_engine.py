@@ -1,6 +1,4 @@
-"""Unit tests for ``repro.engine``: budgets, meters, verdicts, shims."""
-
-import warnings
+"""Unit tests for ``repro.engine``: budgets, meters and verdicts."""
 
 import pytest
 
@@ -15,7 +13,6 @@ from repro.engine import (
     Verdict,
     active_meter,
     govern,
-    legacy_cap,
     resolve_meter,
 )
 from repro.engine.budget import POLL_INTERVAL
@@ -154,31 +151,64 @@ class TestGovern:
         assert v.is_unknown and m.tripped == "max-states"
 
 
-class TestLegacyCap:
-    def test_no_legacy_passthrough(self):
-        b = Budget(max_states=5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert legacy_cap("f", b) is b
-            assert legacy_cap("f", None) is None
+def _app_queries():
+    """The five app entry points, each on an input whose answer is TRUE
+    and needs more than three states to find."""
+    from repro.apps.cycle_detection import detects_cycle
+    from repro.apps.pubsub import delivered, network
+    from repro.apps.radio import (
+        base_station,
+        can_deliver,
+        can_hear,
+        cellular_backend,
+        mobile_station,
+        reliable_network,
+    )
+    from repro.apps.transactions import Transaction as T
+    from repro.apps.transactions import detects_inconsistency
+    from repro.core.builder import par, tau
 
-    def test_legacy_warns_and_converts(self):
-        with pytest.warns(DeprecationWarning, match="f\\(max_states=9\\)"):
-            b = legacy_cap("f", None, max_states=9)
-        assert b == Budget(max_states=9)
+    late_station = tau(tau(tau(base_station("cell_w", "frame"))))
+    return {
+        "detects_cycle": lambda **kw: detects_cycle(
+            [("a", "b"), ("b", "a")], **kw),
+        "delivered": lambda **kw: delivered(
+            network(["m1"], ["alice"]), "alice", "m1", **kw),
+        "can_deliver": lambda **kw: can_deliver(
+            reliable_network("frame1", ["rx_a"]), "rx_a", "frame1", **kw),
+        "can_hear": lambda **kw: can_hear(
+            par(late_station, mobile_station("mob", "screen")), "screen",
+            calculus=cellular_backend(("mob", "cell_w")), **kw),
+        "detects_inconsistency": lambda **kw: detects_inconsistency(
+            [T("t1", "w", "j", "p1"), T("t2", "w", "j", "p2")], **kw),
+    }
 
-    def test_legacy_takes_loosest_and_says_so(self):
-        # The warning must flag the semantics change: caps that bounded
-        # separate sub-searches are unified into one shared pool.
-        with pytest.warns(DeprecationWarning,
-                          match="unified into one shared pool of "
-                                "max_states=11"):
-            b = legacy_cap("f", None, max_states=5, max_pairs=11)
-        assert b.max_states == 11
 
-    def test_both_spellings_rejected(self):
+class TestAppsHonourGovern:
+    @pytest.mark.parametrize("entry", sorted(_app_queries()))
+    def test_ambient_charged_and_explicit_wins(self, entry):
+        query = _app_queries()[entry]
+        with govern(Budget(max_states=3)) as m:
+            query()
+        assert m.tripped == "max-states" and m.states > 3
+        with govern(Budget(max_states=3)) as m:
+            result = query(budget=Budget(max_states=10_000))
+        assert m.states == 0
+        assert result is True or result.is_true
+
+
+class TestOneBudgetSpelling:
+    def test_pre_engine_caps_are_type_errors(self):
+        # Budget= is the only way to bound a search; the old per-call
+        # keyword caps are not accepted under any name.
+        from repro.core.parser import parse
+        from repro.core.reduction import can_reach_barb
+        from repro.equiv.labelled import labelled_bisimilar
+        p = parse("a!")
         with pytest.raises(TypeError):
-            legacy_cap("f", Budget(max_states=1), max_states=2)
+            can_reach_barb(p, "x", max_states=10)
+        with pytest.raises(TypeError):
+            labelled_bisimilar(p, p, max_pairs=10)
 
 
 class TestVerdict:
