@@ -1,60 +1,81 @@
-"""Budget-plumbing overhead gate.
+"""Budget-plumbing overhead gate, by exact counts.
 
 The engine threads a :class:`~repro.engine.budget.Meter` through every
 exploration loop (LTS build, reachability, partition refinement).  The
 design promise is that *ungoverned* runs — no deadline, no cancel token,
 just the state-cap arithmetic — pay essentially nothing for it: the meter
 is two integer operations per interned state, and the unwatched fast path
-(:attr:`Meter.watching` is False) never reads the clock.
+(:attr:`Meter.watching` is False) never reads the clock.  A *watched*
+meter (deadline or cancel token armed) amortises its polling over
+:data:`~repro.engine.budget.POLL_INTERVAL` charges.
 
-This gate measures the canonical atomic-broadcast workload,
-``broadcast_star(12)``, exploring its full step LTS with a cap far above
-the real state count, and compares against the same exploration driven
-through a loop with a hand-inlined integer cap — the pre-engine baseline
-shape.  Best-of-N keeps scheduler noise out; the ratio must stay under
-1.02 (+2%), with a small absolute floor so micro-runs in noisy CI boxes
-don't flake the gate on sub-millisecond jitter.
+A wall-clock ratio measures the host as much as the meter (on a shared
+2-CPU host, ``build_step_lts`` timed against itself ranged from 0.26x to
+5.9x), so the gate counts instead.  On the canonical atomic-broadcast
+workload, ``broadcast_star(12)``, explored with ``build_step_lts`` under
+a budget whose clock is an injected read counter:
+
+* an unwatched meter reads the clock 0 times after it is constructed;
+* a watched meter (``deadline=3600``) reads it at most
+  ``ceil(charges / POLL_INTERVAL)`` times;
+* the meter charges one unit per state:
+  ``meter.states == lts.n_states == 4097``.
+
+The governed/plain wall-clock ratio is still measured and printed (run
+pytest with ``-rP``, or this file as a script) as a number to read, not
+a gate.
 """
 
 from __future__ import annotations
 
+import math
 import time
 
 from benchmarks.helpers import broadcast_star
 from repro.core.cache import clear_caches
-from repro.core.canonical import canonical_state
-from repro.core.semantics import step_transitions
-from repro.engine.budget import Budget
+from repro.engine.budget import POLL_INTERVAL, Budget
 from repro.lts.graph import build_step_lts
 
-#: Allowed governed/baseline wall-clock ratio (the <2% satellite gate).
-MAX_OVERHEAD = 1.02
-#: Absolute jitter floor: differences below this are noise, not overhead.
-JITTER_FLOOR_S = 0.015
-
 N_STAR = 12
-REPEATS = 5
+#: Distinct states of ``broadcast_star(12)``: the root plus every subset
+#: of the 12 replies still pending after the broadcast.
+N_STATES = 4097
+REPEATS = 3
 
 
-def _baseline_explore(p) -> int:
-    """The pre-engine exploration shape: bare BFS with an integer cap."""
-    cap = 1_000_000
-    root = canonical_state(p)
-    seen = {root: 0}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for state in frontier:
-            for _action, target in step_transitions(state):
-                key = canonical_state(target)
-                if key in seen:
-                    continue
-                if len(seen) >= cap:
-                    raise RuntimeError("cap")
-                seen[key] = len(seen)
-                nxt.append(key)
-        frontier = nxt
-    return len(seen)
+class CountingClock:
+    """An injectable clock that counts its reads and never advances."""
+
+    def __init__(self) -> None:
+        self.reads = 0
+
+    def __call__(self) -> float:
+        self.reads += 1
+        return 0.0
+
+
+def _explore(budget: Budget):
+    """Build the step LTS under *budget*; also return the clock reads
+    made after the meter was constructed."""
+    meter = budget.meter()
+    before = budget.clock.reads
+    lts, _root = build_step_lts(broadcast_star(N_STAR), budget=meter)
+    return lts, meter, budget.clock.reads - before
+
+
+def test_unwatched_meter_never_reads_the_clock():
+    budget = Budget(max_states=1_000_000, clock=CountingClock())
+    lts, meter, reads = _explore(budget)
+    assert meter.states == lts.n_states == N_STATES
+    assert reads == 0
+
+
+def test_watched_meter_polls_once_per_interval():
+    budget = Budget(max_states=1_000_000, deadline=3600.0,
+                    clock=CountingClock())
+    lts, meter, reads = _explore(budget)
+    assert meter.states == lts.n_states == N_STATES
+    assert 0 < reads <= math.ceil(meter.states / POLL_INTERVAL)
 
 
 def _best_of(fn, repeats: int = REPEATS) -> float:
@@ -67,54 +88,28 @@ def _best_of(fn, repeats: int = REPEATS) -> float:
     return best
 
 
-def test_budget_overhead_under_two_percent():
+def overhead_ratios() -> dict[str, float]:
+    """Best-of-N wall clock of governed and watched builds over the
+    default-budget build (reported, never asserted)."""
     p = broadcast_star(N_STAR)
-
-    def governed():
-        lts, _root = build_step_lts(p, budget=Budget(max_states=1_000_000))
-        return lts.n_states
-
-    def baseline():
-        return _baseline_explore(p)
-
-    # Same work on both sides (the LTS also records edges; measure the
-    # builder against itself to isolate the metering, not the data
-    # structure): governed build vs the engine's own path with the meter
-    # effectively free (unlimited default resolves to one shared meter).
-    n_g = governed()
-    n_b = baseline()
-    assert n_g == n_b, (n_g, n_b)
-
-    # Warm-up pass so import/intern costs don't land on either side.
-    governed(), baseline()
-
-    t_governed = _best_of(governed)
-    t_plain = _best_of(lambda: build_step_lts(p))
-
-    # The real gate: metered-with-cap vs the library's own default path
-    # (identical code, default budget) — the plumbing must be invisible.
-    overhead = t_governed - t_plain
-    assert (t_governed <= t_plain * MAX_OVERHEAD
-            or overhead <= JITTER_FLOOR_S), (
-        f"budget plumbing overhead {t_governed / t_plain:.3f}x "
-        f"({overhead * 1e3:.1f}ms) exceeds the 2% gate")
+    plain = _best_of(lambda: build_step_lts(p))
+    governed = _best_of(
+        lambda: build_step_lts(p, budget=Budget(max_states=1_000_000)))
+    watched = _best_of(lambda: build_step_lts(
+        p, budget=Budget(max_states=1_000_000, deadline=3600.0)))
+    return {"plain_s": plain, "governed_ratio": governed / plain,
+            "watched_ratio": watched / plain}
 
 
-def test_watched_budget_overhead_is_bounded():
-    """Even a *watched* meter (deadline armed) stays cheap: polling is
-    amortised over POLL_INTERVAL charges."""
-    p = broadcast_star(N_STAR)
+def test_report_overhead_ratio():
+    ratios = overhead_ratios()
+    print(f"broadcast_star({N_STAR}) step LTS: plain "
+          f"{ratios['plain_s'] * 1e3:.0f} ms, governed "
+          f"{ratios['governed_ratio']:.3f}x, watched "
+          f"{ratios['watched_ratio']:.3f}x (reported, not gated)")
 
-    def governed_watched():
-        lts, _root = build_step_lts(
-            p, budget=Budget(max_states=1_000_000, deadline=3600.0))
-        return lts.n_states
 
-    t_plain = _best_of(lambda: build_step_lts(p))
-    t_watched = _best_of(governed_watched)
-    overhead = t_watched - t_plain
-    # A clock read every 64 states: allow 10% or the jitter floor.
-    assert (t_watched <= t_plain * 1.10
-            or overhead <= JITTER_FLOOR_S), (
-        f"watched-meter overhead {t_watched / t_plain:.3f}x "
-        f"({overhead * 1e3:.1f}ms) exceeds the 10% bound")
+if __name__ == "__main__":
+    test_unwatched_meter_never_reads_the_clock()
+    test_watched_meter_polls_once_per_interval()
+    test_report_overhead_ratio()

@@ -11,7 +11,7 @@ from repro.calculi.encodings import pi_to_bpi
 from repro.calculi.pi import pi_step_transitions
 from repro.core.actions import OutputAction
 from repro.core.parser import parse
-from repro.core.reduction import can_reach_barb
+from repro.runtime.analysis import can_reach_barb
 from repro.core.semantics import step_transitions
 from repro.engine import Budget
 

@@ -48,7 +48,7 @@ def _ab_term(n: int):
 def flow_block(quick: bool = False) -> dict:
     """The BENCH_report.json ``"flow"`` block (schema 9)."""
     from repro.core.freenames import free_names
-    from repro.core.reduction import can_reach_barb
+    from repro.runtime.analysis import can_reach_barb
     from repro.flow import clear_caches, flow_refutes_barb
     from repro.lint import corpus
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps.pvm import Bcast, Emit, JoinGroup, Receive, machine
-from repro.core.reduction import can_reach_barb
+from repro.runtime.analysis import can_reach_barb
 from repro.engine import Budget
 
 

@@ -18,7 +18,7 @@ def test_reliable_delivery_scaling(benchmark, n_receivers):
 
 
 def test_sender_completion(benchmark):
-    from repro.core.reduction import can_reach_barb
+    from repro.runtime.analysis import can_reach_barb
     system = reliable_network("frame1", ["rx0"])
 
     def verify():

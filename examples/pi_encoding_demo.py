@@ -12,7 +12,7 @@ from repro.calculi.encodings import pi_to_bpi
 from repro.calculi.pi import pi_barbed_bisimilar, pi_step_transitions
 from repro.core import parse, pretty, step_transitions
 from repro.core.actions import OutputAction
-from repro.core.reduction import can_reach_barb
+from repro.runtime.analysis import can_reach_barb
 from repro.engine import Budget
 from repro.equiv.barbed import strong_barbed_bisimilar
 

@@ -20,7 +20,7 @@ from repro.apps.pvm import (
     Spawn,
     machine,
 )
-from repro.core.reduction import can_reach_barb
+from repro.runtime.analysis import can_reach_barb
 from repro.engine import Budget
 
 

@@ -13,9 +13,9 @@ from repro.apps.radio import (
     reliable_network,
     unreliable_network,
 )
-from repro.core.reduction import barbs, can_reach_barb
+from repro.core.reduction import barbs
 from repro.engine import Budget
-from repro.runtime.analysis import find_quiescent
+from repro.runtime.analysis import can_reach_barb, find_quiescent
 from repro.runtime.simulator import run
 
 

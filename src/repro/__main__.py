@@ -76,8 +76,8 @@ from .core.names import NameUniverse
 from .core.parser import ParseError, parse
 from .core.pretty import pretty
 from .calculi import registry as _registry
-from .core.reduction import can_reach_barb
 from .engine.budget import Budget, BudgetExceeded
+from .runtime.analysis import can_reach_barb
 from .runtime.simulator import run as sim_run
 
 #: Exit status when a decision command's budget tripped (UNKNOWN).

@@ -223,7 +223,7 @@ def reach(p: "Process | str", channel: str, *,
     channels definitively without exploring (``stats["presolve"] ==
     "flow"`` on the verdict); ``presolve=False`` forces exploration.
     """
-    from .core.reduction import can_reach_barb
+    from .runtime.analysis import can_reach_barb
     return can_reach_barb(_as_process(p), channel, budget=budget,
                           collapse_duplicates=collapse_duplicates,
                           calculus=calculus, presolve=presolve)

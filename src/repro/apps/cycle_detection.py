@@ -35,9 +35,9 @@ from typing import Iterable, Sequence
 
 from ..core.builder import call, define, inp, match_eq, nu, out, par
 from ..core.names import Name
-from ..core.reduction import can_reach_barb
 from ..core.syntax import Process, Rec
 from ..engine.budget import Budget, resolve_meter
+from ..runtime.analysis import can_reach_barb
 from ..runtime.simulator import run
 from ..runtime.trace import Trace
 
@@ -121,7 +121,7 @@ def detects_cycle(edges: Sequence[Edge], *, budget=None,
     is deliberately a bool-valued *semi-decision*: ``True`` is definite
     (a signal state was reached); ``False`` conflates "no signal within
     the budget" with genuine absence — use
-    :func:`repro.core.reduction.can_reach_barb` directly for the
+    :func:`repro.runtime.analysis.can_reach_barb` directly for the
     three-valued verdict.  Cycles are found after very few states in
     practice — the tests cross-check against the graph-theoretic
     reference on every digraph up to isomorphism-covering families.

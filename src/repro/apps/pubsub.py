@@ -34,9 +34,9 @@ from typing import Sequence
 
 from ..core.builder import call, define, inp, nu, out, par
 from ..core.names import Name
-from ..core.reduction import can_reach_barb
 from ..core.syntax import Process
 from ..engine.budget import Budget, resolve_meter
+from ..runtime.analysis import can_reach_barb
 from ..runtime.simulator import run
 from ..runtime.trace import Trace
 

@@ -47,9 +47,9 @@ from typing import Iterable, Sequence
 
 from ..core.builder import call, define, inp, match_eq, out, par
 from ..core.names import Name
-from ..core.reduction import can_reach_barb
 from ..core.syntax import NIL, Process
 from ..engine.budget import Budget, resolve_meter
+from ..runtime.analysis import can_reach_barb
 from ..runtime.simulator import run
 from ..runtime.trace import Trace
 from .cycle_detection import edge_manager

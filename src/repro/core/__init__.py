@@ -28,7 +28,6 @@ from .pretty import pretty
 from .reduction import (
     StateSpaceExceeded,
     barbs,
-    can_reach_barb,
     has_barb,
     has_weak_barb,
     weak_barbs,
@@ -67,7 +66,7 @@ __all__ = [
     "all_names", "bound_names", "check_guarded", "free_names", "is_closed",
     "Name", "NameSupply", "NameUniverse", "fresh_name", "fresh_names",
     "ParseError", "parse", "pretty",
-    "StateSpaceExceeded", "barbs", "can_reach_barb", "has_barb",
+    "StateSpaceExceeded", "barbs", "has_barb",
     "has_weak_barb", "weak_barbs", "weak_step_barbs",
     "check_sorts", "input_capabilities", "input_continuations",
     "step_transitions", "transitions",

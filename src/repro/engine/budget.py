@@ -20,7 +20,8 @@ cap.  This module centralises those caps:
 
 The contract has two layers:
 
-* **raw explorers** (``build_step_lts``, ``reachable_states``,
+* **raw explorers** (``grow`` and the graph builders driving it —
+  ``build_step_lts``, ``build_reduction_graph``, ``reachable_states`` —
   ``solve_game``, ...) raise :class:`BudgetExceeded` when the meter
   trips, attaching whatever partial result exists to ``exc.partial``;
 * **verdict-level checkers** (``labelled_bisimilar``, ``can_reach_barb``,
@@ -95,8 +96,9 @@ class CancelToken:
 
 #: How many charge/tick calls between deadline/cancellation polls.  Polls
 #: are two attribute reads plus (with a deadline) one clock call; 64 keeps
-#: the governed overhead well under the 2% benchmark gate while bounding
-#: the reaction latency to a cancel/deadline.
+#: a watched meter to one clock read per 64 charges (the count
+#: ``benchmarks/bench_budget_overhead.py`` gates) while bounding the
+#: reaction latency to a cancel/deadline.
 POLL_INTERVAL = 64
 
 

@@ -26,8 +26,8 @@ from ..calculi import registry as _registry
 from ..core.actions import OutputAction, TauAction
 from ..core.canonical import canonical_state
 from ..core.names import Name
-from ..core.reduction import barbs
-from ..core.syntax import Process, Restrict
+from ..core.reduction import barbs, close_extrusion
+from ..core.syntax import Process
 from ..engine.budget import (
     Budget,
     BudgetExceeded,
@@ -54,7 +54,6 @@ def is_stable(p: Process) -> bool:
 
 def _after(p: Process, trace: Trace, meter: Meter) -> set[Process]:
     """All canonical states reachable by exactly *trace* (mod taus)."""
-    current: set[Process] = set()
     frontier = deque([(canonical_state(p), 0)])
     seen: set[tuple[Process, int]] = set()
     results: set[Process] = set()
@@ -67,16 +66,12 @@ def _after(p: Process, trace: Trace, meter: Meter) -> set[Process]:
         if idx == len(trace):
             results.add(state)
         for action, target in _steps(state):
-            if isinstance(action, OutputAction) and action.binders:
-                for b in reversed(action.binders):
-                    target = Restrict(b, target)
-            tgt = canonical_state(target)
+            tgt = canonical_state(close_extrusion(action, target))
             if isinstance(action, TauAction):
                 frontier.append((tgt, idx))
             elif isinstance(action, OutputAction):
                 if idx < len(trace) and action.chan == trace[idx]:
                     frontier.append((tgt, idx + 1))
-    del current
     return results
 
 
@@ -115,10 +110,7 @@ def traces_upto(p: Process, max_depth: int = 4, *,
                 continue
             meter.tick()
             for action, target in _steps(state):
-                if isinstance(action, OutputAction) and action.binders:
-                    for b in reversed(action.binders):
-                        target = Restrict(b, target)
-                tgt = canonical_state(target)
+                tgt = canonical_state(close_extrusion(action, target))
                 if isinstance(action, TauAction):
                     item = (tgt, trace)
                 elif isinstance(action, OutputAction):

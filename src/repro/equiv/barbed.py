@@ -34,7 +34,11 @@ from ..engine.verdict import Verdict
 from ..lts.partition import coarsest_partition
 from ..lts.weak import reachability_closure, weak_keys
 from .onthefly import validate_strategy
-from .reduction_graph import DEFAULT_BUDGET, build_reduction_graph
+from .reduction_graph import (
+    DEFAULT_BUDGET,
+    build_reduction_graph,
+    partition_inputs,
+)
 from .step import _onthefly_reduction
 
 
@@ -53,8 +57,8 @@ def strong_barbed_bisimilar(p: Process, q: Process, *,
     try:
         graph, (rp, rq) = build_reduction_graph((p, q), steps=False,
                                                 budget=meter, backend=backend)
-        block = coarsest_partition(graph.frozen_successors(),
-                                   graph.state_barbs, budget=meter)
+        successors, strong_barbs = partition_inputs(graph)
+        block = coarsest_partition(successors, strong_barbs, budget=meter)
     except BudgetExceeded as exc:
         return Verdict.from_exceeded(exc)
     return Verdict.of(block[rp] == block[rq], stats=meter.stats())
@@ -75,8 +79,9 @@ def weak_barbed_bisimilar(p: Process, q: Process, *,
     try:
         graph, (rp, rq) = build_reduction_graph((p, q), steps=False,
                                                 budget=meter, backend=backend)
-        closure = reachability_closure(graph.frozen_successors())
-        keys = weak_keys(closure, graph.state_barbs)
+        successors, strong_barbs = partition_inputs(graph)
+        closure = reachability_closure(successors)
+        keys = weak_keys(closure, strong_barbs)
         block = coarsest_partition(closure, keys, budget=meter)
     except BudgetExceeded as exc:
         return Verdict.from_exceeded(exc)

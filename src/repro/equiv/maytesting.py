@@ -27,11 +27,11 @@ from ..calculi import registry as _registry
 from ..core.builder import inp, out
 from ..core.freenames import free_names
 from ..core.names import Name
-from ..core.reduction import can_reach_barb
 from ..core.actions import OutputAction
 from ..core.syntax import Par, Process
 from ..engine.budget import Budget, Meter, resolve_meter
 from ..engine.verdict import Verdict
+from ..runtime.analysis import can_reach_barb
 
 SUCCESS = "succ_omega"
 

@@ -17,8 +17,6 @@ artifact of the paper hits this.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
 from itertools import count
 
 from ..calculi import registry as _registry
@@ -35,6 +33,7 @@ from ..engine.budget import (
     Meter,
     resolve_meter,
 )
+from ..lts.graph import LTS, grow
 
 DEFAULT_MAX_STATES = 20_000
 
@@ -116,67 +115,43 @@ def phi_successors(state: Process, *, steps: bool,
     return result
 
 
-@dataclass
-class ReductionGraph:
-    """States + unlabelled successor sets + per-state strong barbs."""
-
-    states: list[Process] = field(default_factory=list)
-    index: dict[Process, int] = field(default_factory=dict)
-    successors: list[set[int]] = field(default_factory=list)
-    state_barbs: list[frozenset[str]] = field(default_factory=list)
-
-    def intern(self, p: Process) -> tuple[int, bool]:
-        c = canonical_state(p)
-        sid = self.index.get(c)
-        if sid is not None:
-            return sid, False
-        sid = len(self.states)
-        self.index[c] = sid
-        self.states.append(c)
-        self.successors.append(set())
-        self.state_barbs.append(barbs(c))
-        return sid, True
-
-    def frozen_successors(self) -> list[frozenset[int]]:
-        return [frozenset(s) for s in self.successors]
-
-
 def build_reduction_graph(roots: tuple[Process, ...], *, steps: bool,
                           budget: Budget | Meter | None = None,
                           backend: CalculusBackend | None = None,
-                          ) -> tuple[ReductionGraph, tuple[int, ...]]:
+                          ) -> tuple[LTS, tuple[int, ...]]:
     """Explore the tau-graph (``steps=False``) or phi-graph (``steps=True``)
-    from all *roots* into one shared :class:`ReductionGraph`.
+    from all *roots* into one shared :class:`~repro.lts.graph.LTS` whose
+    edges carry no labels; returns it with the root ids.
 
     Raw-explorer contract: a budget trip raises
     :class:`~repro.engine.budget.BudgetExceeded` with the partial
-    ``(graph, root_ids)`` attached to ``exc.partial``.
+    ``(lts, root_ids)`` attached to ``exc.partial``.
     """
     backend = _registry.resolve(backend)
     meter = resolve_meter(budget, DEFAULT_BUDGET)
-    graph = ReductionGraph()
-    queue: deque[int] = deque()
-    root_ids: list[int] = []
+
+    def expand(state: Process) -> list[tuple[None, Process]]:
+        return [(None, t)
+                for t in phi_successors(state, steps=steps, backend=backend)]
+
+    lts = LTS()
     try:
-        for r in roots:
-            sid, fresh = graph.intern(r)
-            root_ids.append(sid)
-            if fresh:
-                meter.charge()
-                queue.append(sid)
-        while queue:
-            sid = queue.popleft()
-            state = graph.states[sid]
-            for target in phi_successors(state, steps=steps,
-                                         backend=backend):
-                tid, fresh = graph.intern(target)
-                if fresh:
-                    meter.charge()
-                graph.successors[sid].add(tid)
-                if fresh:
-                    queue.append(tid)
+        for _ in grow(lts, roots, expand, meter, canonical=canonical_state):
+            pass
     except BudgetExceeded as exc:
-        if exc.partial is None:
-            exc.partial = (graph, tuple(root_ids))
+        exc.partial = (lts, _root_ids(lts, roots))
         raise
-    return graph, tuple(root_ids)
+    return lts, _root_ids(lts, roots)
+
+
+def _root_ids(lts: LTS, roots: tuple[Process, ...]) -> tuple[int, ...]:
+    found = (lts.index.get(canonical_state(r)) for r in roots)
+    return tuple(sid for sid in found if sid is not None)
+
+
+def partition_inputs(lts: LTS) -> tuple[list[frozenset[int]],
+                                        list[frozenset[str]]]:
+    """Successor sets and strong barbs per state: what the global barbed
+    and step checkers refine."""
+    return ([frozenset(t for _, t in out) for out in lts.edges],
+            [barbs(s) for s in lts.states])

@@ -37,7 +37,11 @@ from .onthefly import (
     reduction_challenges,
     validate_strategy,
 )
-from .reduction_graph import DEFAULT_BUDGET, build_reduction_graph
+from .reduction_graph import (
+    DEFAULT_BUDGET,
+    build_reduction_graph,
+    partition_inputs,
+)
 
 
 def _onthefly_reduction(p: Process, q: Process, *, steps: bool, weak: bool,
@@ -68,8 +72,8 @@ def strong_step_bisimilar(p: Process, q: Process, *,
     try:
         graph, (rp, rq) = build_reduction_graph((p, q), steps=True,
                                                 budget=meter, backend=backend)
-        block = coarsest_partition(graph.frozen_successors(),
-                                   graph.state_barbs, budget=meter)
+        successors, strong_barbs = partition_inputs(graph)
+        block = coarsest_partition(successors, strong_barbs, budget=meter)
     except BudgetExceeded as exc:
         return Verdict.from_exceeded(exc)
     return Verdict.of(block[rp] == block[rq], stats=meter.stats())
@@ -90,8 +94,9 @@ def weak_step_bisimilar(p: Process, q: Process, *,
     try:
         graph, (rp, rq) = build_reduction_graph((p, q), steps=True,
                                                 budget=meter, backend=backend)
-        closure = reachability_closure(graph.frozen_successors())
-        keys = weak_keys(closure, graph.state_barbs)
+        successors, strong_barbs = partition_inputs(graph)
+        closure = reachability_closure(successors)
+        keys = weak_keys(closure, strong_barbs)
         block = coarsest_partition(closure, keys, budget=meter)
     except BudgetExceeded as exc:
         return Verdict.from_exceeded(exc)

@@ -3,7 +3,7 @@
 This module is deliberately *below* the verdict layer (Rule F in
 ``tools/check_contracts.py`` enforces it): it returns either a typed
 :class:`FlowEvidence` witness or ``None``, never a verdict.  The wiring
-in ``core.reduction.can_reach_barb`` and ``runtime.analysis.
+in ``runtime.analysis.can_reach_barb`` and ``runtime.analysis.
 invariant_holds`` converts evidence into the one sound polarity each —
 FALSE-reachable and TRUE-invariant respectively.  Because the flow
 analysis over-approximates behaviour, "the abstraction cannot broadcast

@@ -6,7 +6,9 @@ costs duplicate states, never wrong answers).  Exploration is bounded; the
 paper's recursive examples are semantically finite-state only up to such
 quotienting.
 
-Two graph flavours are built on one core:
+Every closed-system search above the kernel walks one bounded
+breadth-first explorer, :func:`grow`; the two graph flavours here are
+thin drivers of it:
 
 * :func:`build_step_lts` — the autonomous ``-phi->`` graph (outputs + tau,
   labels kept), enough for barbed and step bisimilarity and for
@@ -18,8 +20,8 @@ Two graph flavours are built on one core:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable, Iterator
 
 from ..calculi import registry as _registry
 from ..calculi.backend import CalculusBackend
@@ -27,8 +29,8 @@ from ..core.actions import Action, InputAction, OutputAction, TauAction
 from ..core.canonical import canonical_state
 from ..core.freenames import free_names
 from ..core.names import NameUniverse
-from ..core.reduction import barbs
-from ..core.syntax import Process, Restrict
+from ..core.reduction import barbs, close_extrusion
+from ..core.syntax import Process
 from ..engine.budget import (
     Budget,
     BudgetExceeded,
@@ -94,21 +96,78 @@ class LTS:
         return f"LTS(states={self.n_states}, edges={self.n_edges})"
 
 
-def _close_binders(action: Action, target: Process) -> Process:
-    """Re-bind extruded names around a bound-output target.
+#: What :func:`grow` expands a state with: its ``(label, target)`` pairs.
+Expand = Callable[[Process], Iterable[tuple[Any, Process]]]
 
-    For *state identity* in reachability-style analyses, the residual of a
-    bound output is considered together with its extruded names still
-    restricted: the environment of a closed system under analysis will have
-    learnt them, but their future behaviour is fully represented by the
-    re-bound form when we only track barbs and steps.
+
+def grow(lts: LTS, roots: Iterable[Process], expand: Expand, meter: Meter, *,
+         canonical: Callable[[Process], Process]) -> Iterator[int]:
+    """Breadth-first exploration into *lts* — the one bounded explorer.
+
+    Interns each distinct root, charging *meter* one unit per root, then
+    yields every state id in discovery order *before* expanding it, so a
+    consumer may stop early.  Expanding a state records one edge per
+    ``(label, target)`` pair of ``expand(state)``; targets are interned
+    under *canonical* (:func:`~repro.core.canonical.canonical_state`, or
+    a coarser quotient), charging one unit per new state.  Raw-explorer
+    contract: a trip raises :class:`BudgetExceeded` out of the generator,
+    and *lts* then holds every state charged so far — each caller
+    attaches the partial result of its own shape.
     """
-    if isinstance(action, OutputAction) and action.binders:
-        q = target
-        for b in reversed(action.binders):
-            q = Restrict(b, q)
-        return q
-    return target
+    states, index, add_edge = lts.states, lts.index, lts.add_edge
+    sid = len(states)
+    for root in roots:
+        state = canonical(root)
+        if state not in index:
+            meter.charge()
+            lts.add_state(state)
+    # ids are handed out in discovery order, so the BFS queue is the id range
+    while sid < len(states):
+        yield sid
+        for label, target in expand(states[sid]):
+            state = canonical(target)
+            tid = index.get(state)
+            if tid is None:
+                meter.charge()
+                tid = lts.add_state(state)
+            add_edge(sid, label, tid)
+        sid += 1
+
+
+def closed_steps(calculus: str | CalculusBackend | None = None) -> Expand:
+    """The ``-phi->`` steps of *calculus* as seen by a closed system: each
+    target keeps the names its bound output extrudes restricted
+    (:func:`~repro.core.reduction.close_extrusion`)."""
+    steps = _registry.resolve(calculus).step_transitions
+
+    def expand(state: Process) -> list[tuple[Action, Process]]:
+        return [(a, close_extrusion(a, t)) for a, t in steps(state)]
+
+    return expand
+
+
+def _build(span: str, p: Process, expand: Expand,
+           meter: Meter) -> tuple[LTS, int]:
+    """Drive :func:`grow` from *p* under a tracing span; root id is 0."""
+    with _tracing.span(span) as sp:
+        lts = LTS()
+        try:
+            for sid in grow(lts, (p,), expand, meter,
+                            canonical=canonical_state):
+                if _OBS.enabled:
+                    _metrics.inc("lts.states_expanded")
+                    _progress.report(span, states=lts.n_states,
+                                     edges=lts.n_edges,
+                                     frontier=lts.n_states - sid - 1)
+        except BudgetExceeded as exc:
+            if lts.states:  # a trip charging the root leaves no graph
+                exc.partial = (lts, 0)
+            sp.set(budget_tripped=exc.reason)
+            raise
+        if _OBS.enabled:
+            _metrics.inc("lts.edges_added", lts.n_edges)
+        sp.set(n_states=lts.n_states, n_edges=lts.n_edges)
+    return lts, 0
 
 
 def build_step_lts(p: Process, *,
@@ -126,45 +185,10 @@ def build_step_lts(p: Process, *,
     ``calculus`` selects the broadcast semantics via
     :mod:`repro.calculi.registry` (default: the paper's ``"bpi"``).
     """
-    backend = _registry.resolve(calculus)
     meter = resolve_meter(budget, DEFAULT_BUDGET)
-    with _tracing.span("lts.build_step") as sp:
-        lts = LTS()
-        root = lts.add_state(canonical_state(p))
-        meter.charge()
-        queue = deque([root])
-        expanded: set[int] = set()
-        try:
-            while queue:
-                sid = queue.popleft()
-                if sid in expanded:
-                    continue
-                expanded.add(sid)
-                if _OBS.enabled:
-                    _metrics.inc("lts.states_expanded")
-                    _progress.report("lts.build_step", states=lts.n_states,
-                                     edges=lts.n_edges, frontier=len(queue))
-                state = lts.states[sid]
-                for action, target in backend.step_transitions(state):
-                    if close_binders:
-                        target = _close_binders(action, target)
-                    tgt = canonical_state(target)
-                    known = tgt in lts.index
-                    if not known:
-                        meter.charge()
-                    tid = lts.add_state(tgt)
-                    lts.add_edge(sid, action, tid)
-                    if not known:
-                        queue.append(tid)
-        except BudgetExceeded as exc:
-            if exc.partial is None:
-                exc.partial = (lts, root)
-            sp.set(budget_tripped=exc.reason)
-            raise
-        if _OBS.enabled:
-            _metrics.inc("lts.edges_added", lts.n_edges)
-        sp.set(n_states=lts.n_states, n_edges=lts.n_edges)
-    return lts, root
+    expand = (closed_steps(calculus) if close_binders
+              else _registry.resolve(calculus).step_transitions)
+    return _build("lts.build_step", p, expand, meter)
 
 
 def canonical_output_label(action: OutputAction) -> OutputAction:
@@ -200,51 +224,18 @@ def build_full_lts(p: Process, universe: NameUniverse | None = None, *,
     meter = resolve_meter(budget, DEFAULT_BUDGET)
     if universe is None:
         universe = NameUniverse(free_names(p), n_fresh)
-    with _tracing.span("lts.build_full") as sp:
-        lts = LTS()
-        root = lts.add_state(canonical_state(p))
-        meter.charge()
-        queue = deque([root])
-        expanded: set[int] = set()
 
-        def intern(target: Process, sid_from: int, action: Action) -> None:
-            tgt = canonical_state(target)
-            known = tgt in lts.index
-            if not known:
-                meter.charge()
-            tid = lts.add_state(tgt)
-            lts.add_edge(sid_from, action, tid)
-            if not known:
-                queue.append(tid)
+    def expand(state: Process) -> Iterator[tuple[Action, Process]]:
+        for action, target in backend.step_transitions(state):
+            if isinstance(action, OutputAction):
+                yield (canonical_output_label(action),
+                       close_extrusion(action, target))
+            else:
+                yield action, target
+        for chan, arity in sorted(backend.input_capabilities(state)):
+            for values in universe.vectors(arity):
+                for target in backend.input_continuations(
+                        state, chan, values):
+                    yield InputAction(chan, values), target
 
-        try:
-            while queue:
-                sid = queue.popleft()
-                if sid in expanded:
-                    continue
-                expanded.add(sid)
-                if _OBS.enabled:
-                    _metrics.inc("lts.states_expanded")
-                    _progress.report("lts.build_full", states=lts.n_states,
-                                     edges=lts.n_edges, frontier=len(queue))
-                state = lts.states[sid]
-                for action, target in backend.step_transitions(state):
-                    if isinstance(action, OutputAction) and action.binders:
-                        intern(_close_binders(action, target), sid,
-                               canonical_output_label(action))
-                    else:
-                        intern(target, sid, action)
-                for chan, arity in sorted(backend.input_capabilities(state)):
-                    for values in universe.vectors(arity):
-                        for target in backend.input_continuations(
-                                state, chan, values):
-                            intern(target, sid, InputAction(chan, values))
-        except BudgetExceeded as exc:
-            if exc.partial is None:
-                exc.partial = (lts, root)
-            sp.set(budget_tripped=exc.reason)
-            raise
-        if _OBS.enabled:
-            _metrics.inc("lts.edges_added", lts.n_edges)
-        sp.set(n_states=lts.n_states, n_edges=lts.n_edges)
-    return lts, root
+    return _build("lts.build_full", p, expand, meter)

@@ -2,6 +2,7 @@
 
 from .analysis import (
     can_diverge,
+    can_reach_barb,
     eventually_always,
     find_quiescent,
     invariant_holds,
@@ -18,7 +19,7 @@ from .simulator import (
 from .trace import Trace, TraceEvent
 
 __all__ = [
-    "can_diverge", "eventually_always", "find_quiescent",
+    "can_diverge", "can_reach_barb", "eventually_always", "find_quiescent",
     "invariant_holds", "reachable_states",
     "Policy", "random_policy", "round_robin_policy", "run",
     "run_until_quiescent", "sample_runs", "Trace", "TraceEvent",

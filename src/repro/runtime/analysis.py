@@ -14,35 +14,38 @@ the applications (:mod:`repro.apps`) and usable on any closed term:
 
 * :func:`reachable_states` — the bounded state set (BFS over canonical
   states, the Definition 2 LTS restricted to autonomous moves);
+* :func:`can_reach_barb` — can some reachable state broadcast on a
+  channel?  (the paper's "the detector eventually signals on ``o``");
 * :func:`find_quiescent` — reachable deadlocks/terminations (states with
   no ``-phi->`` successor, the targets of Example 1-style stabilisation
   arguments);
 * :func:`can_diverge` — is there a reachable tau-only cycle?  (infinite
   internal chatter with no observable broadcast — the divergence the
   weak equivalences of Definition 14 deliberately ignore);
-* :func:`invariant_holds` — a safety check: does a state predicate hold
-  in every reachable state, with a counterexample witness if not;
+* :func:`invariant_holds` — a safety check, dual to
+  :func:`can_reach_barb`: does a state predicate hold in every reachable
+  state, with a counterexample witness if not;
 * :func:`eventually_always` — does the predicate hold in every reachable
   *quiescent* state?  (the "after stabilisation" reading of Example 1's
   correctness claim; vacuous if the bound cuts every run short).
 
 All queries treat the system as closed — names extruded by a bound
 output are re-restricted around the residual, matching rule 5/6's
-re-capture discipline for systems without an environment — and use the
-duplicate-collapse quotient by default (sound for reachability; see
-``repro.core.canonical``).
+re-capture discipline for systems without an environment — and walk
+one bounded explorer, :func:`repro.lts.graph.grow`.  All but
+:func:`can_reach_barb` use the duplicate-collapse quotient by default
+(sound for reachability; see ``repro.core.canonical``).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Iterator
+from typing import Callable
 
-from ..calculi import registry as _registry
 from ..calculi.backend import CalculusBackend
-from ..core.actions import TauAction
 from ..core.canonical import canonical_state, canonical_state_collapsed
-from ..core.syntax import Process, Restrict
+from ..core.names import Name
+from ..core.reduction import has_barb
+from ..core.syntax import Process
 from ..engine.budget import (
     Budget,
     BudgetExceeded,
@@ -50,28 +53,36 @@ from ..engine.budget import (
     resolve_meter,
 )
 from ..engine.verdict import Verdict
+from ..lts.graph import LTS, Expand, closed_steps, grow
 
 Predicate = Callable[[Process], bool]
 
 #: Default budget for whole-graph analyses.
 DEFAULT_BUDGET = Budget(max_states=50_000)
 
+#: Default budget for :func:`can_reach_barb`.
+DEFAULT_REACH_BUDGET = Budget(max_states=100_000)
 
-def _canon(collapse: bool):
+
+def _canon(collapse: bool) -> Callable[[Process], Process]:
     return canonical_state_collapsed if collapse else canonical_state
 
 
-def _closed_successors(state: Process,
-                       backend: CalculusBackend | None = None
-                       ) -> Iterator[tuple[bool, Process]]:
-    """(is_tau, successor) pairs with extrusions re-bound."""
-    if backend is None:
-        backend = _registry.default()
-    for action, target in backend.step_transitions(state):
-        if getattr(action, "binders", ()):
-            for b in reversed(action.binders):
-                target = Restrict(b, target)
-        yield isinstance(action, TauAction), target
+def _closed_lts(lts: LTS, p: Process, meter: Meter, collapse: bool,
+                expand: Expand) -> LTS:
+    """Grow the whole closed graph of *p* into *lts*.
+
+    Raw-explorer contract: a trip re-raises with the states found so far
+    on ``exc.partial``.
+    """
+    try:
+        for _ in grow(lts, (p,), expand, meter, canonical=_canon(collapse)):
+            pass
+    except BudgetExceeded as exc:
+        if lts.states:  # a trip charging the root leaves no prefix
+            exc.partial = lts.states
+        raise
+    return lts
 
 
 def reachable_states(p: Process, *, budget: Budget | Meter | None = None,
@@ -84,37 +95,19 @@ def reachable_states(p: Process, *, budget: Budget | Meter | None = None,
     :class:`~repro.engine.budget.BudgetExceeded` with the states found so
     far on ``exc.partial``.
     """
-    backend = _registry.resolve(calculus)
     meter = resolve_meter(budget, DEFAULT_BUDGET)
-    canon = _canon(collapse)
-    start = canon(p)
-    meter.charge()
-    seen = {start}
-    queue = deque([start])
-    order = [start]
-    try:
-        while queue:
-            state = queue.popleft()
-            for _, target in _closed_successors(state, backend):
-                key = canon(target)
-                if key in seen:
-                    continue
-                meter.charge()
-                seen.add(key)
-                order.append(key)
-                queue.append(key)
-    except BudgetExceeded as exc:
-        if exc.partial is None:
-            exc.partial = order
-        raise
-    return order
+    return _closed_lts(LTS(), p, meter, collapse,
+                       closed_steps(calculus)).states
 
 
-def find_quiescent(p: Process, **kw) -> list[Process]:
+def find_quiescent(p: Process, *, budget: Budget | Meter | None = None,
+                   collapse: bool = True,
+                   calculus: str | CalculusBackend | None = None
+                   ) -> list[Process]:
     """Reachable states with no autonomous step (deadlocks/termination)."""
-    backend = _registry.resolve(kw.get("calculus"))
-    return [s for s in reachable_states(p, **kw)
-            if not backend.step_transitions(s)]
+    meter = resolve_meter(budget, DEFAULT_BUDGET)
+    lts = _closed_lts(LTS(), p, meter, collapse, closed_steps(calculus))
+    return [s for s, out in zip(lts.states, lts.edges) if not out]
 
 
 def can_diverge(p: Process, *, budget: Budget | Meter | None = None,
@@ -125,24 +118,17 @@ def can_diverge(p: Process, *, budget: Budget | Meter | None = None,
     ``UNKNOWN`` when the reachable set is truncated by the budget — an
     unexplored region may still hide a cycle.
     """
-    backend = _registry.resolve(calculus)
     meter = resolve_meter(budget, DEFAULT_BUDGET)
-    canon = _canon(collapse)
     try:
-        states = reachable_states(p, budget=meter, collapse=collapse,
-                                  calculus=backend)
+        lts = _closed_lts(LTS(), p, meter, collapse, closed_steps(calculus))
     except BudgetExceeded as exc:
         return Verdict.from_exceeded(exc)
-    index = {s: i for i, s in enumerate(states)}
-    tau_succ: list[list[int]] = [[] for _ in states]
-    for s in states:
-        for is_tau, target in _closed_successors(s, backend):
-            if is_tau:
-                tau_succ[index[s]].append(index[canon(target)])
+    tau_succ = [lts.successors(sid, tau_only=True)
+                for sid in range(lts.n_states)]
     # cycle detection in the tau-subgraph
     WHITE, GREY, BLACK = 0, 1, 2
-    colour = [WHITE] * len(states)
-    for root in range(len(states)):
+    colour = [WHITE] * lts.n_states
+    for root in range(lts.n_states):
         if colour[root] != WHITE:
             continue
         stack = [(root, iter(tau_succ[root]))]
@@ -156,10 +142,65 @@ def can_diverge(p: Process, *, budget: Budget | Meter | None = None,
                 continue
             if colour[nxt] == GREY:
                 return Verdict.of(True, stats=meter.stats(),
-                                  evidence=states[nxt])
+                                  evidence=lts.states[nxt])
             if colour[nxt] == WHITE:
                 colour[nxt] = GREY
                 stack.append((nxt, iter(tau_succ[nxt])))
+    return Verdict.of(False, stats=meter.stats())
+
+
+def can_reach_barb(p: Process, chan: Name, *,
+                   budget: Budget | Meter | None = None,
+                   collapse_duplicates: bool = False,
+                   calculus: str | CalculusBackend | None = None,
+                   presolve: bool = True) -> Verdict:
+    """Reachability query: can *p* autonomously reach a state barbing *chan*?
+
+    The workhorse behind the paper's examples — e.g. "does the cycle
+    detector eventually signal on ``o``?" is ``can_reach_barb(system, 'o')``.
+    Treats the system as closed: extruded names are re-restricted and
+    states deduplicated up to structural congruence.
+
+    Returns a three-valued :class:`~repro.engine.Verdict`: ``TRUE`` as
+    soon as a barbing state is found, ``FALSE`` only when the *complete*
+    bounded graph was exhausted without one, and ``UNKNOWN`` when the
+    budget tripped first (the number of states examined so far rides
+    along as ``verdict.evidence``).
+
+    Unless ``presolve=False``, the flow abstraction
+    (:mod:`repro.flow`) is consulted first: when the channel is provably
+    inert — no reachable state may broadcast on it — the query returns a
+    definite FALSE with a :class:`~repro.flow.FlowEvidence` witness and
+    zero states explored (``stats["presolve"] == "flow"``).  The
+    abstraction over-approximates, so only that polarity is ever taken
+    from it; a reachable barb is always demonstrated by exploration.
+
+    With ``collapse_duplicates`` states are further quotiented by
+    idempotence of identical parallel components — a sound
+    *under-approximation* (broadcast composition is monotone in parallel
+    components), exact for systems that never count duplicate receptions;
+    it turns the paper's examples' unbounded emitter pile-ups into small
+    finite state spaces.
+    """
+    if presolve:
+        from ..flow.presolve import flow_refutes_barb
+        flow_evidence = flow_refutes_barb(p, chan, calculus=calculus)
+        if flow_evidence is not None:
+            return Verdict.of(False,
+                              stats={"states": 0, "presolve": "flow"},
+                              evidence=flow_evidence)
+    meter = resolve_meter(budget, DEFAULT_REACH_BUDGET)
+    lts = LTS()
+    explored = 0
+    try:
+        for sid in grow(lts, (p,), closed_steps(calculus), meter,
+                        canonical=_canon(collapse_duplicates)):
+            explored += 1
+            if has_barb(lts.states[sid], chan):
+                return Verdict.of(True, stats=meter.stats(),
+                                  evidence=lts.states[sid])
+    except BudgetExceeded as exc:
+        return Verdict.from_exceeded(exc, evidence=explored)
     return Verdict.of(False, stats=meter.stats())
 
 
@@ -220,15 +261,18 @@ def eventually_always(p: Process, predicate: Predicate, *,
     ``UNKNOWN`` when the budget trips before the graph is exhausted.
     """
     meter = resolve_meter(budget, DEFAULT_BUDGET)
+    expand = closed_steps()
+    lts = LTS()
     try:
-        quiescent = find_quiescent(p, budget=meter, collapse=collapse)
+        _closed_lts(lts, p, meter, collapse, expand)
     except BudgetExceeded as exc:
-        backend = _registry.default()
-        for s in (exc.partial or ()):
-            if not backend.step_transitions(s) and not predicate(s):
+        # A refutation in the partial graph survives the trip.  A state
+        # without edges may just not have been expanded yet: ask again.
+        for s, out in zip(lts.states, lts.edges):
+            if not out and not expand(s) and not predicate(s):
                 return Verdict.of(False, stats=meter.stats(), evidence=s)
         return Verdict.from_exceeded(exc)
-    for s in quiescent:
-        if not predicate(s):
+    for s, out in zip(lts.states, lts.edges):
+        if not out and not predicate(s):
             return Verdict.of(False, stats=meter.stats(), evidence=s)
     return Verdict.of(True, stats=meter.stats())

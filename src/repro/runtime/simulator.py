@@ -32,7 +32,7 @@ re-restricted around the residual (``rebind_extrusions``), which is sound
 because a closed system has no environment to remember them.
 
 For *verification*-style questions ("can the detector ever signal o?") use
-:func:`repro.core.reduction.can_reach_barb` — exhaustive bounded search —
+:func:`repro.runtime.analysis.can_reach_barb` — exhaustive bounded search —
 rather than sampling runs.  With ``repro.obs`` enabled, each run is
 wrapped in a ``sim.run`` span, counts ``sim.steps`` and reports progress
 per step (see docs/observability.md).
@@ -48,7 +48,8 @@ from ..calculi.backend import CalculusBackend
 from ..core.actions import OutputAction
 from ..core.canonical import canonical_state
 from ..core.names import Name
-from ..core.syntax import Process, Restrict
+from ..core.reduction import close_extrusion
+from ..core.syntax import Process
 from ..obs import metrics as _metrics, progress as _progress, tracing as _tracing
 from ..obs.state import STATE as _OBS
 from .trace import Trace, TraceEvent
@@ -109,10 +110,8 @@ def run(p: Process, *, seed: int = 0, max_steps: int = 1_000,
                 trace.quiescent = True
                 break
             action, target = moves[policy_fn(i, moves)]
-            if rebind_extrusions and isinstance(action, OutputAction) \
-                    and action.binders:
-                for b in reversed(action.binders):
-                    target = Restrict(b, target)
+            if rebind_extrusions:
+                target = close_extrusion(action, target)
             state = canonical_state(target)
             trace.events.append(TraceEvent(i, action, state.size()))
             if _OBS.enabled:

@@ -3,10 +3,13 @@
 import pytest
 
 from repro.apps.cycle_detection import prefed_system
+from repro.core.freenames import free_names
 from repro.core.parser import parse
 from repro.core.reduction import StateSpaceExceeded, barbs
+from repro.lts.graph import build_step_lts
 from repro.runtime.analysis import (
     can_diverge,
+    can_reach_barb,
     eventually_always,
     find_quiescent,
     invariant_holds,
@@ -100,3 +103,65 @@ class TestInvariants:
         system = prefed_system([("a", "b")])
         assert invariant_holds(system, lambda s: "o" not in barbs(s),
                                budget=Budget(max_states=3_000))
+
+
+# -- one explorer: the entry points agree ------------------------------------
+
+def _cross_terms():
+    from benchmarks.helpers import broadcast_star, relay_star, token_ring
+    from repro.lint.corpus import corpus
+    terms = {f"broadcast_star({n})": broadcast_star(n) for n in (2, 4)}
+    terms.update({f"relay_star({n})": relay_star(n) for n in (2, 3)})
+    terms.update({f"token_ring({n})": token_ring(n) for n in (3, 4)})
+    paper = dict(corpus())
+    for name in ("apps.pubsub.network", "apps.pvm.groups",
+                 "apps.radio.unreliable", "examples.quickstart.broadcast",
+                 "examples.quickstart.extrusion", "examples.quickstart.counter",
+                 "examples.s6.internal_choice", "examples.s6.external_choice"):
+        terms[name] = paper[name]
+    return terms
+
+
+CROSS_TERMS = _cross_terms()
+
+
+@pytest.mark.parametrize("name", sorted(CROSS_TERMS))
+class TestEntryPointsAgree:
+    """reachable_states, find_quiescent, can_reach_barb and build_step_lts
+    walk the same closed graph and charge the same states."""
+
+    def test_reachable_states_are_the_step_graph(self, name):
+        p = CROSS_TERMS[name]
+        reach_meter = Budget().meter()
+        states = reachable_states(p, collapse=False, budget=reach_meter)
+        lts_meter = Budget().meter()
+        lts, root = build_step_lts(p, budget=lts_meter)
+        assert root == 0
+        assert states == lts.states
+        assert reach_meter.states == lts_meter.states == lts.n_states
+
+    def test_quiescent_states_have_no_out_edges(self, name):
+        p = CROSS_TERMS[name]
+        lts, _root = build_step_lts(p)
+        assert find_quiescent(p, collapse=False) == \
+            [s for s, out in zip(lts.states, lts.edges) if not out]
+
+    def test_reach_is_true_iff_an_explored_state_barbs(self, name):
+        p = CROSS_TERMS[name]
+        lts, _root = build_step_lts(p)
+        channels = sorted(free_names(p) | {"zz"})
+        for chan in channels:
+            v = can_reach_barb(p, chan, presolve=False,
+                               collapse_duplicates=False)
+            first = next((sid for sid, s in enumerate(lts.states)
+                          if chan in barbs(s)), None)
+            assert v.is_true == (first is not None), chan
+            if first is None:
+                assert v.is_false and v.stats["states"] == lts.n_states
+            else:
+                # BFS stops at the first barbing state: everything the
+                # states before it discovered has been charged
+                charged = 1 + max((t for out in lts.edges[:first]
+                                   for _, t in out), default=0)
+                assert v.evidence is lts.states[first]
+                assert v.stats["states"] == charged

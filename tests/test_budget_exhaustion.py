@@ -62,7 +62,7 @@ class TestDeadlineMidRefinement:
         # End-to-end: an expired deadline surfaces as UNKNOWN once the
         # search is big enough to reach a poll point (POLL_INTERVAL
         # charges): 7 parallel outputs make a 128-state graph.
-        from repro.core.reduction import can_reach_barb
+        from repro.runtime.analysis import can_reach_barb
         # presolve=False: the flow pre-solver would refute 'zz' in
         # O(term), and this test is about the explorer's poll points
         big = parse(" | ".join(f"a{i}!" for i in range(7)))
@@ -147,7 +147,7 @@ class TestGracefulDegradation:
         assert v.is_false
 
     def test_ambient_pool_shared_across_calls(self):
-        from repro.core.reduction import can_reach_barb
+        from repro.runtime.analysis import can_reach_barb
         with govern(Budget(max_states=30)) as meter:
             v1 = can_reach_barb(parse("tau.ok!"), "ok")
             assert v1.is_true
@@ -244,7 +244,7 @@ def test_strategy_agreement_barbed(p, q, cap, weak):
           suppress_health_check=[HealthCheck.too_slow])
 @given(p=processes1, cap=st.integers(2, 40))
 def test_budget_monotonicity_reachability(p, cap):
-    from repro.core.reduction import can_reach_barb
+    from repro.runtime.analysis import can_reach_barb
     small = Budget(max_states=cap)
     v_small = can_reach_barb(p, "a", budget=small)
     v_big = can_reach_barb(p, "a", budget=small.scaled(10))

@@ -18,7 +18,7 @@ from repro.core.builder import (
 )
 from repro.core.freenames import free_names, is_closed
 from repro.core.parser import parse
-from repro.core.reduction import can_reach_barb
+from repro.runtime.analysis import can_reach_barb
 from repro.core.semantics import step_transitions
 from repro.core.syntax import NIL, Match
 from repro.engine import Budget

@@ -38,11 +38,12 @@ from repro.calculi.pi import (
 )
 from repro.core.actions import OutputAction, TauAction
 from repro.core.parser import parse
-from repro.core.reduction import can_reach_barb, weak_barbs
+from repro.core.reduction import weak_barbs
 from repro.core.semantics import input_continuations, step_transitions
 from repro.equiv.barbed import strong_barbed_bisimilar
 from repro.equiv.congruence import congruent
 from repro.engine import Budget
+from repro.runtime.analysis import can_reach_barb
 
 
 # ---------------------------------------------------------------------------

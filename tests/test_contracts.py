@@ -171,6 +171,17 @@ def check(p) -> Verdict:
 """) == []
 
 
+def test_unguarded_grow_is_flagged():
+    # the one bounded BFS every closed-system search walks
+    assert codes("""
+def can_reach_barb(p, chan) -> Verdict:
+    for sid in grow(lts, (p,), expand, meter, canonical=canonical_state):
+        if has_barb(lts.states[sid], chan):
+            return Verdict.of(True)
+    return Verdict.of(False)
+""") == ["unguarded-explorer"]
+
+
 def test_unguarded_onthefly_explorer_is_flagged():
     # the PR-6 raw explorer is subject to Rule B like the eager ones
     assert codes("""
@@ -298,7 +309,7 @@ def test_reexport_loophole_is_flagged():
 
 
 def test_non_kernel_core_imports_are_clean():
-    assert rule_e_codes("from ..core.reduction import can_reach_barb") == []
+    assert rule_e_codes("from ..core.reduction import barbs") == []
     assert rule_e_codes("from ..core.syntax import Process") == []
     assert rule_e_codes("from ..core import parse, pretty") == []
 

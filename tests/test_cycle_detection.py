@@ -17,7 +17,7 @@ from repro.apps.cycle_detection import (
     validate_vertices,
 )
 from repro.core.freenames import free_names
-from repro.core.reduction import can_reach_barb
+from repro.runtime.analysis import can_reach_barb
 from repro.engine import Budget
 
 CYCLIC = [

@@ -16,7 +16,7 @@ from repro.calculi.data import (
     write_cell,
 )
 from repro.core.builder import inp, out, par
-from repro.core.reduction import can_reach_barb
+from repro.runtime.analysis import can_reach_barb
 from repro.engine import Budget
 
 

@@ -202,7 +202,7 @@ class TestOneBudgetSpelling:
         # Budget= is the only way to bound a search; the old per-call
         # keyword caps are not accepted under any name.
         from repro.core.parser import parse
-        from repro.core.reduction import can_reach_barb
+        from repro.runtime.analysis import can_reach_barb
         from repro.equiv.labelled import labelled_bisimilar
         p = parse("a!")
         with pytest.raises(TypeError):

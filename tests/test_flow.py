@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.core.canonical import canonical_state
-from repro.core.reduction import can_reach_barb
+from repro.runtime.analysis import can_reach_barb
 from repro.engine import Budget
 from repro.flow import (
     ENV,

@@ -11,7 +11,7 @@ from repro.apps.pubsub import (
 )
 from repro.core.builder import out, par
 from repro.core.freenames import free_names
-from repro.core.reduction import can_reach_barb
+from repro.runtime.analysis import can_reach_barb
 from repro.engine import Budget
 
 

@@ -21,7 +21,7 @@ from repro.apps.pvm import (
 )
 from repro.core.builder import out, par
 from repro.core.freenames import free_names, is_closed
-from repro.core.reduction import can_reach_barb
+from repro.runtime.analysis import can_reach_barb
 from repro.engine import Budget
 
 

@@ -38,7 +38,7 @@ class TestReliableProtocol:
         assert can_deliver(system, "rx_a", "frame1")
 
     def test_sender_learns_completion(self):
-        from repro.core.reduction import can_reach_barb
+        from repro.runtime.analysis import can_reach_barb
         system = reliable_network("frame1", ["rx_a"])
         assert can_reach_barb(system, "sent_ok", budget=Budget(max_states=60_000),
                               collapse_duplicates=True)
@@ -76,7 +76,7 @@ class TestUnreliableBaseline:
 class TestComponents:
     def test_medium_relays(self):
         from repro.core.builder import nu, out
-        from repro.core.reduction import can_reach_barb
+        from repro.runtime.analysis import can_reach_barb
         system = par(lossy_medium(), nu("k", out("air", "m", "k")),
                      receiver("dst"))
         assert can_reach_barb(system, "dst", budget=Budget(max_states=5_000),
@@ -84,7 +84,7 @@ class TestComponents:
 
     def test_receiver_acks(self):
         from repro.core.builder import out
-        from repro.core.reduction import can_reach_barb
+        from repro.runtime.analysis import can_reach_barb
         system = par(receiver("dst"), out("wave", "m", "ackchan"))
         assert can_reach_barb(system, "ackchan", budget=Budget(max_states=2_000),
                               collapse_duplicates=True)

@@ -20,7 +20,7 @@ from repro.apps.ram import (
     run_reference,
 )
 from repro.core.freenames import is_closed
-from repro.core.reduction import can_reach_barb
+from repro.runtime.analysis import can_reach_barb
 from repro.engine import Budget
 
 

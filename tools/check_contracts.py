@@ -80,6 +80,7 @@ BUDGET_EXCEPTIONS = frozenset({"BudgetExceeded", "StateSpaceExceeded"})
 #: Raw explorer entry points: documented to raise BudgetExceeded (with
 #: ``exc.partial`` attached) rather than return a degraded result.
 RAW_EXPLORERS = frozenset({
+    "grow",
     "build_step_lts",
     "build_full_lts",
     "build_reduction_graph",
