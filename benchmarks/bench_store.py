@@ -8,14 +8,16 @@ EXPERIMENTS rows are built from) is run twice through
 
 * **cold** — an empty store: every request misses, computes and records;
 * **warm** — a fresh process re-opens the same file: the budget-aware
-  reuse rule must answer (≥ 90% hits), measurably faster, with
-  *byte-identical* verdicts (same truth, reason and rendered evidence
-  for every request, in order).
+  reuse rule must answer (≥ 90% hits) and recompute no request the cold
+  run answered definitely, with *byte-identical* verdicts (same truth,
+  reason and rendered evidence for every request, in order).  The
+  wall-clock saved is measured and reported, not gated: it measures the
+  host as much as the store.
 
 ``report.py`` embeds the result in BENCH_report.json (schema 6, key
 ``"store"``); ``python benchmarks/bench_store.py --quick`` is the CI
-gate — exit 1 when the warm run falls below the hit-rate floor, slows
-down, or disagrees with the cold run.
+gate — exit 1 when the warm run falls below the hit-rate floor,
+recomputes a definite cold verdict, or disagrees with the cold run.
 """
 
 from __future__ import annotations
@@ -105,12 +107,16 @@ def store_block(quick: bool = False) -> dict:
         if os.path.exists(path):
             os.unlink(path)
     identical = _fingerprints(cold) == _fingerprints(warm)
+    unknown = sum(r.verdict.is_unknown for r in cold.results)
+    recomputed = [w.request.id for c, w in zip(cold.results, warm.results)
+                  if not c.verdict.is_unknown and w.source != "store"]
     n = len(requests)
     return {
         "requests": n,
         "quick": quick,
         "cold": {"seconds": cold_s, "hits": cold.store_hits,
-                 "computed": cold.computed, "records": cold_counters["records"]},
+                 "computed": cold.computed, "records": cold_counters["records"],
+                 "unknown": unknown},
         "warm": {"seconds": warm_s, "hits": warm.store_hits,
                  "computed": warm.computed,
                  "hits_definite": warm_counters["hits_definite"],
@@ -119,7 +125,8 @@ def store_block(quick: bool = False) -> dict:
                  "hits_at_larger_budget":
                      warm_counters["hits_at_larger_budget"],
                  "hits_at_smaller_budget":
-                     warm_counters["hits_at_smaller_budget"]},
+                     warm_counters["hits_at_smaller_budget"],
+                 "recomputed_definite": recomputed},
         "warm_hit_rate": warm.store_hits / n if n else 0.0,
         "seconds_saved": cold_s - warm_s,
         "identical_verdicts": identical,
@@ -135,10 +142,13 @@ def gate(block: dict) -> list[str]:
             f"{WARM_HIT_RATE_FLOOR:.0%} floor")
     if not block["identical_verdicts"]:
         failures.append("warm verdicts differ from cold verdicts")
-    if block["seconds_saved"] <= 0:
+    # Exact, not wall-clock: only a cold UNKNOWN may be computed again.
+    if block["warm"]["computed"] > block["cold"]["unknown"]:
         failures.append(
-            f"warm run not faster (cold {block['cold']['seconds']:.3f}s, "
-            f"warm {block['warm']['seconds']:.3f}s)")
+            f"warm run computed {block['warm']['computed']} requests, more "
+            f"than the {block['cold']['unknown']} cold UNKNOWN results "
+            f"(definite cold verdicts recomputed: "
+            f"{block['warm']['recomputed_definite']})")
     return failures
 
 
@@ -146,7 +156,7 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--quick", action="store_true",
                     help="CI gate mode (same corpus; nonzero exit on "
-                         "hit-rate/identity/speed failure)")
+                         "hit-rate/identity/recompute failure)")
     ap.add_argument("--json", action="store_true",
                     help="print the raw block as JSON")
     args = ap.parse_args(argv)

@@ -149,11 +149,12 @@ class Exploration:
 
     ``complete`` is False when the budget tripped; the graph then holds
     exactly the states interned before the trip and ``reason`` says why
-    (``"max-states"``, ``"deadline"``, ``"cancelled"``).
+    (``"max-states"``, ``"deadline"``, ``"cancelled"``).  A trip on the
+    root itself leaves an empty graph and ``root`` None.
     """
 
     lts: Any
-    root: int
+    root: int | None
     complete: bool
     reason: str | None
     stats: dict[str, Any]

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 
-from .freenames import free_names
+from .freenames import free_names, free_occurrence_order
 from .names import Name, fresh_name
 from .substitution import apply_subst, canonical_alpha
 from .syntax import (
@@ -253,7 +253,7 @@ def _normalize_composition(p: Process, collapse: bool) -> Process:
         mine = [b for b in binders if usage[b] == [i]]
         if not mine:
             continue
-        order = {n: k for k, n in enumerate(_free_occurrence_order(comp))}
+        order = {n: k for k, n in enumerate(free_occurrence_order(comp))}
         mine.sort(key=lambda b: order.get(b, len(order)))
         for b in reversed(mine):
             comp = Restrict(b, comp)
@@ -299,7 +299,7 @@ def _normalize_composition(p: Process, collapse: bool) -> Process:
     # every state, so it is not memoized itself.
     occurrence: dict[Name, int] = {}
     for comp in components:
-        for name in _free_occurrence_order(comp):
+        for name in free_occurrence_order(comp):
             occurrence.setdefault(name, len(occurrence))
     live = sorted((b for b in binders if b in occurrence),
                   key=occurrence.__getitem__)
@@ -308,35 +308,3 @@ def _normalize_composition(p: Process, collapse: bool) -> Process:
         out = Restrict(b, out)
     return out
 
-
-def _free_occurrence_order(p: Process) -> tuple[Name, ...]:
-    """Free names of *p* in order of first occurrence in a pre-order walk.
-
-    Memoized on the node and built from the children's orders: the node's
-    own names come first, then each child's order minus the names the
-    node binds, keeping first occurrences.
-    """
-    try:
-        return p._fo
-    except AttributeError:
-        pass
-    if isinstance(p, Input):
-        own: tuple[Name, ...] = (p.chan,)
-        bound: tuple[Name, ...] = p.params
-    elif isinstance(p, Output):
-        own, bound = (p.chan,) + p.args, ()
-    elif isinstance(p, Match):
-        own, bound = (p.left, p.right), ()
-    elif isinstance(p, Restrict):
-        own, bound = (), (p.name,)
-    elif isinstance(p, Rec):
-        own, bound = p.args, p.params
-    else:  # Nil, Tau, Sum, Par, Ident
-        own, bound = getattr(p, "args", ()), ()
-    order = dict.fromkeys(own)
-    for child in p.children():
-        for name in _free_occurrence_order(child):
-            if name not in bound:
-                order.setdefault(name)
-    got = p._fo = tuple(order)
-    return got

@@ -65,6 +65,40 @@ def _free_names(p: Process) -> frozenset[Name]:
     raise TypeError(f"unknown process node {type(p).__name__}")
 
 
+def free_occurrence_order(p: Process) -> tuple[Name, ...]:
+    """Free names of *p* in order of first occurrence in a pre-order walk.
+
+    The same names as :func:`free_names`, ordered.  Memoized on the node
+    and built from the children's orders: the node's own names come
+    first, then each child's order minus the names the node binds,
+    keeping first occurrences.
+    """
+    try:
+        return p._fo
+    except AttributeError:
+        pass
+    if isinstance(p, Input):
+        own: tuple[Name, ...] = (p.chan,)
+        bound: tuple[Name, ...] = p.params
+    elif isinstance(p, Output):
+        own, bound = (p.chan,) + p.args, ()
+    elif isinstance(p, Match):
+        own, bound = (p.left, p.right), ()
+    elif isinstance(p, Restrict):
+        own, bound = (), (p.name,)
+    elif isinstance(p, Rec):
+        own, bound = p.args, p.params
+    else:  # Nil, Tau, Sum, Par, Ident
+        own, bound = getattr(p, "args", ()), ()
+    order = dict.fromkeys(own)
+    for child in p.children():
+        for name in free_occurrence_order(child):
+            if name not in bound:
+                order.setdefault(name)
+    got = p._fo = tuple(order)
+    return got
+
+
 def bound_names(p: Process) -> frozenset[Name]:
     """The set ``bn(p)`` of names bound somewhere in *p* (node-memoized)."""
     try:

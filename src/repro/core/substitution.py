@@ -14,7 +14,7 @@ from typing import Mapping
 
 from ..obs import metrics as _metrics
 from ..obs.state import STATE as _OBS
-from .freenames import free_names
+from .freenames import free_names, free_occurrence_order
 from .names import Name, fresh_name
 from .syntax import (
     Ident,
@@ -83,19 +83,15 @@ def _refresh_binders(binders: tuple[Name, ...], body_free: frozenset[Name],
 
 def apply_subst(p: Process, mapping: Subst) -> Process:
     """Apply the name substitution *mapping* to *p*, avoiding capture."""
-    live = restrict_subst(mapping, free_names(p))
-    if not live:
-        return p
-    if _OBS.enabled:
+    got = _apply_trim(p, mapping)
+    if got is not p and _OBS.enabled:
         _metrics.inc("core.substitutions_applied")
-    return _apply(p, live)
+    return got
 
 
 def _apply(p: Process, mapping: dict[Name, Name]) -> Process:
-    if not mapping:
-        return p
-    if isinstance(p, Nil):
-        return p
+    """One renaming step at *p*, some of whose free names *mapping* moves
+    (so *p* is not nil); the children go through :func:`_apply_trim`."""
     if isinstance(p, Tau):
         return Tau(_apply_trim(p.cont, mapping))
     if isinstance(p, Input):
@@ -132,11 +128,28 @@ def _apply(p: Process, mapping: dict[Name, Name]) -> Process:
     raise TypeError(f"unknown process node {type(p).__name__}")
 
 
-def _apply_trim(p: Process, mapping: dict[Name, Name]) -> Process:
-    live = restrict_subst(mapping, free_names(p))
-    if not live:
+def _apply_trim(p: Process, mapping: Subst) -> Process:
+    """*mapping* applied to *p*, memoized on the node.
+
+    The renaming reads *mapping* only at p's free names, and binders are
+    freshened against those names and their images alone, so the result
+    is a pure function of the image of p's free-occurrence order: that
+    image keys the memo, and an image equal to the order itself leaves
+    *p* as it is.
+    """
+    fo = free_occurrence_order(p)
+    image = tuple([mapping.get(n, n) for n in fo])
+    if image == fo:
         return p
-    return _apply(p, live)
+    try:
+        memo = p._sub
+    except AttributeError:
+        memo = p._sub = {}
+    got = memo.get(image)
+    if got is None:
+        got = memo[image] = _apply(
+            p, {x: y for x, y in zip(fo, image) if x != y})
+    return got
 
 
 def subst_ident(p: Process, ident: str, params: tuple[Name, ...],

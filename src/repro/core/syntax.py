@@ -42,11 +42,13 @@ from .names import Name
 _NODE_CACHE_SLOTS = (
     "_fn",       # freenames.free_names
     "_bn",       # freenames.bound_names
+    "_fo",       # freenames.free_occurrence_order
     "_canon",    # canonical.canonical_state
     "_canon2",   # canonical.canonical_state_collapsed
     "_alpha",    # substitution.canonical_alpha
     "_ao",       # substitution._walk_alpha (offset -> alpha-form, offset > 0)
     "_nb",       # substitution._binder_count
+    "_sub",      # substitution._apply_trim (image of _fo -> renamed node)
     "_steps",    # semantics.Table3.step_transitions (the paper's rules)
     "_caps",     # semantics.input_capabilities
     "_barbs",    # reduction.barbs
@@ -55,7 +57,6 @@ _NODE_CACHE_SLOTS = (
     "_nf2",      # canonical._normalize(p, collapse=True)
     "_stable",   # canonical._stable_fingerprint
     "_sk",       # canonical._sort_key
-    "_fo",       # canonical._free_occurrence_order
     "_phisucc",  # equiv.reduction_graph.phi_successors (steps=True)
     "_tausucc",  # equiv.reduction_graph.phi_successors (steps=False)
 )

@@ -190,7 +190,7 @@ class _LabelledGame:
 
     def tau_closure(self, p: Process) -> tuple[Process, ...]:
         if self._reach is not None:
-            return tuple(self._reach.reach(canonical_state(p)))
+            return self._reach.reach(canonical_state(p))
         return _tau_closure(p, self.meter, self.backend)
 
     # --- weak answer machinery ------------------------------------------

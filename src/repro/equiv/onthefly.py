@@ -45,7 +45,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Protocol, runtime_checkable
 
 from ..calculi.backend import CalculusBackend
-from ..core.canonical import _free_occurrence_order, _sort_key, canonical_state
+from ..core.canonical import _sort_key, canonical_state
+from ..core.freenames import free_occurrence_order
 from ..core.reduction import barbs
 from ..core.substitution import apply_subst
 from ..core.syntax import NIL, Par, Process
@@ -156,7 +157,7 @@ class RenamingClosure:
         order: list[str] = []
         seen: set[str] = set()
         for side in (p, q):
-            for n in _free_occurrence_order(side):
+            for n in free_occurrence_order(side):
                 if n not in seen:
                     seen.add(n)
                     order.append(n)
@@ -307,17 +308,27 @@ def _explore(root: PairKey, challenges_of: ChallengeFn,
     hits: dict[str, int] = {c.name: 0 for c in closures}
     unsafe_names = frozenset(c.name for c in closures
                              if not c.refutation_safe)
+    # candidate -> (its closed pair or None, the closures that fired):
+    # the same candidate recurs across many challenges, so the pipeline
+    # runs once per distinct candidate and a repeat replays its hits.
+    closed_memo: dict[PairKey, tuple[PairKey | None, tuple[str, ...]]] = {}
 
-    def close(pair: PairKey) -> PairKey | None:
-        for c in closures:
-            nxt = c.apply(pair)
-            if nxt is None:
-                hits[c.name] += 1
-                return None
-            if nxt != pair:
-                hits[c.name] += 1
-            pair = nxt
-        return pair
+    def close(cand: PairKey) -> PairKey | None:
+        got = closed_memo.get(cand)
+        if got is None:
+            fired: list[str] = []
+            pair: PairKey | None = cand
+            for c in closures:
+                nxt = c.apply(pair)
+                if nxt is None or nxt != pair:
+                    fired.append(c.name)
+                pair = nxt
+                if pair is None:
+                    break
+            got = closed_memo[cand] = (pair, tuple(fired))
+        for name in got[1]:
+            hits[name] += 1
+        return got[0]
 
     # status: expanded pairs only — True alive, False dead.
     status: dict[PairKey, bool] = {}

@@ -160,8 +160,8 @@ def _build(span: str, p: Process, expand: Expand,
                                      edges=lts.n_edges,
                                      frontier=lts.n_states - sid - 1)
         except BudgetExceeded as exc:
-            if lts.states:  # a trip charging the root leaves no graph
-                exc.partial = (lts, 0)
+            # a trip charging the root leaves an empty graph with no root
+            exc.partial = (lts, 0 if lts.states else None)
             sp.set(budget_tripped=exc.reason)
             raise
         if _OBS.enabled:
@@ -179,8 +179,9 @@ def build_step_lts(p: Process, *,
 
     Raw-explorer contract: when the budget trips this raises
     :class:`BudgetExceeded` with the partially built ``(lts, root)`` on
-    ``exc.partial`` — the verdict layer (:func:`repro.api.explore`)
-    degrades that into a truncated-but-usable result.
+    ``exc.partial`` — ``(LTS(), None)`` when the root's own charge trips;
+    the verdict layer (:func:`repro.api.explore`) degrades that into a
+    truncated-but-usable result.
 
     ``calculus`` selects the broadcast semantics via
     :mod:`repro.calculi.registry` (default: the paper's ``"bpi"``).

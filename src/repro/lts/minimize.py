@@ -30,7 +30,7 @@ class MinimalLTS:
         return len(self.edges)
 
 
-def minimize(lts: LTS, initial: int) -> MinimalLTS:
+def minimize(lts: LTS, initial: int | None) -> MinimalLTS:
     """Quotient *lts* by strong (labelled) bisimilarity.
 
     Labels are compared by their string rendering (bound outputs should be
@@ -61,10 +61,13 @@ def minimize(lts: LTS, initial: int) -> MinimalLTS:
     return result
 
 
-def to_dot(lts: LTS, initial: int, *, max_label: int = 24) -> str:
-    """Render an explicit LTS as Graphviz DOT (states labelled by barbs)."""
-    lines = ["digraph lts {", "  rankdir=LR;",
-             f"  node [shape=circle]; {initial} [shape=doublecircle];"]
+def to_dot(lts: LTS, initial: int | None, *, max_label: int = 24) -> str:
+    """Render an explicit LTS as Graphviz DOT (states labelled by barbs;
+    *initial* is None for the empty graph of a trip on the root)."""
+    head = "  node [shape=circle];"
+    if initial is not None:
+        head += f" {initial} [shape=doublecircle];"
+    lines = ["digraph lts {", "  rankdir=LR;", head]
     for s in range(lts.n_states):
         bb = ",".join(sorted(lts.barbs_of(s)))
         label = f"{s}" + (f"\\n{{{bb}}}" if bb else "")
@@ -81,8 +84,10 @@ def to_dot(lts: LTS, initial: int, *, max_label: int = 24) -> str:
 
 def minimal_to_dot(m: MinimalLTS, *, max_label: int = 24) -> str:
     """Render a minimized LTS as Graphviz DOT."""
-    lines = ["digraph min_lts {", "  rankdir=LR;",
-             f"  node [shape=circle]; {m.initial} [shape=doublecircle];"]
+    head = "  node [shape=circle];"
+    if m.n_blocks:
+        head += f" {m.initial} [shape=doublecircle];"
+    lines = ["digraph min_lts {", "  rankdir=LR;", head]
     for b in range(m.n_blocks):
         bb = ",".join(sorted(m.barbs[b]))
         label = f"B{b}" + (f"\\n{{{bb}}}" if bb else "")

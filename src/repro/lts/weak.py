@@ -24,7 +24,7 @@ class LazyReach(Generic[T]):
 
     ``reach(s)`` returns every state reachable from *s* (including *s*)
     over the given successor function.  Results are cached per start
-    state, and the BFS absorbs already-cached reach sets wholesale, so a
+    state, and the walk absorbs already-cached reach sets wholesale, so a
     query never re-traverses a region another query has finished.
 
     When a :class:`~repro.engine.budget.Meter` is given, each state
@@ -41,7 +41,7 @@ class LazyReach(Generic[T]):
                  meter: Meter | None = None):
         self._successors = successors
         self._meter = meter
-        self._memo: dict[T, frozenset[T]] = {}
+        self._memo: dict[T, tuple[T, ...]] = {}
         self._charged: set[T] = set()
 
     def _charge(self, state: T) -> None:
@@ -49,13 +49,19 @@ class LazyReach(Generic[T]):
             self._charged.add(state)
             self._meter.charge()
 
-    def reach(self, start: T) -> frozenset[T]:
-        """All states reachable from *start* (reflexive-transitive)."""
+    def reach(self, start: T) -> tuple[T, ...]:
+        """All states reachable from *start* (reflexive-transitive), in
+        discovery order — *start* first.
+
+        The order depends only on the successor function's order, never
+        on hashing, so a search that walks the result (and the meter
+        charges it makes) is the same in every process.
+        """
         cached = self._memo.get(start)
         if cached is not None:
             return cached
         self._charge(start)
-        seen: set[T] = {start}
+        seen: dict[T, None] = {start: None}
         stack: list[T] = [start]
         while stack:
             s = stack.pop()
@@ -65,14 +71,15 @@ class LazyReach(Generic[T]):
                 done = self._memo.get(t)
                 if done is not None:
                     # Absorb the finished region without re-walking it.
-                    for u in done - seen:
-                        self._charge(u)
-                    seen |= done
+                    for u in done:
+                        if u not in seen:
+                            self._charge(u)
+                            seen[u] = None
                     continue
                 self._charge(t)
-                seen.add(t)
+                seen[t] = None
                 stack.append(t)
-        result = frozenset(seen)
+        result = tuple(seen)
         self._memo[start] = result
         return result
 
@@ -91,7 +98,7 @@ def reachability_closure(successors: Sequence[frozenset[int]]) -> list[frozenset
     n = len(successors)
     closed: list[frozenset[int]] = [frozenset()] * n
     for start in range(n - 1, -1, -1):
-        closed[start] = lazy.reach(start)
+        closed[start] = frozenset(lazy.reach(start))
     return closed
 
 

@@ -110,6 +110,16 @@ class TestExplore:
         repro.explore("a!.b!", budget=meter)
         assert meter.states > 0
 
+    def test_trip_on_the_root_gives_an_empty_graph(self):
+        # the root's own charge trips: no state was explored, none is root
+        for budget in (Budget(max_states=0),
+                       Budget(max_states=1).meter()):
+            if not isinstance(budget, Budget):
+                budget.charge()  # a shared meter an earlier phase spent
+            ex = repro.explore("a!", budget=budget)
+            assert not ex.complete and ex.reason == "max-states"
+            assert ex.n_states == 0 and ex.states == [] and ex.root is None
+
 
 class TestDecideAxioms:
     def test_structural_laws(self):

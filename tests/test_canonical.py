@@ -9,13 +9,9 @@ from hypothesis import given, settings
 
 from repro.core.actions import TAU
 from repro.core.cache import clear_caches
-from repro.core.canonical import (
-    _free_occurrence_order,
-    canonical_state,
-    canonical_state_collapsed,
-)
+from repro.core.canonical import canonical_state, canonical_state_collapsed
 from repro.core.discard import discards
-from repro.core.freenames import free_names
+from repro.core.freenames import free_names, free_occurrence_order
 from repro.core.parser import parse
 from repro.core.pretty import pretty
 from repro.core.reduction import barbs
@@ -264,10 +260,10 @@ def test_canonical_forms_independent_of_memo_state(p):
 @given(processes1)
 def test_free_occurrence_order_matches_preorder_walk(p):
     for q in iter_subterms(p):
-        assert _free_occurrence_order(q) == _oracle_occurrence_order(q)
+        assert free_occurrence_order(q) == _oracle_occurrence_order(q)
 
 
 def test_free_occurrence_order_under_rec():
     p = parse("rec X(x := a, y := b). x(z).(y<z> | X<y, x>) | c!")
-    assert _free_occurrence_order(p) == _oracle_occurrence_order(p) \
+    assert free_occurrence_order(p) == _oracle_occurrence_order(p) \
         == ("a", "b", "c")

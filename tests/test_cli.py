@@ -56,6 +56,14 @@ class TestCli:
                      "--minimize"]) == 0
         assert "B0" in capsys.readouterr().out
 
+    def test_graph_trip_on_the_root_prints_an_empty_graph(self, capsys):
+        for flags in ([], ["--minimize"]):
+            assert main(["graph", "a!", "--max-states", "0", *flags]) == 2
+            captured = capsys.readouterr()
+            assert captured.out.startswith("digraph")
+            assert "doublecircle" not in captured.out
+            assert "truncated (max-states) at 0 states" in captured.err
+
     def test_bad_syntax_exits_2_with_caret(self, capsys):
         # parse failures are reported, not raised: message + caret excerpt
         # on stderr, exit status 2 (the "no verdict" code)

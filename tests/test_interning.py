@@ -16,15 +16,15 @@ from tests.strategies import processes0, processes1
 
 from repro.core.cache import cache_stats, clear_caches
 from repro.core.canonical import (
-    _free_occurrence_order,
     _sort_key,
     canonical_state,
     canonical_state_collapsed,
 )
-from repro.core.freenames import free_names
+from repro.core.freenames import free_names, free_occurrence_order
 from repro.core.parser import parse
 from repro.core.pretty import pretty
 from repro.core.semantics import step_transitions
+from repro.core.substitution import apply_subst
 from repro.core.syntax import (
     _INTERN,
     _NODE_CACHE_SLOTS,
@@ -107,12 +107,15 @@ class TestClearCaches:
             canonical_state(p)
             canonical_state_collapsed(p)
             _sort_key(p)
-            _free_occurrence_order(p)
+            free_occurrence_order(p)
+            apply_subst(p, {"a": "b"})
         nodes = [*_INTERN.values(), NIL]
         memoized = {slot for q in nodes for slot in _NODE_CACHE_SLOTS
                     if hasattr(q, slot)}
-        # the canonical-form memos were populated, so the check below bites
-        assert {"_fo", "_sk", "_ao", "_nb", "_alpha", "_canon"} <= memoized
+        # the canonical-form and substitution memos were populated, so the
+        # check below bites
+        assert {"_fo", "_sk", "_ao", "_nb", "_alpha", "_canon",
+                "_sub"} <= memoized
         clear_caches()
         assert [(q, slot) for q in nodes for slot in _NODE_CACHE_SLOTS
                 if hasattr(q, slot)] == []

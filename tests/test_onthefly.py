@@ -3,6 +3,9 @@ partial evidence, and the two-layer budget contract."""
 
 import pytest
 
+from benchmarks.helpers import idle_listener, relay_star
+from repro import obs
+from repro.core.builder import par
 from repro.core.parser import parse
 from repro.core.canonical import canonical_state
 from repro.engine import Budget, BudgetExceeded, Verdict
@@ -274,3 +277,109 @@ class TestCheckersOnTheFly:
                      "rec Y(). tau.(a! | a! | Y)", "--max-states", "50"])
         assert code == 1
         assert "DIFFERENT" in capsys.readouterr().out
+
+
+# -- the per-search closure memo ---------------------------------------------
+
+class _Counting:
+    """A closure wrapper counting how often its pipeline stage runs."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.refutation_safe = inner.refutation_safe
+        self.calls = 0
+
+    def apply(self, pr):
+        self.calls += 1
+        return self.inner.apply(pr)
+
+
+def _per_call_hits(root, challenge_lists, closures):
+    """``closure_hits`` as counted when every candidate read runs the whole
+    pipeline, and the distinct pairs that were read."""
+    def fires(pr):
+        n = 0
+        for c in closures:
+            nxt = c.apply(pr)
+            if nxt is None or nxt != pr:
+                n += 1
+            if nxt is None:
+                return None, n
+            pr = nxt
+        return pr, n
+
+    read = {root}
+    _, total = fires(root)
+    for chals in challenge_lists:
+        for cand_list in chals:
+            if not cand_list:
+                break  # unanswerable: the pair dies, later challenges unread
+            for cand in cand_list:
+                read.add(cand)
+                closed, n = fires(cand)
+                total += n
+                if closed is None:
+                    break  # discharged: later candidates unread
+    return total, read
+
+
+class TestClosureMemo:
+    @pytest.mark.parametrize("bisimilar", [False, True])
+    def test_closure_hits_equal_the_per_call_count(self, bisimilar):
+        # weak step relay3 against an idle listener (TRUE), weak labelled
+        # relay3 against its wrong-channel variant (FALSE, a few weak steps in)
+        from repro.equiv.labelled import _LabelledGame
+        p = relay_star(3)
+        meter = Budget(max_states=10_000).meter()
+        if bisimilar:
+            q = par(relay_star(3), idle_listener())
+            base = reduction_challenges(steps=True, weak=True, meter=meter)
+        else:
+            q = relay_star(3, wrong=0)
+            base = _LabelledGame(True, meter, lazy=True).challenges
+        expanded = []
+
+        def challenges(key):
+            got = base(key)
+            expanded.append(got)
+            return got
+
+        counting = tuple(_Counting(c) for c in DEFAULT_CLOSURES)
+        root = product_root(p, q)
+        obs.reset()
+        obs.enable()
+        try:
+            verdict = explore_product(root, challenges, closures=counting,
+                                      budget=meter)
+            [span] = obs.trace_spans()
+        finally:
+            obs.reset()
+        assert span.name == "product.explore"
+        assert verdict is bisimilar
+        hits, read = _per_call_hits(root, expanded, DEFAULT_CLOSURES)
+        assert span.attrs["closure_hits"] == hits
+        # the pipeline ran once per distinct candidate, not once per read
+        assert counting[0].calls == len(read)
+        assert sum(len(c) for chals in expanded for c in chals) > len(read)
+
+    def test_fabricated_false_is_rechecked_with_a_fresh_memo(self):
+        # rec X(). a!.X masks a! against a!.a!: stripping the common
+        # component (up-to-parallel-context) fabricates FALSE, which the
+        # safe pipeline's re-run, with its own memo, overturns.
+        from repro.equiv.labelled import labelled_bisimilar
+        p = parse("a! | rec X(). a!.X")
+        q = parse("a!.a! | rec X(). a!.X")
+        obs.reset()
+        obs.enable()
+        try:
+            v = labelled_bisimilar(
+                p, q, closures=(*DEFAULT_CLOSURES, ParallelContextClosure()))
+            runs = [c.attrs["verdict"] for r in obs.trace_spans()
+                    for c in r.children if c.name == "product.explore"]
+        finally:
+            obs.reset()
+        assert runs == [False, True]
+        assert v.is_true
+        assert labelled_bisimilar(p, q, strategy="global").is_true
+        assert labelled_bisimilar(parse("a!"), parse("a!.a!")).is_false

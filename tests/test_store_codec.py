@@ -196,6 +196,61 @@ class TestCrossProcessDigests:
         assert got == [list(row[1:]) for row in _PINNED]
 
 
+#: Pairs charged by the weak on-the-fly checkers, pinned from one run:
+#: (relation, ``relay_star`` receivers, second side, verdict, pairs/states
+#: charged).  The second side is the star whose receiver 0 replies on
+#: channel ``wrong``, or the star composed with ``idle_listener()``.
+_PINNED_CHARGES = [
+    ("labelled", 4, "wrong", "FALSE", 518),
+    ("labelled", 4, "idle", "TRUE", 689),
+    ("labelled", 5, "wrong", "FALSE", 1493),
+    ("labelled", 5, "idle", "TRUE", 1748),
+    ("barbed", 4, "wrong", "FALSE", 35),
+    ("barbed", 4, "idle", "TRUE", 314),
+    ("barbed", 5, "wrong", "FALSE", 67),
+    ("barbed", 5, "idle", "TRUE", 686),
+]
+
+_CHARGE_SCRIPT = """
+import json, sys
+from benchmarks.helpers import idle_listener, relay_star
+from repro.core.builder import par
+from repro.engine import Budget
+from repro.equiv.barbed import barbed_bisimilar
+from repro.equiv.labelled import labelled_bisimilar
+checkers = {"labelled": labelled_bisimilar, "barbed": barbed_bisimilar}
+rows = []
+for relation, n, other in json.loads(sys.argv[1]):
+    q = (relay_star(n, wrong=0) if other == "wrong"
+         else par(relay_star(n), idle_listener()))
+    meter = Budget(max_states=100_000).meter()
+    verdict = checkers[relation](relay_star(n), q, weak=True, budget=meter)
+    rows.append([verdict.truth.name, meter.states])
+print(json.dumps(rows))
+"""
+
+
+class TestCrossProcessCharges:
+    @pytest.mark.parametrize("hash_seed", ["0", "1", "random"])
+    def test_weak_onthefly_charges_pinned_under_every_hash_seed(
+            self, hash_seed):
+        # A budget verdict must be a pure function of the budget: the weak
+        # search walks reach sets in discovery order, so the pairs it
+        # charges cannot depend on the process's hash salt or addresses.
+        root = pathlib.Path(__file__).parent.parent
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(root / "src"), str(root),
+                          env.get("PYTHONPATH")]))
+        rows = [list(row[:3]) for row in _PINNED_CHARGES]
+        result = subprocess.run(
+            [sys.executable, "-c", _CHARGE_SCRIPT, json.dumps(rows)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr[-2000:]
+        got = json.loads(result.stdout)
+        assert got == [list(row[3:]) for row in _PINNED_CHARGES]
+
+
 class TestStrictDecoding:
     def test_bad_magic(self):
         with pytest.raises(CodecError, match="magic"):

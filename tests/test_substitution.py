@@ -1,9 +1,11 @@
 """Tests for capture-avoiding substitution and alpha-machinery."""
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.freenames import bound_names, free_names
+from repro.core.cache import clear_caches
+from repro.core.freenames import bound_names, free_names, free_occurrence_order
+from repro.core.names import fresh_name
 from repro.core.parser import parse
 from repro.core.substitution import (
     alpha_eq,
@@ -13,8 +15,25 @@ from repro.core.substitution import (
     subst_ident,
     unfold_rec,
 )
-from repro.core.syntax import NIL, Ident, Input, Output, Rec, Restrict
-from tests.strategies import name_substitutions, processes1
+from repro.core.syntax import (
+    NIL,
+    Ident,
+    Input,
+    Match,
+    Nil,
+    Output,
+    Par,
+    Rec,
+    Restrict,
+    Sum,
+    Tau,
+)
+from tests.strategies import (
+    BOUND_NAMES,
+    FREE_NAMES,
+    name_substitutions,
+    processes1,
+)
 
 
 class TestApplySubst:
@@ -133,3 +152,107 @@ def test_subst_commutes_with_alpha(p, sigma):
     """Substitution is well-defined on alpha-classes."""
     q = rename_bound_apart(p, frozenset(sigma) | frozenset(sigma.values()))
     assert alpha_eq(apply_subst(p, sigma), apply_subst(q, sigma))
+
+
+# -- the node memo against an uncached walk ----------------------------------
+
+def _reference_binders(binders, body_free, mapping):
+    inner = {x: y for x, y in mapping.items() if x not in binders}
+    cod = {inner[x] for x in body_free if x in inner}
+    if not any(b in cod for b in binders):
+        return binders, inner
+    avoid = set(body_free) | set(inner) | set(inner.values()) | set(binders)
+    out = []
+    for b in binders:
+        if b in cod:
+            nb = fresh_name(avoid, hint=b)
+            avoid.add(nb)
+            inner[b] = nb
+            b = nb
+        out.append(b)
+    return tuple(out), inner
+
+
+def _reference_subst(p, mapping):
+    """Capture-avoiding substitution by a plain recursive walk: no memo,
+    the mapping trimmed to the free names at every node."""
+    mapping = {x: y for x, y in mapping.items()
+               if x in free_names(p) and x != y}
+    if not mapping or isinstance(p, Nil):
+        return p
+    sub = _reference_subst
+    get = lambda n: mapping.get(n, n)  # noqa: E731
+    if isinstance(p, Tau):
+        return Tau(sub(p.cont, mapping))
+    if isinstance(p, Input):
+        params, inner = _reference_binders(p.params, free_names(p.cont),
+                                           mapping)
+        return Input(get(p.chan), params, sub(p.cont, inner))
+    if isinstance(p, Output):
+        return Output(get(p.chan), tuple(map(get, p.args)),
+                      sub(p.cont, mapping))
+    if isinstance(p, Restrict):
+        (name,), inner = _reference_binders((p.name,), free_names(p.body),
+                                            mapping)
+        return Restrict(name, sub(p.body, inner))
+    if isinstance(p, Match):
+        return Match(get(p.left), get(p.right), sub(p.then, mapping),
+                     sub(p.orelse, mapping))
+    if isinstance(p, (Sum, Par)):
+        return type(p)(sub(p.left, mapping), sub(p.right, mapping))
+    if isinstance(p, Ident):
+        return Ident(p.ident, tuple(map(get, p.args)))
+    assert isinstance(p, Rec)
+    args = tuple(map(get, p.args))
+    body_free = free_names(p.body)
+    body_map = {x: y for x, y in mapping.items()
+                if x in body_free and x not in p.params}
+    if not body_map:
+        return Rec(p.ident, p.params, p.body, args)
+    params, inner = _reference_binders(p.params, body_free, body_map)
+    return Rec(p.ident, params, sub(p.body, inner), args)
+
+
+#: Any mapping over every name a term may use free, onto names that may
+#: be bound in it: non-injective and capture-forcing mappings included.
+_ALL_NAMES = tuple(dict.fromkeys(FREE_NAMES + BOUND_NAMES + ("d",)))
+any_mappings = st.dictionaries(st.sampled_from(_ALL_NAMES),
+                               st.sampled_from(_ALL_NAMES), max_size=5)
+
+#: Parsed per example: a node held across ``clear_caches()`` is no longer
+#: interned, so rebuilding it would give an equal, not the identical, node.
+rec_terms = st.sampled_from((
+    "rec X(x := a, y := b). x(z).(y<z> | X<y, x>)",
+    "rec X(x := a). x(z).nu y (z<y> | X<x>) | b<a>",
+    "a(y).rec X(x := y, w := b). x<w>.X<w, x>",
+    "rec X(x := a). x(z).(c<z> | X<x>)",  # c free in the body
+)).map(parse)
+
+
+class TestSubstMemo:
+    @settings(max_examples=300, deadline=None)
+    @given(p=processes1 | rec_terms,
+           sigma=any_mappings, warm=any_mappings)
+    def test_memoized_apply_subst_is_the_uncached_walk(self, p, sigma, warm):
+        want = _reference_subst(p, sigma)
+        assert apply_subst(p, sigma) is want       # first call
+        assert apply_subst(p, sigma) is want       # repeat call
+        # other renamings of the same nodes: an unrelated one, and sigma's
+        # image rotated along the free names (same names, other places)
+        fo = free_occurrence_order(p)
+        image = [sigma.get(n, n) for n in fo]
+        others = [warm] + [dict(zip(fo, image[k:] + image[:k]))
+                           for k in range(1, len(fo))]
+        for other in others:
+            assert apply_subst(p, other) is _reference_subst(p, other)
+        assert apply_subst(p, sigma) is want       # repeat among other entries
+        clear_caches()
+        again = apply_subst(p, sigma)              # after the purge
+        assert again == want and again is _reference_subst(p, sigma)
+
+    def test_identity_image_returns_the_node_itself(self):
+        clear_caches()
+        p = parse("a(x).nu y (x<y> | b!)")
+        for sigma in ({}, {"x": "b", "y": "c"}, {"a": "a"}, {"c": "d"}):
+            assert apply_subst(p, sigma) is p
+        assert getattr(p, "_sub", {}) == {}
