@@ -17,14 +17,10 @@ from repro.apps.cycle_detection import prefed_system
 from repro.calculi.encodings import pi_to_bpi
 from repro.core.canonical import canonical_state, canonical_state_collapsed
 from repro.core.parser import parse
-from repro.core.reduction import (
-    StateSpaceExceeded,
-    _bounded_closure,
-    barbs,
-    step_successors_closed,
-)
+from repro.core.reduction import StateSpaceExceeded, barbs
 from repro.core.substitution import canonical_alpha
 from repro.engine import Budget
+from repro.lts.graph import LTS, closed_steps, grow
 
 QUOTIENTS = {
     "alpha": canonical_alpha,
@@ -35,13 +31,12 @@ QUOTIENTS = {
 
 def explore(p, canon, cap, stop_barb=None):
     """Return (#states, found) exploring up to *cap* states."""
-    n, found = 0, False
+    lts, n, found = LTS(), 0, False
     try:
-        for s in _bounded_closure(p, step_successors_closed,
-                                  Budget(max_states=cap).meter(),
-                                  canonical=canon):
-            n += 1
-            if stop_barb is not None and stop_barb in barbs(s):
+        for sid in grow(lts, (p,), closed_steps(),
+                        Budget(max_states=cap).meter(), canonical=canon):
+            n = sid + 1
+            if stop_barb is not None and stop_barb in barbs(lts.states[sid]):
                 found = True
                 break
     except StateSpaceExceeded:

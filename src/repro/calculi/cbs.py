@@ -34,6 +34,8 @@ from ..core.syntax import Output as BpiOutput
 from ..core.syntax import Par as BpiPar
 from ..core.syntax import Process as BpiProcess
 from ..core.syntax import Sum as BpiSum
+from ..engine.budget import Budget, BudgetExceeded, Meter, resolve_meter
+from ..engine.verdict import Verdict
 
 #: The bpi channel standing for CBS's global ether.
 ETHER = "ether"
@@ -270,7 +272,7 @@ def cbs_transitions(p: CbsProcess, values: frozenset[str],
 
 
 def cbs_bisimilar(p: CbsProcess, q: CbsProcess, *, noisy: bool = True,
-                  budget=None):
+                  budget: Budget | Meter | None = None) -> Verdict:
     """Strong bisimilarity of CBS terms via explicit LTS + refinement.
 
     ``noisy=True`` (the CBS notion): hearing may be answered by a discard,
@@ -278,63 +280,25 @@ def cbs_bisimilar(p: CbsProcess, q: CbsProcess, *, noisy: bool = True,
     ``noisy=False`` matches hear-labels strictly (the ~+-style relation).
     Returns a three-valued :class:`~repro.engine.Verdict`.
     """
-    from collections import deque
-
-    from ..engine.budget import Budget, BudgetExceeded, resolve_meter
-    from ..engine.verdict import Verdict
+    from ..lts.graph import LTS, grow
+    from ..lts.partition import coarsest_partition_labelled
 
     meter = resolve_meter(budget, Budget(max_states=20_000))
-
     values = alphabet(p) | alphabet(q) | {"_w"}
-    states: list[CbsProcess] = []
-    index: dict[CbsProcess, int] = {}
-    edges: list[list[tuple[str, int]]] = []
-
-    def intern(r: CbsProcess) -> tuple[int, bool]:
-        sid = index.get(r)
-        if sid is not None:
-            return sid, False
-        meter.charge()
-        index[r] = sid = len(states)
-        states.append(r)
-        edges.append([])
-        return sid, True
-
+    lts = LTS()
     try:
-        queue: deque[int] = deque()
-        roots = []
-        for r in (p, q):
-            sid, fresh = intern(r)
-            roots.append(sid)
-            if fresh:
-                queue.append(sid)
-        while queue:
-            sid = queue.popleft()
-            for label, target in cbs_transitions(states[sid], values,
-                                                 noisy=noisy):
-                tid, fresh = intern(target)
-                edges[sid].append((label, tid))
-                if fresh:
-                    queue.append(tid)
+        for _ in grow(lts, (p, q),
+                      lambda s: cbs_transitions(s, values, noisy=noisy),
+                      meter, canonical=lambda s: s):
+            pass
+        labels = sorted({lab for es in lts.edges for lab, _ in es})
+        per_label = [[frozenset(t for lab2, t in es if lab2 == lab)
+                      for es in lts.edges] for lab in labels]
+        block = coarsest_partition_labelled(per_label, [0] * lts.n_states,
+                                            budget=meter)
     except BudgetExceeded as exc:
         return Verdict.from_exceeded(exc)
-
-    labels = sorted({lab for es in edges for lab, _ in es})
-    n = len(states)
-    # encode labelled refinement by iterating the per-label signatures
-    block = [0] * n
-    while True:
-        signatures: dict[tuple, int] = {}
-        new_block = [0] * n
-        for s in range(n):
-            sig = (block[s], tuple(
-                frozenset(block[t] for lab2, t in edges[s] if lab2 == lab)
-                for lab in labels))
-            new_block[s] = signatures.setdefault(sig, len(signatures))
-        if new_block == block:
-            break
-        block = new_block
-    return Verdict.of(block[roots[0]] == block[roots[1]],
+    return Verdict.of(block[lts.index[p]] == block[lts.index[q]],
                       stats=meter.stats())
 
 

@@ -28,7 +28,7 @@ from ..core.actions import TAU, Action, OutputAction, TauAction
 from ..core.freenames import free_names
 from ..core.names import Name, fresh_name
 from ..core.binders import freshen_action_binders
-from ..core.substitution import apply_subst, unfold_rec
+from ..core.substitution import apply_subst, canonical_alpha, unfold_rec
 from ..core.syntax import (
     Ident,
     Input,
@@ -42,6 +42,8 @@ from ..core.syntax import (
     Sum,
     Tau,
 )
+from ..engine.budget import Budget, BudgetExceeded, Meter, resolve_meter
+from ..engine.verdict import Verdict
 
 Transition = tuple[Action, Process]
 
@@ -170,61 +172,29 @@ def pi_tau_successors(p: Process) -> tuple[Process, ...]:
 
 
 def pi_barbed_bisimilar(p: Process, q: Process, *, weak: bool = False,
-                        budget=None):
+                        budget: Budget | Meter | None = None) -> Verdict:
     """Barbed bisimilarity under pi semantics (for the comparative tests).
 
     Returns a three-valued :class:`~repro.engine.Verdict`.
     """
-    from collections import deque
-
-    from ..core.canonical import canonical_alpha
-    from ..engine.budget import Budget, BudgetExceeded, resolve_meter
-    from ..engine.verdict import Verdict
+    from ..lts.graph import LTS, grow
     from ..lts.partition import coarsest_partition
     from ..lts.weak import reachability_closure, weak_keys
 
     meter = resolve_meter(budget, Budget(max_states=20_000))
-
-    states: list[Process] = []
-    index: dict[Process, int] = {}
-    succ: list[set[int]] = []
-    keys: list[frozenset[Name]] = []
-
-    def intern(r: Process) -> tuple[int, bool]:
-        c = canonical_alpha(r)
-        sid = index.get(c)
-        if sid is not None:
-            return sid, False
-        meter.charge()
-        index[c] = sid = len(states)
-        states.append(c)
-        succ.append(set())
-        keys.append(pi_barbs(c))
-        return sid, True
-
+    lts = LTS()
     try:
-        queue: deque[int] = deque()
-        roots = []
-        for r in (p, q):
-            sid, fresh = intern(r)
-            roots.append(sid)
-            if fresh:
-                queue.append(sid)
-        while queue:
-            sid = queue.popleft()
-            for t in pi_tau_successors(states[sid]):
-                tid, fresh = intern(t)
-                succ[sid].add(tid)
-                if fresh:
-                    queue.append(tid)
-        frozen = [frozenset(s) for s in succ]
+        for _ in grow(lts, (p, q),
+                      lambda s: [(None, t) for t in pi_tau_successors(s)],
+                      meter, canonical=canonical_alpha):
+            pass
+        successors = [frozenset(t for _, t in es) for es in lts.edges]
+        keys = [pi_barbs(s) for s in lts.states]
         if weak:
-            closure = reachability_closure(frozen)
-            block = coarsest_partition(closure, weak_keys(closure, keys),
-                                       budget=meter)
-        else:
-            block = coarsest_partition(frozen, keys, budget=meter)
+            successors = reachability_closure(successors)
+            keys = weak_keys(successors, keys)
+        block = coarsest_partition(successors, keys, budget=meter)
     except BudgetExceeded as exc:
         return Verdict.from_exceeded(exc)
-    return Verdict.of(block[roots[0]] == block[roots[1]],
-                      stats=meter.stats())
+    rp, rq = (lts.index[canonical_alpha(r)] for r in (p, q))
+    return Verdict.of(block[rp] == block[rq], stats=meter.stats())

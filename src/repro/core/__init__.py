@@ -25,14 +25,7 @@ from .freenames import all_names, bound_names, check_guarded, free_names, is_clo
 from .names import Name, NameSupply, NameUniverse, fresh_name, fresh_names
 from .parser import ParseError, parse
 from .pretty import pretty
-from .reduction import (
-    StateSpaceExceeded,
-    barbs,
-    has_barb,
-    has_weak_barb,
-    weak_barbs,
-    weak_step_barbs,
-)
+from .reduction import StateSpaceExceeded, barbs, has_barb
 from .semantics import (
     check_sorts,
     input_capabilities,
@@ -67,7 +60,6 @@ __all__ = [
     "Name", "NameSupply", "NameUniverse", "fresh_name", "fresh_names",
     "ParseError", "parse", "pretty",
     "StateSpaceExceeded", "barbs", "has_barb",
-    "has_weak_barb", "weak_barbs", "weak_step_barbs",
     "check_sorts", "input_capabilities", "input_continuations",
     "step_transitions", "transitions",
     "alpha_eq", "apply_subst", "canonical_alpha", "unfold_rec",

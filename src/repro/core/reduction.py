@@ -7,19 +7,14 @@
   real reduction relation of the calculus).
 * weak-phi barb ``|Down^phi a``: p (-phi->)* p' with p' |down a, used by
   step-bisimulation.
+
+The weak predicates walk a bounded graph, so they live above ``core``,
+in :mod:`repro.lts.weak`; this module keeps the one-step observables.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Iterator
-
-from ..engine.budget import (
-    Budget,
-    Meter,
-    StateSpaceExceeded,
-    resolve_meter,
-)
+from ..engine.budget import StateSpaceExceeded
 from .actions import Action, OutputAction, TauAction
 from .names import Name
 from .semantics import step_transitions
@@ -27,9 +22,7 @@ from .syntax import Process, Restrict, purge_node_caches
 
 __all__ = [
     "StateSpaceExceeded", "barbs", "has_barb", "tau_successors",
-    "step_successors", "step_successors_closed", "weak_barbs",
-    "has_weak_barb", "weak_step_barbs", "reachable_by_steps",
-    "close_extrusion",
+    "step_successors", "step_successors_closed", "close_extrusion",
 ]
 
 
@@ -86,88 +79,3 @@ def close_extrusion(action: Action, target: Process) -> Process:
 def step_successors_closed(p: Process) -> tuple[Process, ...]:
     """Step successors with extruded names re-restricted."""
     return tuple(close_extrusion(a, t) for a, t in step_transitions(p))
-
-
-#: Default budget for the weak-barb closures.
-DEFAULT_CLOSURE_BUDGET = Budget(max_states=10_000)
-
-
-def _bounded_closure(p: Process,
-                     successors: Callable[[Process], tuple[Process, ...]],
-                     meter: Meter,
-                     canonical: Callable[[Process], Process] | None = None,
-                     ) -> Iterator[Process]:
-    """BFS over *successors* from *p*, governed by *meter*.
-
-    The kernel-level walk behind the Section-3 weak-barb predicates
-    below (``core`` sits beneath ``lts``); closed-system searches over a
-    backend grow an explicit graph with :func:`repro.lts.graph.grow`.
-    Charges the meter one unit per distinct state (the start included)
-    and raises :class:`BudgetExceeded` when it trips; states are
-    deduplicated via *canonical* (defaults to alpha-canonicalization).
-    """
-    from .substitution import canonical_alpha
-    canon = canonical or canonical_alpha
-    start = canon(p)
-    meter.charge()
-    seen = {start}
-    # Exploration continues from the canonical representative, so quotients
-    # that shrink the term (e.g. duplicate-component collapse) actually
-    # bound the growth of later states.
-    queue = deque([start])
-    while queue:
-        q = queue.popleft()
-        yield q
-        for nxt in successors(q):
-            key = canon(nxt)
-            if key in seen:
-                continue
-            meter.charge()
-            seen.add(key)
-            queue.append(key)
-
-
-def weak_barbs(p: Process, *,
-               budget: Budget | Meter | None = None) -> frozenset[Name]:
-    """The weak barbs of *p*: ``{a | p ==> p' and p' |down a}``.
-
-    ``==>`` is the reflexive-transitive closure of ``-tau->``.  Raises
-    :class:`BudgetExceeded` (raw-explorer contract) on budget trip.
-    """
-    meter = resolve_meter(budget, DEFAULT_CLOSURE_BUDGET)
-    out: set[Name] = set()
-    for q in _bounded_closure(p, tau_successors, meter):
-        out |= barbs(q)
-    return frozenset(out)
-
-
-def has_weak_barb(p: Process, chan: Name, *,
-                  budget: Budget | Meter | None = None) -> bool:
-    """``p |Down chan``."""
-    meter = resolve_meter(budget, DEFAULT_CLOSURE_BUDGET)
-    for q in _bounded_closure(p, tau_successors, meter):
-        if has_barb(q, chan):
-            return True
-    return False
-
-
-def weak_step_barbs(p: Process, *, budget: Budget | Meter | None = None
-                    ) -> frozenset[Name]:
-    """``{a | p (-phi->)* p' and p' |down a}`` — step-weak barbs.
-
-    Step-bisimulation (Definition 5) uses this observability predicate: a
-    channel counts as observable if the process can broadcast on it after
-    some autonomous steps (including other broadcasts, not only taus).
-    """
-    meter = resolve_meter(budget, DEFAULT_CLOSURE_BUDGET)
-    out: set[Name] = set()
-    for q in _bounded_closure(p, step_successors, meter):
-        out |= barbs(q)
-    return frozenset(out)
-
-
-def reachable_by_steps(p: Process, *, budget: Budget | Meter | None = None
-                       ) -> Iterator[Process]:
-    """All processes reachable from *p* by ``-phi->`` steps (bounded BFS)."""
-    meter = resolve_meter(budget, DEFAULT_CLOSURE_BUDGET)
-    return _bounded_closure(p, step_successors, meter)

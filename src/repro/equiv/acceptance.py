@@ -20,13 +20,11 @@ while may-equivalence sees neither.
 
 from __future__ import annotations
 
-from collections import deque
-
 from ..calculi import registry as _registry
-from ..core.actions import OutputAction, TauAction
+from ..core.actions import TauAction
 from ..core.canonical import canonical_state
 from ..core.names import Name
-from ..core.reduction import barbs, close_extrusion
+from ..core.reduction import barbs
 from ..core.syntax import Process
 from ..engine.budget import (
     Budget,
@@ -35,6 +33,7 @@ from ..engine.budget import (
     resolve_meter,
 )
 from ..engine.verdict import Verdict
+from ..lts.graph import LTS, closed_steps, grow
 
 #: Default budget for acceptance-set exploration.
 DEFAULT_BUDGET = Budget(max_states=20_000)
@@ -52,27 +51,32 @@ def is_stable(p: Process) -> bool:
     return not any(isinstance(a, TauAction) for a, _ in _steps(p))
 
 
+def _canonical_node(node: tuple[Process, int | Trace]
+                    ) -> tuple[Process, int | Trace]:
+    """A search node is a state and a position in a trace."""
+    state, position = node
+    return canonical_state(state), position
+
+
 def _after(p: Process, trace: Trace, meter: Meter) -> set[Process]:
     """All canonical states reachable by exactly *trace* (mod taus)."""
-    frontier = deque([(canonical_state(p), 0)])
-    seen: set[tuple[Process, int]] = set()
-    results: set[Process] = set()
-    while frontier:
-        state, idx = frontier.popleft()
-        if (state, idx) in seen:
-            continue
-        meter.charge()
-        seen.add((state, idx))
-        if idx == len(trace):
-            results.add(state)
-        for action, target in _steps(state):
-            tgt = canonical_state(close_extrusion(action, target))
+    steps = closed_steps()
+
+    def expand(node):
+        state, idx = node
+        for action, target in steps(state):
             if isinstance(action, TauAction):
-                frontier.append((tgt, idx))
-            elif isinstance(action, OutputAction):
-                if idx < len(trace) and action.chan == trace[idx]:
-                    frontier.append((tgt, idx + 1))
-    return results
+                yield None, (target, idx)
+            elif idx < len(trace) and action.chan == trace[idx]:
+                yield None, (target, idx + 1)
+
+    lts, found = LTS(), set()
+    for sid in grow(lts, ((p, 0),), expand, meter,
+                    canonical=_canonical_node):
+        state, idx = lts.states[sid]
+        if idx == len(trace):
+            found.add(state)
+    return found
 
 
 def acceptance_sets(p: Process, trace: Trace = (), *,
@@ -100,29 +104,25 @@ def traces_upto(p: Process, max_depth: int = 4, *,
     fabricate definite verdicts from an exhausted budget).
     """
     meter = resolve_meter(budget, DEFAULT_BUDGET)
+    steps = closed_steps()
     out: set[Trace] = {()}
-    frontier = deque([(canonical_state(p), ())])
-    seen = set(frontier)
+
+    def expand(node):
+        state, trace = node
+        if len(trace) >= max_depth:
+            return
+        for action, target in steps(state):
+            if isinstance(action, TauAction):
+                yield None, (target, trace)
+            else:
+                longer = trace + (action.chan,)
+                out.add(longer)
+                yield None, (target, longer)
+
     try:
-        while frontier:
-            state, trace = frontier.popleft()
-            if len(trace) >= max_depth:
-                continue
-            meter.tick()
-            for action, target in _steps(state):
-                tgt = canonical_state(close_extrusion(action, target))
-                if isinstance(action, TauAction):
-                    item = (tgt, trace)
-                elif isinstance(action, OutputAction):
-                    new_trace = trace + (action.chan,)
-                    out.add(new_trace)
-                    item = (tgt, new_trace)
-                else:  # pragma: no cover - step_transitions yields no inputs
-                    continue
-                if item not in seen:
-                    meter.charge()
-                    seen.add(item)
-                    frontier.append(item)
+        for _ in grow(LTS(), ((p, ()),), expand, meter,
+                      canonical=_canonical_node):
+            pass
     except BudgetExceeded as exc:
         exc.partial = frozenset(out)
         raise

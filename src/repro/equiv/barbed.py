@@ -21,25 +21,11 @@ test suite exercises via the labelled checker.
 
 from __future__ import annotations
 
-from ..calculi import registry as _registry
 from ..calculi.backend import CalculusBackend
 from ..core.syntax import Process
-from ..engine.budget import (
-    Budget,
-    BudgetExceeded,
-    Meter,
-    resolve_meter,
-)
+from ..engine.budget import Budget, Meter
 from ..engine.verdict import Verdict
-from ..lts.partition import coarsest_partition
-from ..lts.weak import reachability_closure, weak_keys
-from .onthefly import validate_strategy
-from .reduction_graph import (
-    DEFAULT_BUDGET,
-    build_reduction_graph,
-    partition_inputs,
-)
-from .step import _onthefly_reduction
+from .step import _reduction_bisimilar
 
 
 def strong_barbed_bisimilar(p: Process, q: Process, *,
@@ -48,20 +34,9 @@ def strong_barbed_bisimilar(p: Process, q: Process, *,
                             calculus: str | CalculusBackend | None = None
                             ) -> Verdict:
     """Decide ``p ~b q`` (strong barbed bisimilarity)."""
-    validate_strategy(strategy)
-    meter = resolve_meter(budget, DEFAULT_BUDGET)
-    backend = _registry.resolve(calculus)
-    if strategy == "onthefly":
-        return _onthefly_reduction(p, q, steps=False, weak=False,
-                                   meter=meter, backend=backend)
-    try:
-        graph, (rp, rq) = build_reduction_graph((p, q), steps=False,
-                                                budget=meter, backend=backend)
-        successors, strong_barbs = partition_inputs(graph)
-        block = coarsest_partition(successors, strong_barbs, budget=meter)
-    except BudgetExceeded as exc:
-        return Verdict.from_exceeded(exc)
-    return Verdict.of(block[rp] == block[rq], stats=meter.stats())
+    return _reduction_bisimilar(p, q, steps=False, weak=False,
+                                budget=budget, strategy=strategy,
+                                calculus=calculus)
 
 
 def weak_barbed_bisimilar(p: Process, q: Process, *,
@@ -70,22 +45,9 @@ def weak_barbed_bisimilar(p: Process, q: Process, *,
                           calculus: str | CalculusBackend | None = None
                           ) -> Verdict:
     """Decide ``p ~~b q`` (weak barbed bisimilarity)."""
-    validate_strategy(strategy)
-    meter = resolve_meter(budget, DEFAULT_BUDGET)
-    backend = _registry.resolve(calculus)
-    if strategy == "onthefly":
-        return _onthefly_reduction(p, q, steps=False, weak=True,
-                                   meter=meter, backend=backend)
-    try:
-        graph, (rp, rq) = build_reduction_graph((p, q), steps=False,
-                                                budget=meter, backend=backend)
-        successors, strong_barbs = partition_inputs(graph)
-        closure = reachability_closure(successors)
-        keys = weak_keys(closure, strong_barbs)
-        block = coarsest_partition(closure, keys, budget=meter)
-    except BudgetExceeded as exc:
-        return Verdict.from_exceeded(exc)
-    return Verdict.of(block[rp] == block[rq], stats=meter.stats())
+    return _reduction_bisimilar(p, q, steps=False, weak=True,
+                                budget=budget, strategy=strategy,
+                                calculus=calculus)
 
 
 def barbed_bisimilar(p: Process, q: Process, *, weak: bool = False,
@@ -93,8 +55,6 @@ def barbed_bisimilar(p: Process, q: Process, *, weak: bool = False,
                      strategy: str = "onthefly",
                      calculus: str | CalculusBackend | None = None) -> Verdict:
     """Dispatch on *weak*."""
-    if weak:
-        return weak_barbed_bisimilar(p, q, budget=budget, strategy=strategy,
-                                     calculus=calculus)
-    return strong_barbed_bisimilar(p, q, budget=budget, strategy=strategy,
-                                   calculus=calculus)
+    return _reduction_bisimilar(p, q, steps=False, weak=weak,
+                                budget=budget, strategy=strategy,
+                                calculus=calculus)

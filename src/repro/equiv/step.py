@@ -14,7 +14,8 @@ Two strategies decide it: ``"onthefly"`` (default) plays the product game
 lazily with up-to closures (see :mod:`.onthefly`), ``"global"`` runs
 partition refinement over the fully materialised phi-graph (see
 ``reduction_graph`` for how extruded names are handled) and is kept as
-the oracle the property tests compare against.
+the oracle the property tests compare against.  The barbed checkers
+(:mod:`.barbed`) run the same driver over the tau graph.
 """
 
 from __future__ import annotations
@@ -44,14 +45,30 @@ from .reduction_graph import (
 )
 
 
-def _onthefly_reduction(p: Process, q: Process, *, steps: bool, weak: bool,
-                        meter: Meter,
-                        backend: CalculusBackend | None = None) -> Verdict:
-    """Shared on-the-fly driver for the step and barbed checkers."""
+def _reduction_bisimilar(p: Process, q: Process, *, steps: bool,
+                         weak: bool, budget: Budget | Meter | None,
+                         strategy: str,
+                         calculus: str | CalculusBackend | None) -> Verdict:
+    """The one driver of the barbed (``steps=False``: the tau graph) and
+    step (``steps=True``: the phi graph) checkers, strong or *weak*."""
+    validate_strategy(strategy)
+    meter = resolve_meter(budget, DEFAULT_BUDGET)
+    backend = _registry.resolve(calculus)
     try:
-        challenges = reduction_challenges(steps=steps, weak=weak,
-                                          meter=meter, backend=backend)
-        flag = explore_product(product_root(p, q), challenges, budget=meter)
+        if strategy == "onthefly":
+            challenges = reduction_challenges(steps=steps, weak=weak,
+                                              meter=meter, backend=backend)
+            flag = explore_product(product_root(p, q), challenges,
+                                   budget=meter)
+        else:
+            graph, (rp, rq) = build_reduction_graph(
+                (p, q), steps=steps, budget=meter, backend=backend)
+            successors, keys = partition_inputs(graph)
+            if weak:
+                successors = reachability_closure(successors)
+                keys = weak_keys(successors, keys)
+            block = coarsest_partition(successors, keys, budget=meter)
+            flag = block[rp] == block[rq]
     except BudgetExceeded as exc:
         return Verdict.from_exceeded(exc)
     return Verdict.of(flag, stats=meter.stats())
@@ -63,20 +80,9 @@ def strong_step_bisimilar(p: Process, q: Process, *,
                           calculus: str | CalculusBackend | None = None
                           ) -> Verdict:
     """Decide ``p ~phi q`` (strong step-bisimilarity)."""
-    validate_strategy(strategy)
-    meter = resolve_meter(budget, DEFAULT_BUDGET)
-    backend = _registry.resolve(calculus)
-    if strategy == "onthefly":
-        return _onthefly_reduction(p, q, steps=True, weak=False, meter=meter,
-                                   backend=backend)
-    try:
-        graph, (rp, rq) = build_reduction_graph((p, q), steps=True,
-                                                budget=meter, backend=backend)
-        successors, strong_barbs = partition_inputs(graph)
-        block = coarsest_partition(successors, strong_barbs, budget=meter)
-    except BudgetExceeded as exc:
-        return Verdict.from_exceeded(exc)
-    return Verdict.of(block[rp] == block[rq], stats=meter.stats())
+    return _reduction_bisimilar(p, q, steps=True, weak=False,
+                                budget=budget, strategy=strategy,
+                                calculus=calculus)
 
 
 def weak_step_bisimilar(p: Process, q: Process, *,
@@ -85,22 +91,9 @@ def weak_step_bisimilar(p: Process, q: Process, *,
                         calculus: str | CalculusBackend | None = None
                         ) -> Verdict:
     """Decide ``p ~~phi q`` (weak step-bisimilarity)."""
-    validate_strategy(strategy)
-    meter = resolve_meter(budget, DEFAULT_BUDGET)
-    backend = _registry.resolve(calculus)
-    if strategy == "onthefly":
-        return _onthefly_reduction(p, q, steps=True, weak=True, meter=meter,
-                                   backend=backend)
-    try:
-        graph, (rp, rq) = build_reduction_graph((p, q), steps=True,
-                                                budget=meter, backend=backend)
-        successors, strong_barbs = partition_inputs(graph)
-        closure = reachability_closure(successors)
-        keys = weak_keys(closure, strong_barbs)
-        block = coarsest_partition(closure, keys, budget=meter)
-    except BudgetExceeded as exc:
-        return Verdict.from_exceeded(exc)
-    return Verdict.of(block[rp] == block[rq], stats=meter.stats())
+    return _reduction_bisimilar(p, q, steps=True, weak=True,
+                                budget=budget, strategy=strategy,
+                                calculus=calculus)
 
 
 def step_bisimilar(p: Process, q: Process, *, weak: bool = False,
@@ -108,8 +101,6 @@ def step_bisimilar(p: Process, q: Process, *, weak: bool = False,
                    strategy: str = "onthefly",
                    calculus: str | CalculusBackend | None = None) -> Verdict:
     """Dispatch on *weak*."""
-    if weak:
-        return weak_step_bisimilar(p, q, budget=budget, strategy=strategy,
-                                   calculus=calculus)
-    return strong_step_bisimilar(p, q, budget=budget, strategy=strategy,
-                                 calculus=calculus)
+    return _reduction_bisimilar(p, q, steps=True, weak=weak,
+                                budget=budget, strategy=strategy,
+                                calculus=calculus)

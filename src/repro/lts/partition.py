@@ -15,7 +15,7 @@ see a block change, and after a split only the *predecessors of moved
 states* get their signatures recomputed — so the cost per round is
 proportional to the actual splits, not to re-signaturing the whole system.
 :func:`coarsest_partition_labelled` runs the same engine with per-label
-signatures for the LTS minimizer.
+signatures for the LTS minimizer and CBS bisimilarity.
 """
 
 from __future__ import annotations
@@ -45,15 +45,12 @@ def _refine(block: list[int],
             n_blocks: int,
             preds: Sequence[Sequence[int]],
             signature: Callable[[int], Hashable],
-            watch: tuple[int, int] | None = None,
-            meter: Meter | None = None) -> list[int] | None:
+            meter: Meter | None = None) -> list[int]:
     """Refine *block* (modified in place) to stability under *signature*.
 
     ``signature(s)`` must read the current ``block`` assignment.  Signatures
     are cached per state and recomputed only for states with a successor
-    that changed block — the worklist.  With *watch* set, returns ``None``
-    as soon as the watched pair lands in different blocks (early exit for
-    :func:`partition_relates`); otherwise returns the stable assignment.
+    that changed block — the worklist.  Returns the stable assignment.
 
     With *meter* set, the worklist polls the meter's deadline/cancellation
     between signature recomputations (refinement interns nothing, so the
@@ -107,8 +104,6 @@ def _refine(block: list[int],
                 moved.extend(cell)
                 if _OBS.enabled:
                     _metrics.inc("partition.splits")
-            if watch is not None and block[watch[0]] != block[watch[1]]:
-                return None
         affected = set()
         for s in moved:
             dirty.update(preds[s])
@@ -149,7 +144,6 @@ def coarsest_partition(successors: Sequence[frozenset[int]],
 
         result = _refine(block, n_blocks, _predecessors(successors, n),
                          signature, meter=_refine_meter(budget))
-        assert result is not None
         sp.set(n_blocks=len(set(result)))
     return result
 
@@ -162,7 +156,9 @@ def coarsest_partition_labelled(
 
     ``per_label[l][i]`` is the set of states reachable from state *i* by an
     edge with label *l*; stability requires matching successor blocks label
-    by label (strong labelled bisimilarity on the explicit graph).
+    by label (strong labelled bisimilarity on the explicit graph).  A
+    tripped *budget* raises :class:`~repro.engine.budget.BudgetExceeded`
+    mid-fixpoint (raw-explorer contract).
     """
     n = len(initial_keys)
     for succ in per_label:
@@ -180,38 +176,5 @@ def coarsest_partition_labelled(
 
         result = _refine(block, n_blocks, _predecessors(combined, n),
                          signature, meter=_refine_meter(budget))
-        assert result is not None
         sp.set(n_blocks=len(set(result)))
     return result
-
-
-def partition_relates(successors: Sequence[frozenset[int]],
-                      initial_keys: Sequence[Hashable],
-                      a: int, b: int, *,
-                      budget: Budget | Meter | None = None) -> bool:
-    """Are states *a* and *b* in the same final block?
-
-    Exits as soon as refinement separates *a* from *b* instead of running
-    the fixpoint to completion — refinement never merges blocks, so an
-    early separation is final.
-    """
-    n = len(successors)
-    if len(initial_keys) != n:
-        raise ValueError("initial_keys and successors must align")
-    with _tracing.span("partition.relates", n_states=n) as sp:
-        block, n_blocks = _initial_blocks(initial_keys)
-        if block[a] != block[b]:
-            sp.set(verdict=False, early_exit=True)
-            return False
-
-        def signature(s: int) -> Hashable:
-            return frozenset(block[t] for t in successors[s])
-
-        result = _refine(block, n_blocks, _predecessors(successors, n),
-                         signature, watch=(a, b), meter=_refine_meter(budget))
-        if result is None:
-            sp.set(verdict=False, early_exit=True)
-            return False
-        verdict = result[a] == result[b]
-        sp.set(verdict=verdict, early_exit=False)
-    return verdict

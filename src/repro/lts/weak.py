@@ -8,13 +8,34 @@ relations.  Two consumers with different access patterns share the code:
 * the *on-the-fly* product core (:mod:`repro.equiv.onthefly`) asks for
   one state's tau-reach at a time and must not pay for the rest of the
   graph — :class:`LazyReach` memoises per-state reach sets on demand.
+
+The Section-3 weak-barb predicates close a single term under the
+default semantics instead: ``p |Down a`` (:func:`has_weak_barb`,
+:func:`weak_barbs`) after ``-tau->`` steps, the step-weak barb
+(:func:`weak_step_barbs`) after ``-phi->`` steps.  Each is a bounded
+walk of :func:`~repro.lts.graph.grow` over α-canonical states and, as a
+raw explorer, raises :class:`~repro.engine.budget.BudgetExceeded` when
+its budget trips.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Generic, Hashable, Iterable, Sequence, TypeVar
+from typing import (
+    Callable,
+    Generic,
+    Hashable,
+    Iterable,
+    Iterator,
+    Sequence,
+    TypeVar,
+)
 
-from ..engine.budget import Meter
+from ..core.names import Name
+from ..core.reduction import barbs, has_barb, step_successors, tau_successors
+from ..core.substitution import canonical_alpha
+from ..core.syntax import Process
+from ..engine.budget import Budget, Meter, resolve_meter
+from .graph import LTS, grow
 
 T = TypeVar("T", bound=Hashable)
 
@@ -110,3 +131,55 @@ def weak_keys(closure: Sequence[frozenset[int]],
     """
     return [frozenset().union(*(strong_keys[t] for t in closure[s]))
             for s in range(len(closure))]
+
+
+#: Default budget for the weak-barb closures.
+DEFAULT_CLOSURE_BUDGET = Budget(max_states=10_000)
+
+
+def _closure(p: Process,
+             successors: Callable[[Process], Iterable[Process]],
+             budget: Budget | Meter | None) -> Iterator[Process]:
+    """The α-canonical states reachable from *p* over *successors*, in
+    breadth-first order, *p* first; one charge per state."""
+    meter = resolve_meter(budget, DEFAULT_CLOSURE_BUDGET)
+    lts = LTS()
+
+    def expand(state: Process) -> list[tuple[None, Process]]:
+        return [(None, t) for t in successors(state)]
+
+    return (lts.states[sid] for sid in grow(lts, (p,), expand, meter,
+                                            canonical=canonical_alpha))
+
+
+def weak_barbs(p: Process, *,
+               budget: Budget | Meter | None = None) -> frozenset[Name]:
+    """The weak barbs of *p*: ``{a | p ==> p' and p' |down a}``.
+
+    ``==>`` is the reflexive-transitive closure of ``-tau->``.
+    """
+    return frozenset().union(*map(barbs, _closure(p, tau_successors, budget)))
+
+
+def has_weak_barb(p: Process, chan: Name, *,
+                  budget: Budget | Meter | None = None) -> bool:
+    """``p |Down chan``; stops at the first state that barbs."""
+    return any(has_barb(q, chan)
+               for q in _closure(p, tau_successors, budget))
+
+
+def weak_step_barbs(p: Process, *, budget: Budget | Meter | None = None
+                    ) -> frozenset[Name]:
+    """``{a | p (-phi->)* p' and p' |down a}`` — step-weak barbs.
+
+    Step-bisimulation (Definition 5) uses this observability predicate: a
+    channel counts as observable if the process can broadcast on it after
+    some autonomous steps (including other broadcasts, not only taus).
+    """
+    return frozenset().union(*map(barbs, _closure(p, step_successors, budget)))
+
+
+def reachable_by_steps(p: Process, *, budget: Budget | Meter | None = None
+                       ) -> Iterator[Process]:
+    """All processes reachable from *p* by ``-phi->`` steps (bounded BFS)."""
+    return _closure(p, step_successors, budget)

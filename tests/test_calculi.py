@@ -38,7 +38,6 @@ from repro.calculi.pi import (
 )
 from repro.core.actions import OutputAction, TauAction
 from repro.core.parser import parse
-from repro.core.reduction import weak_barbs
 from repro.core.semantics import input_continuations, step_transitions
 from repro.equiv.barbed import strong_barbed_bisimilar
 from repro.equiv.congruence import congruent
@@ -274,14 +273,12 @@ class TestPiEncoding:
         assert self.reaches(enc, "d")
         # ... but never both in one run: c and d barbs are mutually
         # exclusive because only one grant matches
-        from repro.core.canonical import canonical_state_collapsed
-        from repro.core.reduction import _bounded_closure, barbs, step_successors_closed
+        from repro.core.reduction import barbs
+        from repro.runtime.analysis import reachable_states
         both = any(
             {"c", "d"} <= barbs(s)
-            for s in _bounded_closure(src if False else enc,
-                                      step_successors_closed,
-                                      Budget(max_states=60_000).meter(),
-                                      canonical=canonical_state_collapsed))
+            for s in reachable_states(enc, collapse=True,
+                                      budget=Budget(max_states=60_000)))
         assert not both
 
     def test_late_receiver_still_served(self):

@@ -182,6 +182,18 @@ def can_reach_barb(p, chan) -> Verdict:
 """) == ["unguarded-explorer"]
 
 
+def test_unguarded_weak_barb_walk_and_refinement_are_flagged():
+    # the kernel weak-barb walks and the labelled refinement raise on a
+    # trip like every other raw explorer
+    assert codes("""
+def check(p, q) -> Verdict:
+    if has_weak_barb(p, "a") != has_weak_barb(q, "a"):
+        return Verdict.of(False)
+    block = coarsest_partition_labelled(per_label, keys, budget=meter)
+    return Verdict.of(block[0] == block[1])
+""") == ["unguarded-explorer"] * 3
+
+
 def test_unguarded_onthefly_explorer_is_flagged():
     # the PR-6 raw explorer is subject to Rule B like the eager ones
     assert codes("""

@@ -35,11 +35,7 @@ from repro.core.syntax import (
     Tau,
     intern_stats,
 )
-from repro.lts.partition import (
-    coarsest_partition,
-    coarsest_partition_labelled,
-    partition_relates,
-)
+from repro.lts.partition import coarsest_partition, coarsest_partition_labelled
 
 
 class TestHashConsing:
@@ -181,16 +177,6 @@ class TestWorklistRefinement:
         for succ, keys in cases:
             assert _same_partition(coarsest_partition(succ, keys),
                                    _reference_coarsest_partition(succ, keys))
-
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_partition_relates_agrees(self, seed):
-        rng = random.Random(seed)
-        succ, keys = _random_lts(rng, n=15, max_out=3, n_keys=2)
-        ref = _reference_coarsest_partition(succ, keys)
-        for a in range(0, 15, 4):
-            for b in range(1, 15, 5):
-                assert partition_relates(succ, keys, a, b) == (ref[a] == ref[b])
 
     def test_labelled_refinement_distinguishes_labels(self):
         # 0 -x-> 2, 1 -y-> 2: same unlabelled future, different labels

@@ -7,7 +7,7 @@ from repro.core.names import NameUniverse
 from repro.core.parser import parse
 from repro.core.reduction import StateSpaceExceeded
 from repro.lts.graph import build_full_lts, build_step_lts, canonical_output_label
-from repro.lts.partition import coarsest_partition, partition_relates
+from repro.lts.partition import coarsest_partition
 from repro.lts.weak import reachability_closure, weak_keys
 from repro.engine import Budget
 
@@ -74,12 +74,6 @@ class TestPartition:
         keys = [frozenset(), frozenset(), frozenset({"x"})]
         block = coarsest_partition(succ, keys)
         assert block[0] == block[1]
-
-    def test_refinement_by_successors(self):
-        # same keys, different futures
-        succ = [frozenset({2}), frozenset({3}), frozenset(), frozenset()]
-        keys = [frozenset(), frozenset(), frozenset({"x"}), frozenset({"y"})]
-        assert not partition_relates(succ, keys, 0, 1)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -14,13 +14,14 @@ from repro.axioms.proofs import normalize
 from repro.core.canonical import canonical_state, canonical_state_collapsed
 from repro.core.freenames import free_names
 from repro.core.parser import parse
-from repro.core.reduction import barbs, weak_barbs
+from repro.core.reduction import barbs
 from repro.equiv.barbed import strong_barbed_bisimilar, weak_barbed_bisimilar
 from repro.equiv.labelled import strong_bisimilar, weak_bisimilar
 from repro.equiv.maytesting import output_traces
 from repro.equiv.simulation import simulates
 from repro.equiv.step import strong_step_bisimilar
 from repro.engine import Budget
+from repro.lts.weak import weak_barbs
 from tests.strategies import finite_processes, processes0
 
 SMALL = finite_processes(arity=0, max_leaves=4)
@@ -86,7 +87,7 @@ def test_hnf_and_prover_agree(p):
 @given(processes0)
 @settings(max_examples=20, deadline=None)
 def test_weak_barbs_union_of_reachable_strong(p):
-    from repro.core.reduction import reachable_by_steps
+    from repro.lts.weak import reachable_by_steps
     reach_barbs = frozenset()
     for s in reachable_by_steps(p, budget=Budget(max_states=2_000)):
         reach_barbs |= barbs(s)

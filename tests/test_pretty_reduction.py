@@ -9,13 +9,15 @@ from repro.core.reduction import (
     StateSpaceExceeded,
     barbs,
     has_barb,
+    tau_successors,
+)
+from repro.engine import Budget
+from repro.lts.weak import (
     has_weak_barb,
     reachable_by_steps,
-    tau_successors,
     weak_barbs,
     weak_step_barbs,
 )
-from repro.engine import Budget
 from tests.strategies import processes1
 
 

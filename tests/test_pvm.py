@@ -137,6 +137,6 @@ class TestEncodingShape:
         p = par(pool("addr", "mbox", "kill"), out("kill"))
         # after the kill fires, feeding the address leaves no listener:
         # the address input capability disappears along some run
-        from repro.core.reduction import reachable_by_steps
+        from repro.lts.weak import reachable_by_steps
         from repro.core.discard import discards
         assert any(discards(s, "addr") for s in reachable_by_steps(p, budget=Budget(max_states=100)))

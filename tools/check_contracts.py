@@ -87,11 +87,16 @@ RAW_EXPLORERS = frozenset({
     "solve_game",
     "explore_product",
     "coarsest_partition",
+    "coarsest_partition_labelled",
     "reachable_states",
     "find_quiescent",
     "output_traces",
     "traces_upto",
     "acceptance_sets",
+    "weak_barbs",
+    "has_weak_barb",
+    "weak_step_barbs",
+    "reachable_by_steps",
 })
 
 #: Facade modules translating trips into their own vocabulary
