@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from ..core.names import Name
+from ..core.names import Name, set_partitions
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +199,6 @@ class Partition:
 
 def all_partitions(names: frozenset[Name]) -> Iterator[Partition]:
     """Every partition of *names* — i.e. every complete condition on them."""
-    from ..equiv.congruence import set_partitions
     for blocks in set_partitions(tuple(sorted(names))):
         yield Partition.of(blocks)
 

@@ -37,6 +37,7 @@ from typing import Iterable
 from ..core.actions import OutputAction
 from ..core.freenames import free_names
 from ..core.names import Name
+from ..core.reduction import barbs as _bpi_barbs
 from ..core.semantics import Table3, Transition
 from ..core.semantics import check_sorts as _bpi_check_sorts
 from ..core.syntax import Process
@@ -140,6 +141,7 @@ class BpiBackend(Table3, CalculusBackend):
     """
 
     name = "bpi"
+    barbs = staticmethod(_bpi_barbs)
 
 
 class StructuralBackend(Table3, CalculusBackend):

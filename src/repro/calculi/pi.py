@@ -1,9 +1,18 @@
 """A mini pi-calculus — the point-to-point baseline the paper argues against.
 
-Reuses the bpi-calculus AST (same grammar, Table 1 minus nothing) but gives
-it the standard early pi semantics: communication is a *handshake* — one
-sender, exactly one receiver, producing a ``tau`` — instead of a broadcast.
-Outputs are blocking; a send with no partner simply waits.
+Reuses the bpi-calculus AST (same grammar, Table 1 minus nothing) and the
+one implementation of the transition rules, :class:`~repro.core.semantics.
+Table3`, but gives communication the standard early pi reading: a
+*handshake* — one sender, exactly one receiver, producing a ``tau`` —
+instead of a broadcast.  Outputs are blocking; a send with no partner
+simply waits.  :class:`PiSemantics` overrides the three rules where that
+shows and nothing else:
+
+* a parallel composition interleaves its components' moves and adds the
+  handshakes, re-restricting the names the output extruded;
+* exactly one parallel component receives an input;
+* an output on a restricted channel is blocked (no partner can ever reach
+  it), where bpi's rule (6) turns it into ``tau``.
 
 Purpose (Section 6 / Remarks of the paper):
 
@@ -14,110 +23,80 @@ Purpose (Section 6 / Remarks of the paper):
 * serve as the source language for the uniform pi -> bpi encoding
   (:mod:`repro.calculi.encodings`).
 
-Only the machinery needed for those comparisons is implemented: step
-enumeration (tau + visible outputs with extrusion), early input
-continuations, barbs, and barbed bisimilarity via the shared partition
-refinement.
+π is not a :mod:`~repro.calculi.registry` spec: the labelled and noisy
+checkers are built on broadcast's input-or-discard dichotomy, which a
+handshake does not have, so only barbed bisimilarity is offered — the
+engine's barbed driver run over :data:`PI`.  The instance sits in the
+registry's instance table all the same, so ``clear_caches()`` empties its
+memo tables.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from ..core.actions import TAU, Action, OutputAction, TauAction
+from ..core.actions import TAU, OutputAction, TauAction
+from ..core.binders import close_extrusion, freshen_action_binders
 from ..core.freenames import free_names
-from ..core.names import Name, fresh_name
-from ..core.binders import freshen_action_binders
-from ..core.substitution import apply_subst, canonical_alpha, unfold_rec
-from ..core.syntax import (
-    Ident,
-    Input,
-    Match,
-    Nil,
-    Output,
-    Par,
-    Process,
-    Rec,
-    Restrict,
-    Sum,
-    Tau,
-)
-from ..engine.budget import Budget, BudgetExceeded, Meter, resolve_meter
+from ..core.names import Name
+from ..core.syntax import Par, Process
+from ..engine.budget import Budget, Meter
 from ..engine.verdict import Verdict
+from . import registry
+from .backend import StructuralBackend, Transition
 
-Transition = tuple[Action, Process]
+
+class PiSemantics(StructuralBackend):
+    """Table 3 with handshake communication (the early pi-calculus)."""
+
+    name = "pi"
+
+    def _hide_output(self, x: Name, action: OutputAction,
+                     target: Process) -> tuple[Transition, ...]:
+        return ()  # blocked: no partner can ever reach the channel
+
+    def _par_steps(self, p: Par) -> list[Transition]:
+        moves = []
+        for active, passive, rebuild in (
+            (p.left, p.right, lambda a, b: Par(a, b)),
+            (p.right, p.left, lambda a, b: Par(b, a)),
+        ):
+            for action, target in self.step_transitions(active):
+                if isinstance(action, OutputAction):
+                    action, target = freshen_action_binders(
+                        action, target, free_names(passive))
+                moves.append((action, target, passive, rebuild))
+        # interleaving
+        out: list[Transition] = [(action, rebuild(target, passive))
+                                 for action, target, passive, rebuild in moves]
+        # handshakes: one sender + ONE receiver -> tau (the pi difference)
+        for action, target, passive, rebuild in moves:
+            if isinstance(action, TauAction):
+                continue
+            for received in self.input_continuations(
+                    passive, action.chan, action.objects):
+                out.append((TAU, close_extrusion(
+                    action, rebuild(target, received))))
+        return out
+
+    def _par_inputs(self, p: Par, chan: Name,
+                    values: tuple[Name, ...]) -> tuple[Process, ...]:
+        # Exactly one component receives; the other is untouched.
+        return (tuple(Par(q, p.right)
+                      for q in self._deliver(p.left, chan, values))
+                + tuple(Par(p.left, q)
+                        for q in self._deliver(p.right, chan, values)))
 
 
-@lru_cache(maxsize=65536)
+#: The pi semantics, registered in the registry's instance table (under
+#: spec ``"pi"``, which :func:`~repro.calculi.registry.resolve` still
+#: refuses as a name) so ``clear_caches()`` reaches its memo tables.
+PI = registry.resolve(PiSemantics())
+
+
 def pi_step_transitions(p: Process) -> tuple[Transition, ...]:
     """tau-steps (handshakes) and visible output transitions of *p*."""
-    if isinstance(p, (Nil, Input)):
-        return ()
-    if isinstance(p, Tau):
-        return ((TAU, p.cont),)
-    if isinstance(p, Output):
-        return ((OutputAction(p.chan, p.args, ()), p.cont),)
-    if isinstance(p, Sum):
-        return pi_step_transitions(p.left) + pi_step_transitions(p.right)
-    if isinstance(p, Match):
-        branch = p.then if p.left == p.right else p.orelse
-        return pi_step_transitions(branch)
-    if isinstance(p, Rec):
-        return pi_step_transitions(unfold_rec(p))
-    if isinstance(p, Restrict):
-        out: list[Transition] = []
-        x = p.name
-        for action, target in pi_step_transitions(p.body):
-            if isinstance(action, TauAction):
-                out.append((TAU, Restrict(x, target)))
-                continue
-            assert isinstance(action, OutputAction)
-            if action.chan == x:
-                continue  # blocked: no partner can ever reach the channel
-            if x in action.binders:
-                action, target = freshen_action_binders(
-                    action, target, frozenset((x,)))
-            if x in action.objects:
-                out.append((OutputAction(action.chan, action.objects,
-                                         action.binders + (x,)), target))
-            else:
-                out.append((action, Restrict(x, target)))
-        return tuple(out)
-    if isinstance(p, Par):
-        out = []
-        # interleaving
-        for action, target in pi_step_transitions(p.left):
-            if isinstance(action, OutputAction):
-                action, target = freshen_action_binders(
-                    action, target, free_names(p.right))
-            out.append((action, Par(target, p.right)))
-        for action, target in pi_step_transitions(p.right):
-            if isinstance(action, OutputAction):
-                action, target = freshen_action_binders(
-                    action, target, free_names(p.left))
-            out.append((action, Par(p.left, target)))
-        # handshakes: one sender + ONE receiver -> tau (the pi difference)
-        for sender, receiver, build in (
-                (p.left, p.right, lambda s, r: Par(s, r)),
-                (p.right, p.left, lambda s, r: Par(r, s))):
-            for action, s_target in pi_step_transitions(sender):
-                if not isinstance(action, OutputAction):
-                    continue
-                action, s_target = freshen_action_binders(
-                    action, s_target, free_names(receiver))
-                for r_target in pi_input_continuations(
-                        receiver, action.chan, action.objects):
-                    combined = build(s_target, r_target)
-                    for b in reversed(action.binders):
-                        combined = Restrict(b, combined)
-                    out.append((TAU, combined))
-        return tuple(out)
-    if isinstance(p, Ident):
-        raise ValueError(f"open process (free identifier {p.ident!r})")
-    raise TypeError(f"unknown process node {type(p).__name__}")
+    return PI.step_transitions(p)
 
 
-@lru_cache(maxsize=65536)
 def pi_input_continuations(p: Process, chan: Name,
                            values: tuple[Name, ...]) -> tuple[Process, ...]:
     """Early input: all p' with ``p -chan(values)-> p'`` (pi rules).
@@ -125,49 +104,16 @@ def pi_input_continuations(p: Process, chan: Name,
     Unlike broadcast, a parallel composition receives in exactly *one*
     component; the other is untouched.
     """
-    if isinstance(p, (Nil, Tau, Output)):
-        return ()
-    if isinstance(p, Input):
-        if p.chan != chan or len(p.params) != len(values):
-            return ()
-        return (apply_subst(p.cont, dict(zip(p.params, values))),)
-    if isinstance(p, Sum):
-        return (pi_input_continuations(p.left, chan, values)
-                + pi_input_continuations(p.right, chan, values))
-    if isinstance(p, Match):
-        branch = p.then if p.left == p.right else p.orelse
-        return pi_input_continuations(branch, chan, values)
-    if isinstance(p, Rec):
-        return pi_input_continuations(unfold_rec(p), chan, values)
-    if isinstance(p, Restrict):
-        x, body = p.name, p.body
-        if x == chan:
-            return ()
-        if x in values:
-            nx = fresh_name(free_names(body) | set(values) | {chan, x}, hint=x)
-            body = apply_subst(body, {x: nx})
-            x = nx
-        return tuple(Restrict(x, q)
-                     for q in pi_input_continuations(body, chan, values))
-    if isinstance(p, Par):
-        lefts = [Par(q, p.right)
-                 for q in pi_input_continuations(p.left, chan, values)]
-        rights = [Par(p.left, q)
-                  for q in pi_input_continuations(p.right, chan, values)]
-        return tuple(lefts + rights)
-    if isinstance(p, Ident):
-        raise ValueError(f"open process (free identifier {p.ident!r})")
-    raise TypeError(f"unknown process node {type(p).__name__}")
+    return PI.input_continuations(p, chan, values)
 
 
 def pi_barbs(p: Process) -> frozenset[Name]:
     """Output barbs of *p* under pi semantics."""
-    return frozenset(a.chan for a, _ in pi_step_transitions(p)
-                     if isinstance(a, OutputAction))
+    return PI.barbs(p)
 
 
 def pi_tau_successors(p: Process) -> tuple[Process, ...]:
-    return tuple(t for a, t in pi_step_transitions(p)
+    return tuple(t for a, t in PI.step_transitions(p)
                  if isinstance(a, TauAction))
 
 
@@ -177,24 +123,7 @@ def pi_barbed_bisimilar(p: Process, q: Process, *, weak: bool = False,
 
     Returns a three-valued :class:`~repro.engine.Verdict`.
     """
-    from ..lts.graph import LTS, grow
-    from ..lts.partition import coarsest_partition
-    from ..lts.weak import reachability_closure, weak_keys
+    from ..equiv.barbed import barbed_bisimilar
 
-    meter = resolve_meter(budget, Budget(max_states=20_000))
-    lts = LTS()
-    try:
-        for _ in grow(lts, (p, q),
-                      lambda s: [(None, t) for t in pi_tau_successors(s)],
-                      meter, canonical=canonical_alpha):
-            pass
-        successors = [frozenset(t for _, t in es) for es in lts.edges]
-        keys = [pi_barbs(s) for s in lts.states]
-        if weak:
-            successors = reachability_closure(successors)
-            keys = weak_keys(successors, keys)
-        block = coarsest_partition(successors, keys, budget=meter)
-    except BudgetExceeded as exc:
-        return Verdict.from_exceeded(exc)
-    rp, rq = (lts.index[canonical_alpha(r)] for r in (p, q))
-    return Verdict.of(block[rp] == block[rq], stats=meter.stats())
+    return barbed_bisimilar(p, q, weak=weak, budget=budget,
+                            strategy="global", calculus=PI)

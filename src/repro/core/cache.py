@@ -5,7 +5,7 @@ term and memoizes semantic results (free names, canonical forms, step
 transitions, barbs, ``In(p)`` ...) directly on the interned nodes.  The one
 multi-argument relation of the default semantics,
 ``input_continuations(p, a, v~)``, lives in a ``functools.lru_cache``, as do
-a few of the baseline calculi.  This module gives tests and benchmarks one
+CBS's two judgements.  This module gives tests and benchmarks one
 switch for all of it:
 
 * :func:`clear_caches` — forget every memoized result and empty the intern
@@ -33,9 +33,8 @@ def _lru_functions() -> list[Callable[..., Any]]:
 
     fns: list[Callable[..., Any]] = [semantics.input_continuations]
     try:
-        from ..calculi import cbs, pi
-        fns += [pi.pi_step_transitions, pi.pi_input_continuations,
-                cbs.speaks, cbs.hears]
+        from ..calculi import cbs
+        fns += [cbs.speaks, cbs.hears]
     except ImportError:  # pragma: no cover - calculi are optional extras
         pass
     return fns

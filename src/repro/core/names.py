@@ -57,6 +57,28 @@ def canonical_fresh(index: int) -> Name:
     return f"{FRESH_PREFIX}{index}"
 
 
+def set_partitions(items: tuple[Name, ...]) -> Iterator[list[list[Name]]]:
+    """All set partitions of *items* (restricted-growth enumeration)."""
+    items = tuple(items)
+    if not items:
+        yield []
+        return
+
+    def rec(i: int, blocks: list[list[Name]]) -> Iterator[list[list[Name]]]:
+        if i == len(items):
+            yield [list(b) for b in blocks]
+            return
+        for b in blocks:
+            b.append(items[i])
+            yield from rec(i + 1, blocks)
+            b.pop()
+        blocks.append([items[i]])
+        yield from rec(i + 1, blocks)
+        blocks.pop()
+
+    yield from rec(0, [])
+
+
 def fresh_name(avoid: Iterable[Name], hint: Name | None = None) -> Name:
     """Return a name not in *avoid*.
 

@@ -15,10 +15,11 @@ in :mod:`repro.lts.weak`; this module keeps the one-step observables.
 from __future__ import annotations
 
 from ..engine.budget import StateSpaceExceeded
-from .actions import Action, OutputAction, TauAction
+from .actions import OutputAction, TauAction
+from .binders import close_extrusion
 from .names import Name
 from .semantics import step_transitions
-from .syntax import Process, Restrict, purge_node_caches
+from .syntax import Process, purge_node_caches
 
 __all__ = [
     "StateSpaceExceeded", "barbs", "has_barb", "tau_successors",
@@ -58,22 +59,6 @@ def tau_successors(p: Process) -> tuple[Process, ...]:
 def step_successors(p: Process) -> tuple[Process, ...]:
     """All p' with ``p -phi-> p'`` (phi an output or tau), labels dropped."""
     return tuple(t for _, t in step_transitions(p))
-
-
-def close_extrusion(action: Action, target: Process) -> Process:
-    """Re-restrict the names a bound output extrudes around its residual.
-
-    For a *closed* system under reachability analysis there is no
-    environment to remember an extruded name, so re-binding it around
-    the residual preserves all reachable barbs on the original free
-    channels while keeping the state space canonical (fresh names do not
-    accumulate path-dependent identities).  Any other action's target is
-    returned unchanged.
-    """
-    if isinstance(action, OutputAction) and action.binders:
-        for b in reversed(action.binders):
-            target = Restrict(b, target)
-    return target
 
 
 def step_successors_closed(p: Process) -> tuple[Process, ...]:

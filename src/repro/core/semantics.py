@@ -30,7 +30,10 @@ are the paper's instance of it; the broadcast extensions in
 override one of three hooks: who hears a broadcast (:meth:`Table3.hears`),
 how a parallel composition takes one (:meth:`Table3._par_inputs`, with the
 top-level :meth:`Table3.input_continuations`), and which names fresh binders
-must avoid (:attr:`Table3.avoid`).
+must avoid (:attr:`Table3.avoid`).  The point-to-point pi-calculus of
+:mod:`repro.calculi.pi` is one more instance: it overrides the parallel
+rules (:meth:`Table3._par_steps`, :meth:`Table3._par_inputs`) and rule (6)
+(:meth:`Table3._hide_output`).
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .actions import TAU, Action, InputAction, OutputAction, TauAction
-from .binders import freshen_action_binders
+from .binders import close_extrusion, freshen_action_binders
 from .discard import listening_channels
 from .freenames import free_names
 from .names import Name, fresh_name
@@ -189,12 +192,7 @@ class Table3:
                 continue
             assert isinstance(action, OutputAction)
             if action.chan == x:
-                # Rule (6): a broadcast on the restricted channel is internal;
-                # the scope of any names it extruded is re-established.
-                q = target
-                for b in reversed(action.binders):
-                    q = Restrict(b, q)
-                out.append((TAU, Restrict(x, q)))
+                out.extend(self._hide_output(x, action, target))
                 continue
             if x in action.binders:
                 # Shadowing: an inner restriction happened to extrude a name
@@ -210,6 +208,12 @@ class Table3:
                 # Rule (7): x not involved, keep the restriction.
                 out.append((action, Restrict(x, target)))
         return out
+
+    def _hide_output(self, x: Name, action: OutputAction,
+                     target: Process) -> tuple[Transition, ...]:
+        """Rule (6): a broadcast on the restricted channel *x* is internal;
+        the scope of any names it extruded is re-established."""
+        return ((TAU, Restrict(x, close_extrusion(action, target))),)
 
     def _par_steps(self, p: Par) -> list[Transition]:
         out: list[Transition] = []

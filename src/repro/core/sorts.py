@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .names import Name
+from .names import Name, set_partitions
 from .syntax import (
     Ident,
     Input,
@@ -233,7 +233,6 @@ def sort_respecting_partitions(names: frozenset[Name], table: SortTable,
     """Partitions of *names* whose blocks are pairwise sort-compatible."""
     from itertools import combinations
 
-    from ..equiv.congruence import set_partitions
     for blocks in set_partitions(tuple(sorted(names))):
         ok = True
         for block in blocks:

@@ -396,12 +396,6 @@ class Rec(Process):
         self._init_hash()
 
 
-#: All prefix node classes (useful for generic code).
-PREFIX_CLASSES = (Tau, Input, Output)
-
-#: All node classes, for exhaustiveness checks in visitors.
-NODE_CLASSES = (Nil, Tau, Input, Output, Restrict, Match, Sum, Par, Ident, Rec)
-
 
 def iter_subterms(p: Process) -> Iterator[Process]:
     """Yield *p* and all its sub-processes, pre-order."""

@@ -6,6 +6,7 @@ Theorem 1 (they all coincide on image-finite processes, once closed under
 static contexts) is exercised by the test suite and benchmarks.
 """
 
+from ..core.names import set_partitions
 from .acceptance import (
     acceptance_equal,
     acceptance_sets,
@@ -13,7 +14,7 @@ from .acceptance import (
     traces_upto,
 )
 from .barbed import barbed_bisimilar, strong_barbed_bisimilar, weak_barbed_bisimilar
-from .congruence import congruent, identification_substitutions, set_partitions
+from .congruence import congruent, identification_substitutions
 from .contexts import (
     StaticContext,
     closed_under_contexts,

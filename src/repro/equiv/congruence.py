@@ -12,40 +12,17 @@ this against barbed congruence via Theorem 3's sensor contexts.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterator
 
 from ..calculi.backend import CalculusBackend
 from ..core.freenames import free_names
-from ..core.names import Name
+from ..core.names import Name, set_partitions
 from ..core.substitution import apply_subst
 from ..core.syntax import Process
 from ..engine.budget import Budget, Meter, resolve_meter
 from ..engine.verdict import Verdict
 from .labelled import DEFAULT_BUDGET
 from .noisy import strict_bisimilar
-
-
-def set_partitions(items: tuple[Name, ...]) -> Iterator[list[list[Name]]]:
-    """All set partitions of *items* (restricted-growth enumeration)."""
-    items = tuple(items)
-    if not items:
-        yield []
-        return
-
-    def rec(i: int, blocks: list[list[Name]]) -> Iterator[list[list[Name]]]:
-        if i == len(items):
-            yield [list(b) for b in blocks]
-            return
-        for b in blocks:
-            b.append(items[i])
-            yield from rec(i + 1, blocks)
-            b.pop()
-        blocks.append([items[i]])
-        yield from rec(i + 1, blocks)
-        blocks.pop()
-
-    yield from rec(0, [])
 
 
 def identification_substitutions(names: frozenset[Name],
@@ -91,14 +68,3 @@ def congruent(p: Process, q: Process, *, weak: bool = False,
                 witness.append(sigma)
             return Verdict.of(False, stats=meter.stats(), evidence=sigma)
     return Verdict.of(True, stats=meter.stats())
-
-
-def pairwise_identifications(names: frozenset[Name]) -> Iterator[dict[Name, Name]]:
-    """Cheaper sound-but-incomplete variant: only pairwise collapses.
-
-    Useful as a fast pre-filter in benchmarks (a distinguishing
-    substitution very often identifies just two names).
-    """
-    yield {}
-    for a, b in combinations(sorted(names), 2):
-        yield {b: a}

@@ -44,10 +44,10 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Protocol, runtime_checkable
 
+from ..calculi import registry as _registry
 from ..calculi.backend import CalculusBackend
 from ..core.canonical import _sort_key, canonical_state
 from ..core.freenames import free_occurrence_order
-from ..core.reduction import barbs
 from ..core.substitution import apply_subst
 from ..core.syntax import NIL, Par, Process
 from ..engine.budget import Budget, BudgetExceeded, Meter, resolve_meter
@@ -511,6 +511,9 @@ def reduction_challenges(*, steps: bool, weak: bool, meter: Meter,
     selects the broadcast semantics the reductions come from (default:
     the paper's ``"bpi"``).
     """
+    backend = _registry.resolve(backend)
+    barbs = backend.barbs
+
     def succ(s: Process) -> tuple[Process, ...]:
         return phi_successors(s, steps=steps, backend=backend)
 

@@ -25,7 +25,6 @@ from ..core.actions import OutputAction, TauAction
 from ..core.binders import freshen_action_binders
 from ..core.canonical import canonical_state
 from ..core.freenames import free_names
-from ..core.reduction import barbs
 from ..core.syntax import Process
 from ..engine.budget import (
     Budget,
@@ -148,10 +147,3 @@ def _root_ids(lts: LTS, roots: tuple[Process, ...]) -> tuple[int, ...]:
     found = (lts.index.get(canonical_state(r)) for r in roots)
     return tuple(sid for sid in found if sid is not None)
 
-
-def partition_inputs(lts: LTS) -> tuple[list[frozenset[int]],
-                                        list[frozenset[str]]]:
-    """Successor sets and strong barbs per state: what the global barbed
-    and step checkers refine."""
-    return ([frozenset(t for _, t in out) for out in lts.edges],
-            [barbs(s) for s in lts.states])

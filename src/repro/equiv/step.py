@@ -41,7 +41,6 @@ from .onthefly import (
 from .reduction_graph import (
     DEFAULT_BUDGET,
     build_reduction_graph,
-    partition_inputs,
 )
 
 
@@ -63,7 +62,8 @@ def _reduction_bisimilar(p: Process, q: Process, *, steps: bool,
         else:
             graph, (rp, rq) = build_reduction_graph(
                 (p, q), steps=steps, budget=meter, backend=backend)
-            successors, keys = partition_inputs(graph)
+            successors = [frozenset(t for _, t in out) for out in graph.edges]
+            keys = [backend.barbs(s) for s in graph.states]
             if weak:
                 successors = reachability_closure(successors)
                 keys = weak_keys(successors, keys)

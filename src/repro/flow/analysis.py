@@ -49,7 +49,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
 from ..core.freenames import free_names
 from ..core.names import Name
@@ -706,11 +706,6 @@ def flow_analysis(p: Process, *, calculus: Any = None,
         restrictions=tuple(nu_infos))
     _MEMO[key] = analysis
     return analysis
-
-
-def iter_restrictions(analysis: FlowAnalysis) -> Iterator[NuInfo]:
-    """The reachable ``nu`` occurrences, in allocation (pre-)order."""
-    return iter(analysis.restrictions)
 
 
 def describe(analysis: FlowAnalysis) -> Iterable[str]:

@@ -39,22 +39,19 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable, TextIO
 
+from ..api import RELATIONS, STRATEGY_RELATIONS
 from ..core.parser import parse as _parse
 from ..core.syntax import Process
 from ..engine.budget import Budget, BudgetExceeded
 from ..engine.verdict import Truth, Verdict
-from ..equiv.onthefly import PartialProduct
+from ..equiv.onthefly import STRATEGIES, PartialProduct
 from ..obs import metrics as _metrics, progress as _progress, tracing as _tracing
 from ..obs.state import STATE as _OBS
 from .codec import decode, encode, pair_key
 from .db import VerdictStore, calculus_key, equivalence_name, request_cap
 
-__all__ = ["CheckRequest", "BatchResult", "BatchOutcome", "RELATION_NAMES",
+__all__ = ["CheckRequest", "BatchResult", "BatchOutcome",
            "parse_requests", "run_batch", "evaluate_request", "serve"]
-
-#: Relation names a request may carry (mirrors repro.api.RELATIONS).
-RELATION_NAMES = ("barbed", "step", "labelled", "noisy", "congruence",
-                  "similar")
 
 
 class RequestError(ValueError):
@@ -108,7 +105,6 @@ class BatchResult:
     request: CheckRequest
     verdict: Verdict
     source: str
-    seconds: float
 
 
 @dataclass
@@ -171,15 +167,29 @@ def request_from_record(rec: dict[str, Any]) -> CheckRequest:
         if not isinstance(rec.get(side), str):
             raise RequestError(f"field {side!r} must be a process string")
     relation = rec.get("relation", "labelled")
-    if relation not in RELATION_NAMES:
+    if relation not in RELATIONS:
         raise RequestError(f"unknown relation {relation!r}; "
-                           f"pick one of {RELATION_NAMES}")
+                           f"pick one of {RELATIONS}")
+    weak = rec.get("weak", False)
+    if not isinstance(weak, bool):
+        raise RequestError("weak must be a JSON boolean")
+    strategy = rec.get("strategy")
+    if strategy is not None:
+        if strategy not in STRATEGIES:
+            raise RequestError(f"unknown strategy {strategy!r}; "
+                               f"pick one of {STRATEGIES}")
+        if relation not in STRATEGY_RELATIONS:
+            raise RequestError(f"strategy applies to {STRATEGY_RELATIONS}, "
+                               f"not {relation!r}")
+    # bool is an int subclass: `true` must not pass as a cap of 1.
     max_states = rec.get("max_states")
-    if max_states is not None and (not isinstance(max_states, int)
+    if max_states is not None and (isinstance(max_states, bool)
+                                   or not isinstance(max_states, int)
                                    or max_states < 1):
         raise RequestError("max_states must be a positive integer")
     deadline = rec.get("deadline")
-    if deadline is not None and not isinstance(deadline, (int, float)):
+    if deadline is not None and (isinstance(deadline, bool)
+                                 or not isinstance(deadline, (int, float))):
         raise RequestError("deadline must be a number of seconds")
     calculus = rec.get("calculus")
     if calculus is not None:
@@ -192,7 +202,7 @@ def request_from_record(rec: dict[str, Any]) -> CheckRequest:
             raise RequestError(str(exc)) from None
     return CheckRequest(
         p=_parse(rec["p"]), q=_parse(rec["q"]), relation=relation,
-        weak=bool(rec.get("weak", False)), strategy=rec.get("strategy"),
+        weak=weak, strategy=strategy,
         max_states=max_states, deadline=deadline, calculus=calculus,
         id=str(rec["id"]) if rec.get("id") is not None else None)
 
@@ -344,8 +354,7 @@ def run_batch(requests: "Iterable[CheckRequest]", *,
             if source == "dedup":
                 outcome.deduped += 1
             outcome.results.append(BatchResult(
-                request=req, verdict=verdict, source=source,
-                seconds=0.0))
+                request=req, verdict=verdict, source=source))
 
     outcome.seconds = _time.perf_counter() - t0
     if store is not None:

@@ -205,6 +205,42 @@ class TestPiSemantics:
         assert len(taus) == 1
 
 
+class TestPiInstance:
+    """pi is one more Table 3 instance, kept outside the registry names."""
+
+    def test_clear_caches_empties_pi_memo_tables(self):
+        from repro.calculi.pi import PI, pi_input_continuations
+        from repro.core.cache import clear_caches
+
+        p = parse("a<b> | a(x).x! | nu c (c! | c?)")
+        pi_step_transitions(p)
+        pi_input_continuations(p, "a", ("b",))
+        assert PI.memo("steps") and PI.memo("inputs")
+        clear_caches()
+        assert not PI.memo("steps") and not PI.memo("inputs")
+
+    def test_barbed_driver_reads_pi_barbs(self):
+        # `a?` listens at the wrong arity for `a<b>`: bpi's rule (13) then
+        # has no move for the output, so only pi sees the barb on `a`.
+        p, q = parse("a<b> | a?"), parse("a<b>")
+        assert pi_barbs(p) == {"a"} and not strong_barbed_bisimilar(p, q)
+        assert pi_barbed_bisimilar(p, q)
+        assert pi_barbed_bisimilar(p, q, weak=True)
+
+    def test_pi_is_not_a_registry_name(self):
+        import pytest
+
+        from repro.calculi import registry
+        from repro.calculi.backend import StructuralBackend
+        from repro.calculi.pi import PI
+
+        assert isinstance(PI, StructuralBackend)
+        assert registry.resolve(PI) is PI
+        assert "pi" not in registry.names()
+        with pytest.raises(ValueError, match="unknown calculus 'pi'"):
+            registry.resolve("pi")
+
+
 class TestCongruencePropertySwap:
     """The headline comparative result (Lemma 3 + Remark 1 vs pi)."""
 

@@ -217,6 +217,14 @@ class TestRequests:
         ({"p": "a!", "q": "a!", "max_states": 0}, "positive"),
         ({"p": "a!", "q": "a!", "deadline": "soon"}, "number"),
         ({"p": "a!", "q": "a!", "frobnicate": 1}, "unknown fields"),
+        ({"p": "a!", "q": "a!", "strategy": "bogus"}, "unknown strategy"),
+        ({"p": "a!", "q": "a!", "relation": "noisy", "strategy": "global"},
+         "strategy applies to"),
+        ({"p": "tau.a!", "q": "a!", "relation": "barbed", "weak": "false"},
+         "JSON boolean"),
+        ({"p": "a!", "q": "a!", "weak": 0}, "JSON boolean"),
+        ({"p": "a!", "q": "a!", "max_states": True}, "positive"),
+        ({"p": "a!", "q": "a!", "deadline": False}, "number"),
     ])
     def test_record_validation(self, rec, msg):
         with pytest.raises(RequestError, match=msg):
@@ -326,6 +334,18 @@ class TestServe:
         assert "error" in answers[1]
         assert answers[2]["truth"] == "false"
         assert answers[3]["source"] == "store"  # same request, now cached
+
+    def test_serve_bad_strategy_is_an_error_line_not_a_crash(self):
+        lines = io.StringIO(
+            '{"id": "bad", "p": "a!", "q": "a!", "strategy": "bogus"}\n'
+            '{"id": "ok", "p": "a!", "q": "a!", "relation": "barbed",'
+            ' "strategy": "global"}\n')
+        out = io.StringIO()
+        assert serve(lines, out) == 1
+        first, second = (json.loads(ln)
+                         for ln in out.getvalue().splitlines())
+        assert first["line"] == 1 and "unknown strategy" in first["error"]
+        assert second["id"] == "ok" and second["truth"] == "true"
 
     def test_serve_without_store(self):
         out = io.StringIO()
