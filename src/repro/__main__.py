@@ -62,7 +62,10 @@ Observability (before or after the subcommand; see docs/observability.md):
 --metrics       print engine counters and the span tree to stderr at exit
 --progress      rate-limited progress heartbeats on stderr during long runs
 
-Process syntax: see `repro.core.parser` (e.g. "a<v> | a(x).x!").
+Process syntax: see `repro.core.parser` (e.g. "a<v> | a(x).x!").  The
+engine commands (steps, moves, run, eq, barb, canon, graph) take only
+processes in the paper's sense, closed terms with guarded recursion; an
+open or unguarded term prints ``error: ...`` and exits 2.
 """
 
 from __future__ import annotations
@@ -71,10 +74,11 @@ import argparse
 import sys
 
 from .core.canonical import canonical_state
-from .core.freenames import free_names
+from .core.freenames import NotAProcess, free_names, validate
 from .core.names import NameUniverse
 from .core.parser import ParseError, parse
 from .core.pretty import pretty
+from .core.syntax import Process
 from .calculi import registry as _registry
 from .engine.budget import Budget, BudgetExceeded
 from .runtime.analysis import can_reach_barb
@@ -82,6 +86,13 @@ from .runtime.simulator import run as sim_run
 
 #: Exit status when a decision command's budget tripped (UNKNOWN).
 EXIT_UNKNOWN = 2
+
+
+def _process(text: str) -> Process:
+    """Parse *text* and admit it to the engine: closed and guarded."""
+    p = parse(text)
+    validate(p)
+    return p
 
 
 def _budget_from(args: argparse.Namespace,
@@ -95,7 +106,7 @@ def _budget_from(args: argparse.Namespace,
 
 
 def _cmd_steps(args: argparse.Namespace) -> int:
-    p = parse(args.process)
+    p = _process(args.process)
     backend = _registry.resolve(args.calculus)
     moves = backend.step_transitions(p)
     if not moves:
@@ -106,7 +117,7 @@ def _cmd_steps(args: argparse.Namespace) -> int:
 
 
 def _cmd_moves(args: argparse.Namespace) -> int:
-    p = parse(args.process)
+    p = _process(args.process)
     backend = _registry.resolve(args.calculus)
     universe = NameUniverse(free_names(p), args.fresh)
     for action, target in backend.transitions(p, universe):
@@ -115,7 +126,7 @@ def _cmd_moves(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    p = parse(args.process)
+    p = _process(args.process)
     trace = sim_run(p, seed=args.seed, max_steps=args.max_steps,
                     calculus=args.calculus)
     print(trace)
@@ -129,9 +140,10 @@ def _cmd_eq(args: argparse.Namespace) -> int:
     from .equiv.onthefly import PartialProduct
 
     budget = _budget_from(args)
-    verdict = check(parse(args.p), parse(args.q), relation=args.relation,
-                    weak=args.weak, budget=budget, strategy=args.strategy,
-                    store=args.store, calculus=args.calculus)
+    verdict = check(_process(args.p), _process(args.q),
+                    relation=args.relation, weak=args.weak, budget=budget,
+                    strategy=args.strategy, store=args.store,
+                    calculus=args.calculus)
     kind = ("weak " if args.weak else "strong ") + args.relation
     cached = " [store]" if verdict.stats.get("store") == "hit" else ""
     if verdict.is_unknown:
@@ -145,7 +157,7 @@ def _cmd_eq(args: argparse.Namespace) -> int:
 
 
 def _cmd_barb(args: argparse.Namespace) -> int:
-    p = parse(args.process)
+    p = _process(args.process)
     budget = _budget_from(args, default_states=50_000)
     verdict = can_reach_barb(p, args.channel, budget=budget,
                              collapse_duplicates=True,
@@ -165,7 +177,7 @@ def _cmd_barb(args: argparse.Namespace) -> int:
 
 
 def _cmd_canon(args: argparse.Namespace) -> int:
-    print(pretty(canonical_state(parse(args.process))))
+    print(pretty(canonical_state(_process(args.process))))
     return 0
 
 
@@ -343,7 +355,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
     truncated = None
     try:
-        lts, root = build_step_lts(parse(args.process),
+        lts, root = build_step_lts(_process(args.process),
                                    budget=_budget_from(args,
                                                        default_states=2_000),
                                    calculus=args.calculus)
@@ -575,6 +587,9 @@ def main(argv: list[str] | None = None) -> int:
             if excerpt:
                 print("\n".join("  " + ln for ln in excerpt.splitlines()),
                       file=sys.stderr)
+            return EXIT_UNKNOWN
+        except NotAProcess as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return EXIT_UNKNOWN
         except ValueError as exc:
             if "backend" not in str(exc) and "calculus" not in str(exc):

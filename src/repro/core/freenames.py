@@ -163,8 +163,13 @@ def is_closed(p: Process) -> bool:
     return not free_idents(p)
 
 
+class NotAProcess(ValueError):
+    """A term that parses but is not a process in the paper's sense: it is
+    open (a free process identifier) or has unguarded recursion."""
+
+
 def check_guarded(p: Process) -> None:
-    """Raise ``ValueError`` unless every ``rec``-bound identifier occurs
+    """Raise :class:`NotAProcess` unless every ``rec``-bound identifier occurs
     guarded (strictly underneath a prefix) in its body.
 
     The paper assumes guardedness so that unfolding a recursion always makes
@@ -175,7 +180,7 @@ def check_guarded(p: Process) -> None:
     def walk(q: Process, unguarded: frozenset[str]) -> None:
         if isinstance(q, Ident):
             if q.ident in unguarded:
-                raise ValueError(
+                raise NotAProcess(
                     f"identifier {q.ident!r} occurs unguarded in a rec body")
             return
         if isinstance(q, (Tau, Input, Output)):
@@ -192,5 +197,11 @@ def check_guarded(p: Process) -> None:
 
 
 def validate(p: Process) -> None:
-    """Run all well-formedness checks the paper assumes on process terms."""
+    """Raise :class:`NotAProcess` unless *p* is a process in the paper's
+    sense: closed (:func:`is_closed`) and guarded (:func:`check_guarded`)."""
+    idents = free_idents(p)
+    if idents:
+        raise NotAProcess(
+            f"not a closed process: free identifier "
+            f"{', '.join(map(repr, sorted(idents)))}")
     check_guarded(p)

@@ -59,6 +59,11 @@ MAX_FRESH_PER_INPUT = 3
 
 PairKey = tuple[Process, Process]
 
+#: One state's outputs: ``(shape, action, target)`` in step order, and the
+#: ``(action, target)`` moves of each shape in the same order.
+_OutputIndex = tuple[list[tuple[tuple, OutputAction, Process]],
+                     dict[tuple, list[tuple[OutputAction, Process]]]]
+
 
 def _pair_key(p: Process, q: Process) -> PairKey:
     return (canonical_state(p), canonical_state(q))
@@ -108,11 +113,12 @@ def _taus(p: Process, backend: CalculusBackend) -> list[Process]:
 
 
 def _align_output(action: OutputAction, target: Process,
-                  reference: OutputAction) -> Process | None:
-    """If *action* has the same shape as *reference*, return *target* with
-    its binders renamed to the reference's; otherwise None."""
-    if _output_shape(action) != _output_shape(reference):
-        return None
+                  reference: OutputAction) -> Process:
+    """*target* with its binders renamed to the reference's.
+
+    Callers pair *action* only with a *reference* of the same
+    :func:`_output_shape`, so the binders correspond position by position.
+    """
     if not reference.binders:
         return target
     action, target = freshen_action_binders(
@@ -176,6 +182,11 @@ class _LabelledGame:
     state charges the pool once per run; the global oracle keeps the
     historical per-call accounting so its budget semantics — and the
     regression baselines built on them — stay put.
+
+    A per-search output index spares the output clause its rescans: each
+    state's outputs are listed once, in step order, with their
+    :func:`_output_shape`, and grouped by that shape, so an output
+    challenge is answered only by the moves of its own shape.
     """
 
     def __init__(self, weak: bool, meter: Meter, *, lazy: bool = False,
@@ -187,11 +198,25 @@ class _LabelledGame:
             LazyReach(lambda s: phi_successors(s, steps=False,
                                                backend=self.backend), meter)
             if (weak and lazy) else None)
+        self._outputs: dict[Process, _OutputIndex] = {}
 
     def tau_closure(self, p: Process) -> tuple[Process, ...]:
         if self._reach is not None:
             return self._reach.reach(canonical_state(p))
         return _tau_closure(p, self.meter, self.backend)
+
+    def outputs(self, p: Process) -> _OutputIndex:
+        """*p*'s ``(moves, by_shape)`` index, built on the first request."""
+        index = self._outputs.get(p)
+        if index is None:
+            moves: list[tuple[tuple, OutputAction, Process]] = []
+            by_shape: dict[tuple, list[tuple[OutputAction, Process]]] = {}
+            for action, target in _outputs(p, self.backend):
+                shape = _output_shape(action)
+                moves.append((shape, action, target))
+                by_shape.setdefault(shape, []).append((action, target))
+            index = self._outputs[p] = (moves, by_shape)
+        return index
 
     # --- weak answer machinery ------------------------------------------
     def _answer_taus(self, q: Process) -> list[Process]:
@@ -200,15 +225,14 @@ class _LabelledGame:
         return list(self.tau_closure(q))
 
     def _answer_outputs(self, q: Process, reference: OutputAction,
-                        avoid: frozenset[Name]) -> list[Process]:
-        """All q' answering the output challenge *reference*."""
+                        shape: tuple) -> list[Process]:
+        """All q' answering the output challenge *reference*, whose
+        :func:`_output_shape` is *shape*."""
         answers: list[Process] = []
         starts = self.tau_closure(q) if self.weak else (q,)
         for q1 in starts:
-            for action, q2 in _outputs(q1, self.backend):
+            for action, q2 in self.outputs(q1)[1].get(shape, ()):
                 aligned = _align_output(action, q2, reference)
-                if aligned is None:
-                    continue
                 if self.weak:
                     answers.extend(self.tau_closure(aligned))
                 else:
@@ -245,9 +269,10 @@ class _LabelledGame:
                 y_taus = self._answer_taus(y)
             chals.append([mk(x1, y1) for y1 in y_taus])
         # Clause 2: output challenges (free outputs are binderless).
-        for action, x1 in _outputs(x, self.backend):
+        # Canonical binders keep the shape, so it keys the answers as is.
+        for shape, action, x1 in self.outputs(x)[0]:
             ref, x1 = _canonicalize_output(action, x1, fn_pair)
-            answers = self._answer_outputs(y, ref, fn_pair)
+            answers = self._answer_outputs(y, ref, shape)
             chals.append([mk(x1, y1) for y1 in answers])
         # Clause 3: input-or-discard challenges.
         for chan, arity in _io_subjects(x, y, self.backend):

@@ -47,7 +47,6 @@ from .labelled import (
     _canonicalize_output,
     _io_subjects,
     _LabelledGame,
-    _outputs,
     _pair_universe,
     _tau_closure,
     _taus,
@@ -115,9 +114,9 @@ def _strict_bisimilar(p: Process, q: Process, *, weak: bool, meter: Meter,
             if not any(ok(x1, y1) for y1 in y_taus):
                 return False
         # Clause 2: outputs by binder-aligned outputs.
-        for action, x1 in _outputs(x, backend):
+        for shape, action, x1 in game.outputs(x)[0]:
             ref, x1c = _canonicalize_output(action, x1, fn_pair)
-            answers = game._answer_outputs(y, ref, fn_pair)
+            answers = game._answer_outputs(y, ref, shape)
             if not any(ok(x1c, y1) for y1 in answers):
                 return False
         # Clause 3 (strict): genuine inputs by genuine inputs.

@@ -84,6 +84,38 @@ class TestCli:
         assert "line 2" in err and "nu x (x! +" in err
 
 
+class TestCliAdmission:
+    """The engine commands take only processes: closed, guarded terms."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["eq", "rec X(). X", "0"], "unguarded"),
+        (["eq", "X<a>", "a!"], "not a closed process"),
+        (["barb", "X<a>", "a"], "not a closed process"),
+    ])
+    def test_ill_formed_term_exits_2_with_an_error(self, capsys, argv,
+                                                   message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["steps", "moves", "run", "canon",
+                                         "graph"])
+    def test_every_engine_command_admits(self, capsys, command):
+        for term in ("rec X(). X", "X<a>"):
+            assert main([command, term]) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+
+    def test_guarded_recursion_is_admitted(self, capsys):
+        assert main(["eq", "rec X(x := a). x!.X<x>",
+                     "rec Y(y := a). y!.Y<y>"]) == 0
+
+    def test_lint_still_reports_unguarded_recursion(self, capsys):
+        assert main(["lint", "rec X(). X"]) == 1
+        assert "BP101" in capsys.readouterr().out
+
+
 class TestCliLint:
     def test_clean_term_exits_0(self, capsys):
         assert main(["lint", "a(x).x!"]) == 0

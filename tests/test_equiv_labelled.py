@@ -5,13 +5,27 @@ The distinctive broadcast feature: inputs are matched by input-*or*-discard
 one that never listened.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.core.binders import freshen_action_binders
+from repro.core.builder import par
+from repro.core.canonical import canonical_state
+from repro.core.freenames import free_names
 from repro.core.parser import parse
+from repro.core.substitution import apply_subst
+from repro.engine import Budget
 from repro.equiv.barbed import strong_barbed_bisimilar, weak_barbed_bisimilar
-from repro.equiv.labelled import strong_bisimilar, weak_bisimilar
+from repro.equiv.labelled import (
+    _canonicalize_output,
+    _LabelledGame,
+    _output_shape,
+    _outputs,
+    strong_bisimilar,
+    weak_bisimilar,
+)
 from repro.equiv.step import strong_step_bisimilar, weak_step_bisimilar
-from tests.strategies import processes0, processes1
+from tests.strategies import finite_processes, processes0, processes1
 
 
 class TestNoisyMatching:
@@ -142,3 +156,76 @@ def test_strong_implies_weak(p):
     assert weak_bisimilar(p, q)
     assert weak_barbed_bisimilar(p, q)
     assert weak_step_bisimilar(p, q)
+
+
+# --- the output index answers exactly as a full scan does --------------------
+
+#: Dyadic components rich in bound outputs: one binder, several binders,
+#: a binder repeated among the objects, bound next to free objects, and
+#: tau steps in front of them for the weak closures to walk.
+_OUTPUT_COMPONENTS = tuple(parse(s) for s in (
+    "nu x a<x, x>",
+    "nu x nu y a<x, y>",
+    "nu x nu y a<y, x>.b<x, y>",
+    "nu x a<b, x>",
+    "a<b, b>",
+    "a<c, b> + tau.nu x a<x, b>",
+    "tau.nu x a<x, x>",
+    "nu x (a<x, c>.x<b, b> | b(u, v).a<u, v>)",
+    "b<a, a>.nu y a<y, y>",
+))
+
+_output_rich = st.lists(
+    st.sampled_from(_OUTPUT_COMPONENTS)
+    | finite_processes(arity=2, max_leaves=4),
+    min_size=1, max_size=3).map(lambda ps: canonical_state(par(*ps)))
+
+
+def _scanned_answers(game, q, reference):
+    """The output clause's answers as a rescan of every output finds them:
+    the loop the per-search output index replaced."""
+    answers = []
+    starts = game.tau_closure(q) if game.weak else (q,)
+    for q1 in starts:
+        for action, q2 in _outputs(q1, game.backend):
+            if _output_shape(action) != _output_shape(reference):
+                continue
+            if reference.binders:
+                action, q2 = freshen_action_binders(
+                    action, q2, frozenset(reference.binders))
+                q2 = apply_subst(q2, dict(zip(action.binders,
+                                              reference.binders)))
+            if game.weak:
+                answers.extend(game.tau_closure(q2))
+            else:
+                answers.append(q2)
+    return answers
+
+
+@settings(max_examples=80, deadline=None)
+@given(x=_output_rich, y=_output_rich, weak=st.booleans(),
+       lazy=st.booleans(), calculus=st.sampled_from(("bpi", "lossy")))
+@example(x=canonical_state(parse("nu x nu y a<y, x>")),
+         y=canonical_state(parse("tau.nu u nu v a<u, v> | nu w a<w, w>")),
+         weak=True, lazy=True, calculus="bpi")
+def test_indexed_output_answers_equal_a_full_scan(x, y, weak, lazy,
+                                                  calculus):
+    indexed, scanning = (
+        _LabelledGame(weak, Budget(max_states=100_000).meter(), lazy=lazy,
+                      backend=calculus) for _ in range(2))
+    moves, by_shape = indexed.outputs(x)
+    assert [(a, t) for _, a, t in moves] == _outputs(x, indexed.backend)
+    assert set(by_shape) == {shape for shape, _, _ in moves}
+    for shape, group in by_shape.items():
+        assert group == [(a, t) for s, a, t in moves if s == shape]
+    fn_pair = free_names(x) | free_names(y)
+    for shape, action, target in moves:
+        assert shape == _output_shape(action)
+        ref, _ = _canonicalize_output(action, target, fn_pair)
+        assert _output_shape(ref) == shape
+        # Twice: the global path must charge its closures on every ask,
+        # the on-the-fly path its reach sets once per run.
+        for _ in range(2):
+            assert (indexed._answer_outputs(y, ref, shape)
+                    == _scanned_answers(scanning, y, ref))
+    assert indexed.meter.states == scanning.meter.states

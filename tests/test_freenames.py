@@ -5,12 +5,14 @@ from hypothesis import given
 
 from repro.core.builder import call, inp, nu, out, par, tau
 from repro.core.freenames import (
+    NotAProcess,
     all_names,
     bound_names,
     check_guarded,
     free_idents,
     free_names,
     is_closed,
+    validate,
 )
 from repro.core.parser import parse
 from repro.core.syntax import NIL, Ident, Input, Match, Output, Rec, Restrict
@@ -95,6 +97,26 @@ class TestGuardedness:
         # Only the identifier bound by the rec must be guarded in its body.
         open_term = Rec("X", ("x",), Input("x", (), Ident("X", ("x",))) | Ident("Y", ()), ("a",))
         check_guarded(open_term)
+
+
+class TestValidate:
+    """A process in the paper's sense: closed and guarded."""
+
+    def test_closed_guarded_term_passes(self):
+        validate(parse("rec X(x := a). x?.X<x> | b!"))
+
+    def test_open_term_rejected(self):
+        with pytest.raises(NotAProcess, match="not a closed process"):
+            validate(parse("X<a>"))
+        with pytest.raises(NotAProcess, match="'Y'"):
+            validate(Rec("X", ("x",), Input("x", (), Ident("Y", ())), ("a",)))
+
+    def test_unguarded_term_rejected(self):
+        with pytest.raises(NotAProcess, match="unguarded"):
+            validate(parse("rec X(). X"))
+
+    def test_not_a_process_is_a_value_error(self):
+        assert issubclass(NotAProcess, ValueError)
 
 
 @given(processes1)

@@ -230,6 +230,57 @@ print(json.dumps(rows))
 """
 
 
+#: Pairs charged by the labelled checkers on their other paths, pinned the
+#: same way: (strategy, weak, family, size, second side, verdict, pairs
+#: charged).  The strong on-the-fly ``broadcast_star(7)`` rows are the
+#: slowest labelled asks of ``check-stream``; the ``global`` rows show the
+#: oracle's per-call closure charging untouched by the on-the-fly memos.
+_PINNED_LABELLED_CHARGES = [
+    ("onthefly", False, "star", 7, "wrong", "FALSE", 2),
+    ("onthefly", False, "star", 7, "idle", "TRUE", 189),
+    ("global", False, "relay", 3, "wrong", "FALSE", 35),
+    ("global", False, "relay", 3, "idle", "TRUE", 46),
+    ("global", True, "relay", 3, "wrong", "FALSE", 1661),
+    ("global", True, "relay", 3, "idle", "TRUE", 1948),
+    ("global", False, "star", 4, "wrong", "FALSE", 129),
+    ("global", False, "star", 4, "idle", "TRUE", 243),
+    ("global", True, "star", 4, "wrong", "FALSE", 129),
+    ("global", True, "star", 4, "idle", "TRUE", 243),
+]
+
+_LABELLED_CHARGE_SCRIPT = """
+import json, sys
+from benchmarks.helpers import (broadcast_star, broadcast_star_wrong,
+                                idle_listener, relay_star)
+from repro.core.builder import par
+from repro.engine import Budget
+from repro.equiv.labelled import labelled_bisimilar
+families = {"relay": (relay_star, lambda n: relay_star(n, wrong=0)),
+            "star": (broadcast_star, broadcast_star_wrong)}
+rows = []
+for strategy, weak, family, n, other in json.loads(sys.argv[1]):
+    make, make_wrong = families[family]
+    q = make_wrong(n) if other == "wrong" else par(make(n), idle_listener())
+    meter = Budget(max_states=100_000).meter()
+    verdict = labelled_bisimilar(make(n), q, weak=weak, budget=meter,
+                                 strategy=strategy)
+    rows.append([verdict.truth.name, meter.states])
+print(json.dumps(rows))
+"""
+
+
+def _charges_in_subprocess(script, rows, hash_seed):
+    root = pathlib.Path(__file__).parent.parent
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), str(root), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(rows)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr[-2000:]
+    return json.loads(result.stdout)
+
+
 class TestCrossProcessCharges:
     @pytest.mark.parametrize("hash_seed", ["0", "1", "random"])
     def test_weak_onthefly_charges_pinned_under_every_hash_seed(
@@ -237,18 +288,16 @@ class TestCrossProcessCharges:
         # A budget verdict must be a pure function of the budget: the weak
         # search walks reach sets in discovery order, so the pairs it
         # charges cannot depend on the process's hash salt or addresses.
-        root = pathlib.Path(__file__).parent.parent
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(root / "src"), str(root),
-                          env.get("PYTHONPATH")]))
         rows = [list(row[:3]) for row in _PINNED_CHARGES]
-        result = subprocess.run(
-            [sys.executable, "-c", _CHARGE_SCRIPT, json.dumps(rows)],
-            env=env, capture_output=True, text=True, timeout=300)
-        assert result.returncode == 0, result.stderr[-2000:]
-        got = json.loads(result.stdout)
+        got = _charges_in_subprocess(_CHARGE_SCRIPT, rows, hash_seed)
         assert got == [list(row[3:]) for row in _PINNED_CHARGES]
+
+    @pytest.mark.parametrize("hash_seed", ["0", "1", "random"])
+    def test_labelled_strong_and_global_charges_pinned(self, hash_seed):
+        rows = [list(row[:5]) for row in _PINNED_LABELLED_CHARGES]
+        got = _charges_in_subprocess(_LABELLED_CHARGE_SCRIPT, rows,
+                                     hash_seed)
+        assert got == [list(row[5:]) for row in _PINNED_LABELLED_CHARGES]
 
 
 class TestStrictDecoding:
