@@ -24,13 +24,8 @@ from .nf import NFInput, NFOutput, NFPrefix, NFTau, NotFinite, head_summands
 from .system import (
     Equation,
     all_axiom_instances,
-    alpha_axiom_holds,
-    axiom_C,
-    axiom_CP,
     axiom_H,
-    axiom_P1,
     axiom_R,
-    axiom_RM,
     axiom_RP,
     axiom_S,
     axiom_SP,
@@ -42,7 +37,6 @@ __all__ = [
     "all_partitions", "entails", "equivalent", "satisfiable",
     "bisimilar_finite", "congruent_finite", "noisy_finite", "rebuild_sum",
     "NFInput", "NFOutput", "NFPrefix", "NFTau", "NotFinite", "head_summands",
-    "Equation", "all_axiom_instances", "alpha_axiom_holds",
-    "axiom_C", "axiom_CP", "axiom_H", "axiom_P1", "axiom_R", "axiom_RM",
-    "axiom_RP", "axiom_S", "axiom_SP", "expansion_instance",
+    "Equation", "all_axiom_instances", "axiom_H", "axiom_R", "axiom_RP",
+    "axiom_S", "axiom_SP", "expansion_instance",
 ]

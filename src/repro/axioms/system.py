@@ -24,7 +24,7 @@ from typing import Callable, Iterator
 from ..core.builder import nu
 from ..core.freenames import free_names
 from ..core.names import Name
-from ..core.substitution import alpha_eq, apply_subst
+from ..core.substitution import apply_subst
 from ..core.syntax import (
     NIL,
     Input,
@@ -248,7 +248,3 @@ def all_axiom_instances(p: Process, q: Process, r: Process,
     yield from axiom_RM(p)
     yield from axiom_P1(p)
 
-
-def alpha_axiom_holds(p: Process, q: Process) -> bool:
-    """(A): alpha-equivalent processes are equated."""
-    return alpha_eq(p, q)

@@ -13,12 +13,10 @@ from .cbs import (
     Hear,
     Speak,
     alphabet,
-    cbs_transitions,
     hears,
     speaks,
     to_bpi,
 )
-from .cbs import NIL as CBS_NIL
 from .cbs import discards as cbs_discards
 from .data import (
     and_gate,
@@ -48,8 +46,8 @@ __all__ = [
     "BpiBackend", "CalculusBackend", "LossyBackend", "StructuralBackend",
     "Topology", "WirelessBackend",
     "ETHER", "CbsNil", "CbsPar", "CbsProcess", "CbsRec", "CbsSum", "CbsVar",
-    "Hear", "Speak", "alphabet", "cbs_transitions", "hears", "speaks",
-    "to_bpi", "CBS_NIL", "cbs_discards",
+    "Hear", "Speak", "alphabet", "hears", "speaks", "to_bpi",
+    "cbs_discards",
     "and_gate", "bool_at", "cell_at", "false_at", "if_then_else",
     "not_gate", "pair_at", "read_cell", "true_at", "unpair", "write_cell",
     "pi_to_bpi",

@@ -12,29 +12,31 @@ Implemented here:
   ``p + q``, ``p | q``, ``rec X. p``;
 * its LTS — speak ``v!``, hear ``v?``, discard ``v:`` — with the broadcast
   composition rule (one speaker, everyone else hears or discards);
-* strong bisimilarity via the shared partition machinery (labels are from
-  the finite alphabet, so plain refinement applies);
-* the *ether translation* into the bpi-calculus: one global channel ``e``
+* the *ether translation* into the bpi-calculus: one global channel
   carries the values (as names) — every CBS process is a bpi process that
   never uses mobility.  The correspondence (the translation is a strong
-  operational bisimulation) is property-tested in the suite, exhibiting
-  bpi as a conservative extension of CBS.
+  operational bisimulation: speak, hear and discard map to ether output,
+  input and discard) is property-tested in the suite against the CBS
+  judgements above, exhibiting bpi as a conservative extension of CBS;
+* strong bisimilarity, decided as bpi strong bisimilarity (Definition 8)
+  of the two ether images.  bpi's input clause answers a reception by a
+  reception or a discard, which is CBS's noisy notion: ``x?O ~ O``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator
 
-from ..core.builder import call, define
+from ..core.names import fresh_name
 from ..core.syntax import NIL as BPI_NIL
+from ..core.syntax import Ident as BpiIdent
 from ..core.syntax import Input as BpiInput
 from ..core.syntax import Output as BpiOutput
 from ..core.syntax import Par as BpiPar
 from ..core.syntax import Process as BpiProcess
+from ..core.syntax import Rec as BpiRec
 from ..core.syntax import Sum as BpiSum
-from ..engine.budget import Budget, BudgetExceeded, Meter, resolve_meter
+from ..engine.budget import Budget, Meter
 from ..engine.verdict import Verdict
 
 #: The bpi channel standing for CBS's global ether.
@@ -176,7 +178,6 @@ def unfold(p: CbsRec) -> CbsProcess:
 # Semantics
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=65536)
 def speaks(p: CbsProcess) -> tuple[tuple[str, CbsProcess], ...]:
     """All ``p -v!-> p'``."""
     if isinstance(p, (CbsNil, Hear, CbsVar)):
@@ -199,7 +200,6 @@ def speaks(p: CbsProcess) -> tuple[tuple[str, CbsProcess], ...]:
     raise TypeError(type(p).__name__)
 
 
-@lru_cache(maxsize=65536)
 def hears(p: CbsProcess, v: str) -> tuple[CbsProcess, ...]:
     """All ``p -v?-> p'`` (a hearing process cannot refuse)."""
     if isinstance(p, (CbsNil, Speak, CbsVar)):
@@ -252,97 +252,79 @@ def alphabet(p: CbsProcess) -> frozenset[str]:
     raise TypeError(type(p).__name__)
 
 
-def cbs_transitions(p: CbsProcess, values: frozenset[str],
-                    noisy: bool = False) -> Iterator[tuple[str, CbsProcess]]:
-    """Full labelled transitions over a value alphabet: ``v!`` and ``v?``.
-
-    With *noisy* the discard ``v:`` appears as a ``v?`` self-loop — CBS's
-    bisimilarity (like bpi's Definition 7/8) matches a reception against a
-    reception *or a discard*, and the self-loop encodes exactly that for
-    partition refinement.
-    """
-    for v, q in speaks(p):
-        yield (f"{v}!", q)
-    for v in sorted(values):
-        heard = hears(p, v)
-        for q in heard:
-            yield (f"{v}?", q)
-        if noisy and not heard:
-            yield (f"{v}?", p)
-
-
-def cbs_bisimilar(p: CbsProcess, q: CbsProcess, *, noisy: bool = True,
-                  budget: Budget | Meter | None = None) -> Verdict:
-    """Strong bisimilarity of CBS terms via explicit LTS + refinement.
-
-    ``noisy=True`` (the CBS notion): hearing may be answered by a discard,
-    so ``x?O ~ O`` — receiving and ignoring is invisible, just as in bpi.
-    ``noisy=False`` matches hear-labels strictly (the ~+-style relation).
-    Returns a three-valued :class:`~repro.engine.Verdict`.
-    """
-    from ..lts.graph import LTS, grow
-    from ..lts.partition import coarsest_partition_labelled
-
-    meter = resolve_meter(budget, Budget(max_states=20_000))
-    values = alphabet(p) | alphabet(q) | {"_w"}
-    lts = LTS()
-    try:
-        for _ in grow(lts, (p, q),
-                      lambda s: cbs_transitions(s, values, noisy=noisy),
-                      meter, canonical=lambda s: s):
-            pass
-        labels = sorted({lab for es in lts.edges for lab, _ in es})
-        per_label = [[frozenset(t for lab2, t in es if lab2 == lab)
-                      for es in lts.edges] for lab in labels]
-        block = coarsest_partition_labelled(per_label, [0] * lts.n_states,
-                                            budget=meter)
-    except BudgetExceeded as exc:
-        return Verdict.from_exceeded(exc)
-    return Verdict.of(block[lts.index[p]] == block[lts.index[q]],
-                      stats=meter.stats())
-
-
 # ---------------------------------------------------------------------------
 # The ether translation into bpi
 # ---------------------------------------------------------------------------
+
+def _names(p: CbsProcess) -> frozenset[str]:
+    """Every value and variable occurring in *p*, bound or free."""
+    if isinstance(p, (CbsNil, CbsVar)):
+        return frozenset()
+    if isinstance(p, Speak):
+        return _names(p.cont) | {p.value}
+    if isinstance(p, Hear):
+        return _names(p.cont) | {p.var}
+    if isinstance(p, (CbsSum, CbsPar)):
+        return _names(p.left) | _names(p.right)
+    if isinstance(p, CbsRec):
+        return _names(p.body)
+    raise TypeError(type(p).__name__)
+
 
 def to_bpi(p: CbsProcess, ether: str = ETHER) -> BpiProcess:
     """Translate a CBS term to a bpi term over one global channel.
 
     ``v! p`` becomes ``ether<v>.[p]``; ``x? p`` becomes ``ether(x).[p]``;
-    everything else is homomorphic.  The translation is a strong
-    operational correspondence (tested): speak steps map to broadcasts on
-    the ether, hear steps to receptions.
-    """
-    counter = [0]
+    ``rec X. p`` becomes ``(rec X(ether). [p])<ether>`` with value
+    literals as global constants; everything else is homomorphic.  The
+    translation is a strong operational correspondence (tested): speak
+    steps map to broadcasts on the ether, hear steps to receptions.
 
-    def tr(q: CbsProcess, env: dict[str, str]) -> BpiProcess:
+    A ``rec`` nested in another may mention the enclosing identifier: the
+    bpi ``rec`` keeps it free, and rule (11) substitutes the enclosing
+    recursion when it unfolds, just as :func:`unfold` does.  Raises
+    ``ValueError`` on a hear variable named *ether*, which would bind the
+    channel, and on an unbound identifier.
+    """
+
+    def tr(q: CbsProcess, bound: frozenset[str]) -> BpiProcess:
         if isinstance(q, CbsNil):
             return BPI_NIL
         if isinstance(q, Speak):
-            return BpiOutput(ether, (q.value,), tr(q.cont, env))
+            return BpiOutput(ether, (q.value,), tr(q.cont, bound))
         if isinstance(q, Hear):
-            return BpiInput(ether, (q.var,), tr(q.cont, env))
+            if q.var == ether:
+                raise ValueError(
+                    f"hear variable {q.var!r} would capture the ether channel")
+            return BpiInput(ether, (q.var,), tr(q.cont, bound))
         if isinstance(q, CbsSum):
-            return BpiSum(tr(q.left, env), tr(q.right, env))
+            return BpiSum(tr(q.left, bound), tr(q.right, bound))
         if isinstance(q, CbsPar):
-            return BpiPar(tr(q.left, env), tr(q.right, env))
+            return BpiPar(tr(q.left, bound), tr(q.right, bound))
         if isinstance(q, CbsVar):
-            ident = env.get(q.ident)
-            if ident is None:
+            if q.ident not in bound:
                 raise ValueError(f"unbound CBS identifier {q.ident!r}")
-            return call(ident, ether)
+            return BpiIdent(q.ident, (ether,))
         if isinstance(q, CbsRec):
-            counter[0] += 1
-            ident = f"CBS{counter[0]}_{q.ident}"
-            inner_env = dict(env)
-            inner_env[q.ident] = ident
-            body = tr(q.body, inner_env)
-            # Value literals act as global constants: the recursion is
-            # parameterised only over the ether channel.
-            definition = define(ident, (ether,), lambda _e: body,
-                                constants=tuple(sorted(alphabet(q))))
-            return definition(ether)
+            body = tr(q.body, bound | {q.ident})
+            return BpiRec(q.ident, (ether,), body, (ether,))
         raise TypeError(type(q).__name__)
 
-    return tr(p, {})
+    return tr(p, frozenset())
+
+
+def cbs_bisimilar(p: CbsProcess, q: CbsProcess, *,
+                  budget: Budget | Meter | None = None) -> Verdict:
+    """Strong bisimilarity of CBS terms: bpi strong bisimilarity of their
+    ether images, both translated under one ether name fresh for every
+    value and variable of *p* and *q*.
+
+    Hearing may be answered by a discard, so ``x?O ~ O`` — receiving and
+    ignoring is invisible, just as in bpi.  Returns a three-valued
+    :class:`~repro.engine.Verdict`.
+    """
+    from ..equiv.labelled import strong_bisimilar
+
+    ether = fresh_name(_names(p) | _names(q), hint=ETHER)
+    return strong_bisimilar(to_bpi(p, ether), to_bpi(q, ether),
+                            budget=budget)

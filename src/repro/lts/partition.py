@@ -15,7 +15,7 @@ see a block change, and after a split only the *predecessors of moved
 states* get their signatures recomputed — so the cost per round is
 proportional to the actual splits, not to re-signaturing the whole system.
 :func:`coarsest_partition_labelled` runs the same engine with per-label
-signatures for the LTS minimizer and CBS bisimilarity.
+signatures for the LTS minimizer.
 """
 
 from __future__ import annotations

@@ -70,7 +70,7 @@ __all__ = [
     "inc", "gauge", "observe", "counter_value", "metrics_snapshot",
     "kernel_cache_metrics", "format_metrics", "clear_metrics",
     # progress
-    "report", "add_callback", "remove_callback", "clear_callbacks",
+    "report", "add_callback", "remove_callback",
     "stderr_reporter", "RateLimited", "ProgressCallback",
 ]
 

@@ -10,8 +10,6 @@ from .analysis import (
 )
 from .simulator import (
     Policy,
-    random_policy,
-    round_robin_policy,
     run,
     run_until_quiescent,
     sample_runs,
@@ -21,6 +19,6 @@ from .trace import Trace, TraceEvent
 __all__ = [
     "can_diverge", "can_reach_barb", "eventually_always", "find_quiescent",
     "invariant_holds", "reachable_states",
-    "Policy", "random_policy", "round_robin_policy", "run",
-    "run_until_quiescent", "sample_runs", "Trace", "TraceEvent",
+    "Policy", "run", "run_until_quiescent", "sample_runs", "Trace",
+    "TraceEvent",
 ]
