@@ -8,7 +8,14 @@ node-level memoization makes re-canonicalization of shared states cheap
 
 import pytest
 
-from benchmarks.helpers import broadcast_star, deep_choice, random_finite
+from benchmarks.helpers import (
+    broadcast_star,
+    deep_choice,
+    random_finite,
+    relay_star,
+)
+from repro.api import explore
+from repro.core import syntax
 from repro.core.cache import cache_stats, clear_caches
 from repro.core.canonical import canonical_state
 from repro.core.parser import parse
@@ -47,6 +54,32 @@ def test_canonicalization_warm_vs_cold(benchmark, size):
     cold, warm = benchmark(canonicalize_twice)
     for c, w in zip(cold, warm):
         assert c is w  # memoized on the node, not recomputed
+
+
+#: (term, states, spine flattenings computed by one cold exploration).
+#: Without the sub-spine memo the spine walk visits every spine node of
+#: every edge target again: 30,505 visits for the star, 4,410 for the
+#: relay.
+SPINE_FLATTENINGS = [
+    ("broadcast_star(10)", broadcast_star, 10, 1025, 3358),
+    ("relay_star(5)", relay_star, 5, 244, 757),
+]
+
+
+@pytest.mark.parametrize("case", SPINE_FLATTENINGS, ids=lambda c: c[0])
+def test_spine_flattened_once_per_node(benchmark, case):
+    """A successor's spine is flattened from its sources' memoized
+    sub-spines: an exact count of the ``_sp`` slots a cold exploration
+    fills, read after the run, so it holds on any host."""
+    _, build, n, states, flattenings = case
+
+    def explore_cold():
+        clear_caches()
+        return explore(build(n))
+
+    assert len(benchmark(explore_cold).lts.states) == states
+    filled = [q for q in syntax._INTERN.values() if hasattr(q, "_sp")]
+    assert len(filled) == flattenings
 
 
 def test_identity_after_reparse(benchmark):

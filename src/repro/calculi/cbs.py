@@ -131,7 +131,9 @@ def substitute_value(p: CbsProcess, var: str, value: str) -> CbsProcess:
     """Replace the pattern variable *var* by a received *value*.
 
     Values and variables share a namespace (as in value-passing CCS/CBS);
-    a ``Speak`` of a variable broadcasts whatever was received.
+    a ``Speak`` of a variable broadcasts whatever was received.  The
+    substitution is capture-avoiding: a hear variable named like *value*
+    is renamed apart when *var* occurs under it.
     """
     if isinstance(p, CbsNil) or isinstance(p, CbsVar):
         return p
@@ -141,6 +143,10 @@ def substitute_value(p: CbsProcess, var: str, value: str) -> CbsProcess:
     if isinstance(p, Hear):
         if p.var == var:  # shadowed
             return p
+        if p.var == value and var in alphabet(p.cont):
+            new = fresh_name(_names(p.cont) | {var, value}, hint=p.var)
+            cont = substitute_value(p.cont, p.var, new)
+            return Hear(new, substitute_value(cont, var, value))
         return Hear(p.var, substitute_value(p.cont, var, value))
     if isinstance(p, CbsSum):
         return CbsSum(substitute_value(p.left, var, value),

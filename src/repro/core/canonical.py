@@ -22,6 +22,15 @@ original's modulo re-canonicalization of targets — the property tests in
 The transformation only touches the *active* structure of the state (the
 part the next transition can see); continuations under prefixes are left
 untouched apart from the final global alpha-canonicalization.
+
+Every part is memoized on the interned nodes.  A successor built by the
+parallel rules shares almost all of its spine with its source, so the
+flattened, normalized components of each binder-free sub-spine are kept
+in a slot (``_sp``/``_sp2``, one per collapse mode) and a new state's
+spine is flattened by walking only its new ``Par`` nodes.  The memo stops
+at a restriction: hoisting one renames its binder against the free names
+of the whole composition and the binders hoisted before it, so only a
+binder-free sub-spine flattens the same in every context.
 """
 
 from __future__ import annotations
@@ -147,9 +156,9 @@ def canonical_state_collapsed(p: Process) -> Process:
 
 
 canonical_state.cache_clear = (  # type: ignore[attr-defined]
-    lambda: purge_node_caches(("_canon", "_nf")))
+    lambda: purge_node_caches(("_canon", "_nf", "_sp")))
 canonical_state_collapsed.cache_clear = (  # type: ignore[attr-defined]
-    lambda: purge_node_caches(("_canon2", "_nf2")))
+    lambda: purge_node_caches(("_canon2", "_nf2", "_sp2")))
 
 
 def _normalize(p: Process, collapse: bool) -> Process:
@@ -196,12 +205,57 @@ def _normalize_uncached(p: Process, collapse: bool) -> Process:
     raise TypeError(f"unexpected node {type(p).__name__} in closed state")
 
 
+def _flatten_spine(q: Process, collapse: bool) -> tuple[Process, ...] | None:
+    """The normalized components of the binder-free sub-spine *q*, in
+    walk order, or ``None`` when the walk would reach a restriction.
+
+    Memoized per interned node (one slot per collapse mode; ``None`` too).
+    A spine that reaches a restriction is left to
+    :func:`_normalize_composition`'s walk, because hoisting the binder
+    depends on the whole composition (see the module docstring).
+    """
+    slot = "_sp2" if collapse else "_sp"
+    try:
+        return getattr(q, slot)
+    except AttributeError:
+        pass
+    result: tuple[Process, ...] | None
+    if isinstance(q, Restrict):
+        result = None
+    elif isinstance(q, Par):
+        left = _flatten_spine(q.left, collapse)
+        right = _flatten_spine(q.right, collapse)
+        result = (None if left is None or right is None
+                  else left + right)
+    elif isinstance(q, Match):
+        result = _flatten_spine(q.then if q.left == q.right else q.orelse,
+                                collapse)
+    else:
+        nq = _normalize(q, collapse)
+        if isinstance(nq, Nil):
+            result = ()
+        elif isinstance(nq, (Par, Restrict)):
+            # Normalization exposed more structure (e.g. a sum with one
+            # summand that is a composition); keep flattening.
+            result = _flatten_spine(nq, collapse)
+        else:
+            result = (nq,)
+    setattr(q, slot, result)
+    return result
+
+
 def _normalize_composition(p: Process, collapse: bool) -> Process:
     """Normalize a parallel composition with restrictions hoisted on top.
 
     Produces ``nu x1 .. nu xk (q1 || ... || qn)`` with: unused restrictions
     dropped (law h), components sorted (laws c, d), nil components dropped
     (law b), binders renamed apart and ordered by first use.
+
+    The walk over the spine stops at every binder-free sub-spine and reads
+    its components from :func:`_flatten_spine`'s memo; it walks on only
+    through restrictions, whose hoisting depends on the context.  When no
+    binder is hoisted at all, the components go straight from the sort
+    (and the collapse) to the rebuilt spine.
     """
     binders: list[Name] = []
     components: list[Process] = []
@@ -211,6 +265,10 @@ def _normalize_composition(p: Process, collapse: bool) -> Process:
     avoid_base = set(free_names(p))
 
     def collect(q: Process) -> None:
+        flat = _flatten_spine(q, collapse)
+        if flat is not None:
+            components.extend(flat)
+            return
         if isinstance(q, Restrict):
             name, body = q.name, q.body
             if name in avoid_base or name in binders:
@@ -228,17 +286,17 @@ def _normalize_composition(p: Process, collapse: bool) -> Process:
         if isinstance(q, Match):
             collect(q.then if q.left == q.right else q.orelse)
             return
-        nq = _normalize(q, collapse)
-        if isinstance(nq, Nil):
-            return
-        if isinstance(nq, (Par, Restrict)):
-            # Normalization exposed more structure (e.g. a match resolved
-            # to a composition); keep flattening.
-            collect(nq)
-            return
-        components.append(nq)
+        # A leaf whose normal form is a composition with a binder.
+        collect(_normalize(q, collapse))
 
     collect(p)
+    if not binders:
+        # Nothing was hoisted: blind_key below is _sort_key, and there is
+        # nothing to push back inside a component or order by occurrence.
+        components.sort(key=_sort_key)
+        if collapse:
+            components = _dedup_alpha(components)
+        return _rebuild(components, Par, NIL)
     # Push every binder used by exactly ONE component back inside it (law
     # j in reverse).  Self-contained components compare equal across
     # states regardless of which top-level binder slot their private names
@@ -278,19 +336,7 @@ def _normalize_composition(p: Process, collapse: bool) -> Process:
 
     components.sort(key=blind_key)
     if collapse:
-        # Collapse duplicates modulo alpha.  Shared hoisted binders are
-        # free names at the component level and stay rigid under
-        # canonical_alpha, so components referencing *different* shared
-        # binders never merge; self-contained garbage fragments (whose
-        # privates were pushed back inside) do.
-        deduped: list[Process] = []
-        seen_keys: set[Process] = set()
-        for comp in components:
-            key = canonical_alpha(comp)
-            if key not in seen_keys:
-                seen_keys.add(key)
-                deduped.append(comp)
-        components = deduped
+        components = _dedup_alpha(components)
     body = _rebuild(components, Par, NIL)
     # Drop unused binders (law h), order used ones by first free occurrence
     # in the sorted body (laws i + j make any order equivalent), so that
@@ -308,3 +354,21 @@ def _normalize_composition(p: Process, collapse: bool) -> Process:
         out = Restrict(b, out)
     return out
 
+
+
+def _dedup_alpha(components: list[Process]) -> list[Process]:
+    """Collapse duplicate components modulo alpha, keeping first copies.
+
+    Shared hoisted binders are free names at the component level and stay
+    rigid under canonical_alpha, so components referencing *different*
+    shared binders never merge; self-contained garbage fragments (whose
+    privates were pushed back inside) do.
+    """
+    deduped: list[Process] = []
+    seen_keys: set[Process] = set()
+    for comp in components:
+        key = canonical_alpha(comp)
+        if key not in seen_keys:
+            seen_keys.add(key)
+            deduped.append(comp)
+    return deduped

@@ -42,6 +42,7 @@ from repro.calculi.pi import (
 from repro.core.actions import OutputAction, TauAction
 from repro.core.parser import parse
 from repro.core.semantics import input_continuations, step_transitions
+from repro.core.substitution import canonical_alpha
 from repro.equiv.barbed import strong_barbed_bisimilar
 from repro.equiv.congruence import congruent
 from repro.engine import Budget
@@ -73,19 +74,22 @@ def _close(p):
 
 
 def cbs_terms():
-    atoms = st.sampled_from([CO, Speak("u"), Speak("v"),
+    """Closed CBS terms.  Values may be named like the hear variables, so
+    a broadcast can carry a value that an inner hear would capture."""
+    values = st.sampled_from(["u", "v", "x", "y"])
+    atoms = st.sampled_from([CO, Speak("u"), Speak("v"), Speak("x"),
                              Hear("x", Speak("x")), Hear("y", Speak("y")),
+                             Hear("y", Hear("x", Speak("y"))),
                              CbsVar("X"), CbsVar("Y")])
 
     def extend(children):
         return st.one_of(
-            st.builds(Speak, st.sampled_from(["u", "v"]), children),
+            st.builds(Speak, values, children),
             st.builds(Hear, st.sampled_from(["x", "y"]), children),
             st.builds(CbsSum, children, children),
             st.builds(CbsPar, children, children),
             st.builds(lambda ident, v, c: CbsRec(ident, Speak(v, c)),
-                      st.sampled_from(["X", "Y"]),
-                      st.sampled_from(["u", "v"]), children),
+                      st.sampled_from(["X", "Y"]), values, children),
         )
 
     return st.recursive(atoms, extend, max_leaves=4).map(_close)
@@ -122,6 +126,17 @@ class TestCbsSemantics:
         [(v2, _)] = speaks(q)
         assert v2 == "tick"
 
+    def test_hear_does_not_capture_the_received_value(self):
+        # Receiving the literal x must not bind it to the inner hear x.
+        [q] = hears(Hear("y", Hear("x", Speak("y"))), "x")
+        assert q == Hear("x'", Speak("x"))
+        [(_, spoken)] = speaks(CbsPar(Speak("x"),
+                                      Hear("y", Hear("x", Speak("y")))))
+        assert spoken == CbsPar(CO, Hear("x'", Speak("x")))
+        # Nothing to capture: the hear variable keeps its name.
+        [q] = hears(Hear("y", Hear("x", Speak("x"))), "x")
+        assert q == Hear("x", Speak("x"))
+
     def test_sum_hearing_drops_other_branch(self):
         p = CbsSum(Hear("x", Speak("x")), Speak("w"))
         assert hears(p, "v") == (Speak("v"),)
@@ -151,8 +166,9 @@ class TestEtherTranslation:
         residual, and vice versa (one direction checked structurally;
         the other by count)."""
         image = to_bpi(p)
-        cbs_moves = {(v, to_bpi(q)) for v, q in speaks(p)}
-        bpi_moves = {(a.objects[0], t) for a, t in step_transitions(image)
+        cbs_moves = {(v, canonical_alpha(to_bpi(q))) for v, q in speaks(p)}
+        bpi_moves = {(a.objects[0], canonical_alpha(t))
+                     for a, t in step_transitions(image)
                      if isinstance(a, OutputAction)}
         assert cbs_moves == bpi_moves
 
@@ -160,9 +176,12 @@ class TestEtherTranslation:
     @settings(max_examples=50, deadline=None)
     def test_strong_correspondence_hear(self, p):
         image = to_bpi(p)
-        for v in sorted(alphabet(p) | {"w"}):
-            cbs_moves = {to_bpi(q) for q in hears(p, v)}
-            bpi_moves = set(input_continuations(image, "ether", (v,)))
+        for v in sorted(alphabet(p) | {"w", "x", "y"}):
+            # Compared modulo alpha: both sides rename a hear variable
+            # that would capture the received value, each its own way.
+            cbs_moves = {canonical_alpha(to_bpi(q)) for q in hears(p, v)}
+            bpi_moves = {canonical_alpha(q)
+                         for q in input_continuations(image, "ether", (v,))}
             assert cbs_moves == bpi_moves
 
     @given(cbs_terms())
@@ -170,7 +189,7 @@ class TestEtherTranslation:
     def test_discard_preserved(self, p):
         image = to_bpi(p)
         from repro.core.discard import discards
-        for v in ("u", "v", "w"):
+        for v in ("u", "v", "w", "x", "y"):
             # in CBS, discarding v means no hear-derivative; the image
             # discards the ether iff it hears nothing at all
             if cbs_discards(p, v):

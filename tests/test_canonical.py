@@ -6,18 +6,27 @@ matching transition sets modulo re-canonicalization of the targets.
 """
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.actions import TAU
 from repro.core.cache import clear_caches
-from repro.core.canonical import canonical_state, canonical_state_collapsed
+from repro.core.canonical import (
+    _flatten,
+    _rebuild,
+    _sort_key,
+    canonical_state,
+    canonical_state_collapsed,
+)
 from repro.core.discard import discards
 from repro.core.freenames import free_names, free_occurrence_order
+from repro.core.names import fresh_name
 from repro.core.parser import parse
 from repro.core.pretty import pretty
 from repro.core.reduction import barbs
 from repro.core.semantics import input_continuations, step_transitions
-from repro.core.substitution import canonical_alpha
+from repro.core.substitution import apply_subst, canonical_alpha
 from repro.core.syntax import (
+    NIL,
     Input,
     Match,
     Nil,
@@ -257,6 +266,31 @@ def test_canonical_forms_independent_of_memo_state(p):
     assert canonical_alpha(warm) == _oracle_alpha(warm)
 
 
+def test_spine_slots_are_purged():
+    """The sub-spine memo lives in ``_sp``/``_sp2``; each canonical form's
+    ``cache_clear`` purges its own, and ``clear_caches`` both."""
+    p = parse("a! | (b?.c! | nu x (x! | a<x>)) | (c! | [a=a]{b! | 0}{0})")
+    nodes = list(iter_subterms(p))
+
+    def filled(slot):
+        return [q for q in nodes if hasattr(q, slot)]
+
+    def fill():
+        canonical_state(p)
+        canonical_state_collapsed(p)
+        assert filled("_sp") and filled("_sp2")
+
+    fill()
+    canonical_state.cache_clear()
+    assert not filled("_sp") and filled("_sp2")
+    fill()
+    canonical_state_collapsed.cache_clear()
+    assert filled("_sp") and not filled("_sp2")
+    fill()
+    clear_caches()
+    assert not filled("_sp") and not filled("_sp2")
+
+
 @given(processes1)
 def test_free_occurrence_order_matches_preorder_walk(p):
     for q in iter_subterms(p):
@@ -267,3 +301,114 @@ def test_free_occurrence_order_under_rec():
     p = parse("rec X(x := a, y := b). x(z).(y<z> | X<y, x>) | c!")
     assert free_occurrence_order(p) == _oracle_occurrence_order(p) \
         == ("a", "b", "c")
+
+
+# -- the sub-spine memo against the walk it replaces -------------------------
+
+def _reference_normalize(p, collapse):
+    """``_normalize`` as it was before the sub-spine memo: every spine is
+    walked in full, and nothing is memoized."""
+    if isinstance(p, (Nil, Tau, Input, Output, Rec)):
+        return p
+    if isinstance(p, Match):
+        return _reference_normalize(
+            p.then if p.left == p.right else p.orelse, collapse)
+    if isinstance(p, Sum):
+        parts = [nq for nq in (_reference_normalize(q, collapse)
+                               for q in _flatten(p, Sum))
+                 if not isinstance(nq, Nil)]
+        seen, unique = set(), []
+        for q in parts:
+            if canonical_alpha(q) not in seen:
+                seen.add(canonical_alpha(q))
+                unique.append(q)
+        unique.sort(key=_sort_key)
+        return _rebuild(unique, Sum, NIL)
+    binders, components = [], []
+    avoid_base = set(free_names(p))
+
+    def collect(q):
+        if isinstance(q, Restrict):
+            name, body = q.name, q.body
+            if name in avoid_base or name in binders:
+                new = fresh_name(avoid_base | set(binders) | free_names(body),
+                                 hint=name)
+                body = apply_subst(body, {name: new})
+                name = new
+            binders.append(name)
+            collect(body)
+        elif isinstance(q, Par):
+            collect(q.left)
+            collect(q.right)
+        elif isinstance(q, Match):
+            collect(q.then if q.left == q.right else q.orelse)
+        else:
+            nq = _reference_normalize(q, collapse)
+            if isinstance(nq, (Par, Restrict)):
+                collect(nq)
+            elif not isinstance(nq, Nil):
+                components.append(nq)
+
+    collect(p)
+    comp_free = [free_names(c) for c in components]
+    usage = {b: [i for i, fns in enumerate(comp_free) if b in fns]
+             for b in binders}
+    pushed = set()
+    for i, comp in enumerate(components):
+        mine = [b for b in binders if usage[b] == [i]]
+        order = {n: k for k, n in enumerate(free_occurrence_order(comp))}
+        mine.sort(key=lambda b: order.get(b, len(order)))
+        for b in reversed(mine):
+            comp = Restrict(b, comp)
+        components[i] = comp
+        pushed.update(mine)
+    binders = [b for b in binders if b not in pushed]
+
+    def blind_key(q):
+        hidden = set(binders) & free_names(q)
+        hole = apply_subst(q, {b: "_hole" for b in hidden})
+        return _sort_key(hole) + _sort_key(q)
+
+    components.sort(key=blind_key)
+    if collapse:
+        seen, deduped = set(), []
+        for comp in components:
+            if canonical_alpha(comp) not in seen:
+                seen.add(canonical_alpha(comp))
+                deduped.append(comp)
+        components = deduped
+    occurrence = {}
+    for comp in components:
+        for name in free_occurrence_order(comp):
+            occurrence.setdefault(name, len(occurrence))
+    out = _rebuild(components, Par, NIL)
+    for b in reversed(sorted((b for b in binders if b in occurrence),
+                             key=occurrence.__getitem__)):
+        out = Restrict(b, out)
+    return out
+
+
+def _contexts(p, q, name):
+    """*p* beside *q*, under a restriction of *name* (which may clash with
+    a free name of either), and beside a sibling that hoists *name* while
+    *p* and *q* may use it free."""
+    hoister = Restrict(name, Par(Output(name, ("a",), NIL),
+                                 Input("a", ("x",), Output(name, ("x",), NIL))))
+    return [Par(p, q), Restrict(name, Par(p, q)), Par(hoister, Par(p, q)),
+            Par(Par(q, hoister), p), Restrict(name, Par(hoister, p))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(processes1, processes1, st.sampled_from(("a", "b", "c", "x")))
+def test_spine_memo_matches_full_walk_in_every_context(p, q, name):
+    """Sub-spines first canonicalized standalone give the same canonical
+    forms inside other contexts as a full walk without any memo."""
+    clear_caches()
+    for s in (*iter_subterms(p), *iter_subterms(q)):
+        canonical_state(s)
+        canonical_state_collapsed(s)
+    for ctx in _contexts(p, q, name):
+        assert canonical_state(ctx) == \
+            canonical_alpha(_reference_normalize(ctx, False))
+        assert canonical_state_collapsed(ctx) == \
+            canonical_alpha(_reference_normalize(ctx, True))
