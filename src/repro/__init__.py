@@ -41,17 +41,7 @@ answer.
 
 import sys as _sys
 
-# Process terms are deep immutable trees (a long-running broadcast system
-# easily accumulates hundreds of parallel components); structural equality
-# and canonicalization recurse over them, so give CPython head-room.
-_sys.setrecursionlimit(max(_sys.getrecursionlimit(), 100_000))
-
-# NB: `repro.lint` is the static-analysis *package*; the facade verb is
-# `repro.api.lint` (re-exporting the verb here would shadow the package).
-from . import (
-    apps, axioms, calculi, core, engine, equiv, flow, lint, lts, obs,
-    runtime, store,
-)
+from ._lazy import lazy_exports
 from .api import Exploration, check, decide_axioms, explore, parse, reach
 from .engine import (
     Budget,
@@ -64,12 +54,23 @@ from .engine import (
     govern,
 )
 
+# Process terms are deep immutable trees (a long-running broadcast system
+# easily accumulates hundreds of parallel components); structural equality
+# and canonicalization recurse over them, so give CPython head-room.
+_sys.setrecursionlimit(max(_sys.getrecursionlimit(), 100_000))
+
 __version__ = "1.2.0"
 
-__all__ = [
-    # subpackages
-    "apps", "axioms", "calculi", "core", "engine", "equiv", "flow", "lint",
-    "lts", "obs", "runtime", "store",
+# A subpackage loads the first time it is read, so ``import repro`` costs
+# only the facade, the engine vocabulary and ``obs``; see "Import
+# layering" in docs/architecture.md.  NB: ``repro.lint`` is the
+# static-analysis *package*; the facade verb is ``repro.api.lint``
+# (re-exporting the verb here would shadow the package).
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".": ("apps", "axioms", "calculi", "core", "engine", "equiv", "flow",
+          "lint", "lts", "obs", "runtime", "store"),
+})
+__all__ += [
     # facade verbs
     "parse", "check", "explore", "decide_axioms", "reach", "Exploration",
     # engine vocabulary

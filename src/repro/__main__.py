@@ -82,7 +82,6 @@ from .core.syntax import Process
 from .calculi import registry as _registry
 from .engine.budget import Budget, BudgetExceeded
 from .runtime.analysis import can_reach_barb
-from .runtime.simulator import run as sim_run
 
 #: Exit status when a decision command's budget tripped (UNKNOWN).
 EXIT_UNKNOWN = 2
@@ -126,6 +125,7 @@ def _cmd_moves(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .runtime.simulator import run as sim_run
     p = _process(args.process)
     trace = sim_run(p, seed=args.seed, max_steps=args.max_steps,
                     calculus=args.calculus)

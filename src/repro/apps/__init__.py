@@ -1,5 +1,8 @@
 """The paper's worked examples as runnable applications."""
 
-from . import cycle_detection, pubsub, pvm, radio, ram, transactions
+from .._lazy import lazy_exports
 
-__all__ = ["cycle_detection", "pubsub", "pvm", "radio", "ram", "transactions"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".": ("cycle_detection", "pubsub", "pvm", "radio", "ram",
+          "transactions"),
+})

@@ -160,6 +160,12 @@ def substitute_value(p: CbsProcess, var: str, value: str) -> CbsProcess:
 
 
 def unfold(p: CbsRec) -> CbsProcess:
+    """``rec X. q`` unfolds to ``q[rec X. q / X]``, capture-avoiding: a
+    hear variable that would bind a free value of the recursion (one of
+    ``alphabet(p)``) is renamed apart before the recursion goes under it
+    (``rec X. x!(x?(X))`` keeps speaking the literal ``x``)."""
+    free = alphabet(p)
+
     def replace(q: CbsProcess) -> CbsProcess:
         if isinstance(q, CbsVar):
             return p if q.ident == p.ident else q
@@ -168,6 +174,9 @@ def unfold(p: CbsRec) -> CbsProcess:
         if isinstance(q, Speak):
             return Speak(q.value, replace(q.cont))
         if isinstance(q, Hear):
+            if q.var in free and _mentions(q.cont, p.ident):
+                new = fresh_name(_names(q.cont) | _names(p.body), hint=q.var)
+                return Hear(new, replace(substitute_value(q.cont, q.var, new)))
             return Hear(q.var, replace(q.cont))
         if isinstance(q, CbsSum):
             return CbsSum(replace(q.left), replace(q.right))
@@ -178,6 +187,19 @@ def unfold(p: CbsRec) -> CbsProcess:
         raise TypeError(type(q).__name__)
 
     return replace(p.body)
+
+
+def _mentions(p: CbsProcess, ident: str) -> bool:
+    """Does the identifier *ident* occur free in *p*?"""
+    if isinstance(p, CbsVar):
+        return p.ident == ident
+    if isinstance(p, (Speak, Hear)):
+        return _mentions(p.cont, ident)
+    if isinstance(p, (CbsSum, CbsPar)):
+        return _mentions(p.left, ident) or _mentions(p.right, ident)
+    if isinstance(p, CbsRec):
+        return p.ident != ident and _mentions(p.body, ident)
+    return False
 
 
 # ---------------------------------------------------------------------------

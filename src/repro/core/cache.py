@@ -20,32 +20,32 @@ references, so a long-running service embedding the library should call
 
 from __future__ import annotations
 
+import sys
 from typing import Any
 
 from . import semantics, syntax
+
+
+#: Layers above the kernel that memoize on interned nodes: backend memo
+#: tables and flow summaries must not outlive the intern table they were
+#: built against.  A layer not yet imported holds nothing to clear.
+_NODE_KEYED_LAYERS = ("repro.calculi.registry", "repro.flow.analysis")
 
 
 def clear_caches() -> None:
     """Reset the term kernel to a cold state.
 
     Purges all node-level memoized results, empties the intern table (and
-    its hit/miss counters) and clears the ``input_continuations`` cache.
+    its hit/miss counters), clears the ``input_continuations`` cache and
+    the node-keyed memo tables of the loaded upper layers (backends,
+    flow summaries); it imports no layer to do so.
     """
     syntax.clear_intern_table()
     semantics.input_continuations.cache_clear()
-    try:
-        from ..calculi import registry
-    except ImportError:  # pragma: no cover - calculi are optional extras
-        return
-    # Backend memo tables key on interned nodes, so they must not outlive
-    # the intern table they were built against.
-    registry.clear_caches()
-    try:
-        from .. import flow
-    except ImportError:  # pragma: no cover - flow is an optional layer
-        return
-    # Flow summaries key on interned roots too.
-    flow.clear_caches()
+    for name in _NODE_KEYED_LAYERS:
+        layer = sys.modules.get(name)
+        if layer is not None:
+            layer.clear_caches()
 
 
 def cache_stats() -> dict[str, Any]:

@@ -14,7 +14,7 @@ from typing import Mapping
 
 from ..obs import metrics as _metrics
 from ..obs.state import STATE as _OBS
-from .freenames import free_names, free_occurrence_order
+from .freenames import free_idents, free_names, free_occurrence_order
 from .names import Name, fresh_name
 from .syntax import (
     Ident,
@@ -157,8 +157,18 @@ def subst_ident(p: Process, ident: str, params: tuple[Name, ...],
     """Replace free occurrences ``X<z~>`` in *p* by ``(rec X(x~).body)<z~>``.
 
     This is the identifier part of the unfolding in rule (11) of Table 3:
-    ``p[(rec X(x~).p)/X]``.
+    ``p[(rec X(x~).p)/X]``.  The substitution is capture-avoiding: a
+    binder of *p* (input parameter, restriction, inner ``rec`` parameter)
+    that would capture a free name of the recursion, i.e. a name of
+    ``fn(body) - x~``, is renamed apart before the recursion goes under it.
     """
+    return _subst_ident(p, ident, params, body,
+                        free_names(body).difference(params))
+
+
+def _subst_ident(p: Process, ident: str, params: tuple[Name, ...],
+                 body: Process, outer: frozenset[Name]) -> Process:
+    """:func:`subst_ident`, where *outer* is ``fn(body) - params``."""
     if isinstance(p, Ident):
         if p.ident == ident:
             return Rec(ident, params, body, p.args)
@@ -166,29 +176,65 @@ def subst_ident(p: Process, ident: str, params: tuple[Name, ...],
     if isinstance(p, Rec):
         if p.ident == ident:  # inner rec shadows X
             return p
+        if outer:
+            p = _rename_apart(p, ident, outer)
         return Rec(p.ident, p.params,
-                   subst_ident(p.body, ident, params, body), p.args)
+                   _subst_ident(p.body, ident, params, body, outer), p.args)
     if isinstance(p, Nil):
         return p
     if isinstance(p, Tau):
-        return Tau(subst_ident(p.cont, ident, params, body))
+        return Tau(_subst_ident(p.cont, ident, params, body, outer))
     if isinstance(p, Input):
-        return Input(p.chan, p.params, subst_ident(p.cont, ident, params, body))
+        if outer:
+            p = _rename_apart(p, ident, outer)
+        return Input(p.chan, p.params,
+                     _subst_ident(p.cont, ident, params, body, outer))
     if isinstance(p, Output):
-        return Output(p.chan, p.args, subst_ident(p.cont, ident, params, body))
+        return Output(p.chan, p.args,
+                      _subst_ident(p.cont, ident, params, body, outer))
     if isinstance(p, Restrict):
-        return Restrict(p.name, subst_ident(p.body, ident, params, body))
+        if outer:
+            p = _rename_apart(p, ident, outer)
+        return Restrict(p.name,
+                        _subst_ident(p.body, ident, params, body, outer))
     if isinstance(p, Match):
         return Match(p.left, p.right,
-                     subst_ident(p.then, ident, params, body),
-                     subst_ident(p.orelse, ident, params, body))
+                     _subst_ident(p.then, ident, params, body, outer),
+                     _subst_ident(p.orelse, ident, params, body, outer))
     if isinstance(p, Sum):
-        return Sum(subst_ident(p.left, ident, params, body),
-                   subst_ident(p.right, ident, params, body))
+        return Sum(_subst_ident(p.left, ident, params, body, outer),
+                   _subst_ident(p.right, ident, params, body, outer))
     if isinstance(p, Par):
-        return Par(subst_ident(p.left, ident, params, body),
-                   subst_ident(p.right, ident, params, body))
+        return Par(_subst_ident(p.left, ident, params, body, outer),
+                   _subst_ident(p.right, ident, params, body, outer))
     raise TypeError(f"unknown process node {type(p).__name__}")
+
+
+def _rename_apart(p: Input | Restrict | Rec, ident: str,
+                  outer: frozenset[Name]) -> Process:
+    """Binder node *p* with each binder in *outer* renamed fresh, when
+    a recursion with the free names *outer* is substituted for *ident*
+    in its scope; *p* itself when nothing would be captured."""
+    if isinstance(p, Restrict):
+        binders, scope = (p.name,), p.body
+    else:
+        binders = p.params
+        scope = p.cont if isinstance(p, Input) else p.body
+    if outer.isdisjoint(binders) or ident not in free_idents(scope):
+        return p
+    avoid = set(outer) | free_names(scope) | set(binders)
+    renaming = {}
+    for b in binders:
+        if b in outer:
+            renaming[b] = fresh_name(avoid, hint=b)
+            avoid.add(renaming[b])
+    fresh = tuple(renaming.get(b, b) for b in binders)
+    scope = apply_subst(scope, renaming)
+    if isinstance(p, Restrict):
+        return Restrict(fresh[0], scope)
+    if isinstance(p, Input):
+        return Input(p.chan, fresh, scope)
+    return Rec(p.ident, fresh, scope, p.args)
 
 
 def unfold_rec(p: Rec) -> Process:

@@ -73,10 +73,11 @@ _INTERN_STATS = {"hits": 0, "misses": 0}
 class _InternMeta(type):
     """Metaclass routing construction through the intern table.
 
-    The candidate node is built normally (validation + hash) and then
-    deduplicated against the table; the table key is the structural
-    ``_key()``, whose Process members are already interned, so key hashing
-    and comparison are shallow.
+    The candidate node is built normally (``__init__`` validates and
+    normalizes the fields) and then deduplicated against the table; the
+    table key is the structural ``_key()``, built once here, and the
+    node's cached hash is the key's hash.  The key's Process members are
+    already interned, so key hashing and comparison are shallow.
     """
 
     def __call__(cls, *args: Any, **kwargs: Any) -> "Process":
@@ -94,6 +95,7 @@ class _InternMeta(type):
                 return cached
         obj = super().__call__(*args, **kwargs)
         key = obj._key()
+        obj._hash = hash(key)
         cached = _INTERN.get(key)
         if cached is not None:
             _INTERN_STATS["hits"] += 1
@@ -151,9 +153,6 @@ class Process(metaclass=_InternMeta):
 
     def _key(self) -> tuple[Any, ...]:
         return (self.__class__,) + tuple(getattr(self, f) for f in self._fields)
-
-    def _init_hash(self) -> None:
-        self._hash = hash(self._key())
 
     def __hash__(self) -> int:
         return self._hash
@@ -256,7 +255,6 @@ class Tau(Process):
 
     def __init__(self, cont: Process = NIL):
         self.cont = _check_process(cont, "Tau continuation")
-        self._init_hash()
 
 
 class Input(Process):
@@ -276,7 +274,6 @@ class Input(Process):
         if len(set(self.params)) != len(self.params):
             raise ValueError(f"input parameters must be distinct: {self.params}")
         self.cont = _check_process(cont, "Input continuation")
-        self._init_hash()
 
     @property
     def arity(self) -> int:
@@ -294,7 +291,6 @@ class Output(Process):
         self.chan = _check_name(chan, "Output channel")
         self.args = _check_names(args, "Output arguments")
         self.cont = _check_process(cont, "Output continuation")
-        self._init_hash()
 
     @property
     def arity(self) -> int:
@@ -310,7 +306,6 @@ class Restrict(Process):
     def __init__(self, name: Name, body: Process):
         self.name = _check_name(name, "Restrict name")
         self.body = _check_process(body, "Restrict body")
-        self._init_hash()
 
 
 class Match(Process):
@@ -325,7 +320,6 @@ class Match(Process):
         self.right = _check_name(right, "Match right name")
         self.then = _check_process(then, "Match then-branch")
         self.orelse = _check_process(orelse, "Match else-branch")
-        self._init_hash()
 
 
 class Sum(Process):
@@ -337,7 +331,6 @@ class Sum(Process):
     def __init__(self, left: Process, right: Process):
         self.left = _check_process(left, "Sum left")
         self.right = _check_process(right, "Sum right")
-        self._init_hash()
 
 
 class Par(Process):
@@ -349,7 +342,6 @@ class Par(Process):
     def __init__(self, left: Process, right: Process):
         self.left = _check_process(left, "Par left")
         self.right = _check_process(right, "Par right")
-        self._init_hash()
 
 
 class Ident(Process):
@@ -367,7 +359,6 @@ class Ident(Process):
             raise TypeError(f"identifier must be a non-empty string, got {ident!r}")
         self.ident = ident
         self.args = _check_names(args, "Ident arguments")
-        self._init_hash()
 
 
 class Rec(Process):
@@ -395,8 +386,6 @@ class Rec(Process):
         if len(self.args) != len(self.params):
             raise ValueError(
                 f"rec {ident}: arity mismatch, params {self.params} vs args {self.args}")
-        self._init_hash()
-
 
 
 def iter_subterms(p: Process) -> Iterator[Process]:

@@ -14,27 +14,11 @@ transfers to the concrete semantics but "can happen" never does.  Rule
 F of ``tools/check_contracts.py`` keeps call sites honest about it.
 """
 
-from __future__ import annotations
+from .._lazy import lazy_exports
 
-from .analysis import (
-    ENV,
-    FLOW_VERSION,
-    ChannelCaps,
-    FlowAnalysis,
-    NuToken,
-    clear_caches,
-    flow_analysis,
-    memo_stats,
-)
-from .presolve import (
-    FlowEvidence,
-    NoBarb,
-    flow_proves_invariant,
-    flow_refutes_barb,
-)
-
-__all__ = [
-    "ENV", "FLOW_VERSION", "ChannelCaps", "FlowAnalysis", "NuToken",
-    "clear_caches", "flow_analysis", "memo_stats",
-    "FlowEvidence", "NoBarb", "flow_proves_invariant", "flow_refutes_barb",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".analysis": ("ENV", "FLOW_VERSION", "ChannelCaps", "FlowAnalysis",
+                  "NuToken", "clear_caches", "flow_analysis", "memo_stats"),
+    ".presolve": ("FlowEvidence", "NoBarb", "flow_proves_invariant",
+                  "flow_refutes_barb"),
+})

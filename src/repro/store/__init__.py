@@ -10,34 +10,13 @@ Three layers (see ``docs/service.md``):
   ``repro batch`` / ``repro serve``.
 """
 
-from .batch import (
-    BatchOutcome,
-    BatchResult,
-    CheckRequest,
-    evaluate_request,
-    parse_requests,
-    run_batch,
-    serve,
-)
-from .codec import CodecError, decode, encode, pair_key, state_digest, term_digest
-from .db import SCHEMA_VERSION, VerdictStore, equivalence_name, request_cap
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BatchOutcome",
-    "BatchResult",
-    "CheckRequest",
-    "CodecError",
-    "SCHEMA_VERSION",
-    "VerdictStore",
-    "decode",
-    "encode",
-    "equivalence_name",
-    "evaluate_request",
-    "pair_key",
-    "parse_requests",
-    "request_cap",
-    "run_batch",
-    "serve",
-    "state_digest",
-    "term_digest",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".batch": ("BatchOutcome", "BatchResult", "CheckRequest",
+               "evaluate_request", "parse_requests", "run_batch", "serve"),
+    ".codec": ("CodecError", "decode", "encode", "pair_key",
+               "state_digest", "term_digest"),
+    ".db": ("SCHEMA_VERSION", "VerdictStore", "equivalence_name",
+            "request_cap"),
+})

@@ -170,6 +170,7 @@ class VerdictStore:
     def __init__(self, path: "str | Path"):
         self.path = str(path)
         self._conn: sqlite3.Connection | None = None
+        self._last_key: tuple[Process, Process, str, str] | None = None
         self.counters: dict[str, int] = {
             "lookups": 0, "hits": 0, "misses": 0, "records": 0,
             "hits_definite": 0, "hits_unknown": 0,
@@ -237,7 +238,7 @@ class VerdictStore:
         if isinstance(cap, (Budget, Meter)):
             cap = request_cap(cap)
         ckey = calculus_key(calculus)
-        key = pair_key(p, q, calculus=ckey)
+        key = self._pair_key(p, q, ckey)
         equivalence = equivalence_name(relation, weak)
         strat = strategy or "default"
         with _tracing.span("store.lookup", equivalence=equivalence) as sp:
@@ -251,6 +252,18 @@ class VerdictStore:
                 _metrics.inc("store.hit" if hit else "store.miss")
             sp.set(hit=hit)
         return verdict
+
+    def _pair_key(self, p: Process, q: Process, ckey: str) -> str:
+        """:func:`~repro.store.codec.pair_key`, remembered for the last
+        pair asked: a :meth:`check` miss records under the key its
+        lookup computed instead of encoding and hashing the pair again."""
+        last = self._last_key
+        if last is not None and last[0] is p and last[1] is q \
+                and last[2] == ckey:
+            return last[3]
+        key = pair_key(p, q, calculus=ckey)
+        self._last_key = (p, q, ckey, key)
+        return key
 
     def _lookup_row(self, key: str, equivalence: str, strat: str,
                     ckey: str, cap: int | None) -> Verdict | None:
@@ -364,7 +377,7 @@ class VerdictStore:
         if floor is None:
             return False
         ckey = calculus_key(calculus)
-        key = pair_key(p, q, calculus=ckey)
+        key = self._pair_key(p, q, ckey)
         equivalence = equivalence_name(relation, weak)
         strat = strategy or "default"
         truth = verdict.truth.value

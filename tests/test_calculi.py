@@ -137,6 +137,17 @@ class TestCbsSemantics:
         [q] = hears(Hear("y", Hear("x", Speak("x"))), "x")
         assert q == Hear("x", Speak("x"))
 
+    def test_unfold_does_not_capture_a_free_value(self):
+        # rec X. x!(x?(X)) speaks the literal x forever: the hear x under
+        # which the recursion is unfolded must not bind it.
+        p = CbsRec("X", Speak("x", Hear("x", CbsVar("X"))))
+        assert unfold(p) == Speak("x", Hear("x'", p))
+        [(v, q)] = speaks(p)
+        assert v == "x"
+        assert hears(q, "v") == (p,)
+        [(v2, _)] = speaks(p)
+        assert v2 == "x"
+
     def test_sum_hearing_drops_other_branch(self):
         p = CbsSum(Hear("x", Speak("x")), Speak("w"))
         assert hears(p, "v") == (Speak("v"),)

@@ -31,6 +31,7 @@ from repro.core.syntax import (
     NIL,
     Output,
     Par,
+    Process,
     Sum,
     Tau,
     intern_stats,
@@ -64,6 +65,20 @@ class TestHashConsing:
         assert Tau(NIL) is not Output("a", (), NIL)
         assert Sum(Tau(NIL), NIL) is not Par(Tau(NIL), NIL)
         assert Output("a", (), NIL) is not Output("b", (), NIL)
+
+    def test_new_node_builds_its_key_once(self, monkeypatch):
+        # The metaclass builds the structural key once, for both the
+        # cached hash and the table lookup.
+        calls = []
+        key = Process._key
+        monkeypatch.setattr(Process, "_key",
+                            lambda self: calls.append(self) or key(self))
+        cont = Tau(NIL)
+        calls.clear()
+        node = Output("fresh-key-once", ("x",), cont)
+        assert calls == [node]
+        assert hash(node) == hash(key(node))
+        assert Output("fresh-key-once", ["x"], cont) is node
 
     def test_intern_stats_track_hits(self):
         clear_caches()

@@ -112,6 +112,31 @@ class TestReuseRule:
                      Verdict.of(False, stats={"states": 4}))
         assert store.lookup(parse("b! | (a! | 0)"), parse("c!")).is_false
 
+    def test_check_computes_one_pair_key(self, store, monkeypatch):
+        # A miss looks the pair up and records it under one key, a hit
+        # only looks it up: either way the pair is encoded once.
+        import repro.store.db as db
+        calls = []
+
+        def counting(p, q, calculus="bpi"):
+            calls.append((p, q))
+            return real(p, q, calculus=calculus)
+
+        real = db.pair_key
+        monkeypatch.setattr(db, "pair_key", counting)
+        pairs = [(parse("a! | b!"), parse("b! | a!")),
+                 (parse("a!"), parse("b!")),
+                 (parse("tau.a!"), parse("a!"))]
+        for p, q in pairs:
+            computed = store.check(p, q)
+            assert len(calls) == 1 and store.counters["misses"] > 0
+            calls.clear()
+            assert store.check(p, q) == computed
+            assert len(calls) <= 1
+            calls.clear()
+        assert store.counters["records"] == len(pairs)
+        assert store.counters["hits"] == len(pairs)
+
     def test_upsert_policy(self):
         # definite beats unknown; cheaper definite floor beats dearer;
         # higher unknown cap beats lower; never downgrade.

@@ -7,6 +7,7 @@ from repro.core.cache import clear_caches
 from repro.core.freenames import bound_names, free_names, free_occurrence_order
 from repro.core.names import fresh_name
 from repro.core.parser import parse
+from repro.core.semantics import input_continuations, step_transitions
 from repro.core.substitution import (
     alpha_eq,
     apply_subst,
@@ -110,6 +111,38 @@ class TestIdentSubstitution:
         assert isinstance(q, Output) and q.chan == "a"
         r = unfold_rec(q.cont)
         assert isinstance(r, Output) and r.chan == "a"
+
+
+    def test_subst_ident_renames_a_capturing_binder(self):
+        # fn(rec) = {x}: the input parameter x of the body must not bind
+        # the recursion's free x once the recursion goes under it.
+        body = parse("e<x>.e(x).X<e>")
+        got = subst_ident(body, "X", ("e",), body)
+        assert got == parse("e<x>.e(x').(rec X(e). e<x>.e(x).X<e>)<e>")
+        # Restrictions and inner rec parameters are renamed the same way.
+        for src, want in (
+                ("e<x>.nu x X<e>", "e<x>.nu x' (rec X(e). e<x>.nu x X<e>)<e>"),
+                ("e<x>.(rec Y(x). X<e>)<e>",
+                 "e<x>.(rec Y(x'). (rec X(e). e<x>.(rec Y(x). X<e>)<e>)<e>)"
+                 "<e>")):
+            body = parse(src)
+            assert subst_ident(body, "X", ("e",), body) == parse(want)
+
+    def test_subst_ident_leaves_binders_without_a_capture(self):
+        # x binds only where no recursion goes: nothing to rename.
+        body = parse("e<x>.(e(x).x! + X<e>)")
+        got = subst_ident(body, "X", ("e",), body)
+        assert got == Output("e", ("x",), Sum(
+            parse("e(x).x!"), Rec("X", ("e",), body, ("e",))))
+
+    def test_unfolded_recursion_keeps_its_free_name(self):
+        # rule (11): after broadcasting a<x> and hearing v the recursion
+        # still broadcasts the free x, not the received value.
+        p = parse("(rec X(e). e<x>.e(x).X<e>)<a>")
+        [(act, q)] = step_transitions(p)
+        assert act.objects == ("x",)
+        [r] = input_continuations(q, "a", ("v",))
+        assert r == p
 
 
 class TestAlpha:
