@@ -6,6 +6,8 @@ node-level memoization makes re-canonicalization of shared states cheap
 (the property Lemma 6 justifies using canonical forms for state identity).
 """
 
+import functools
+
 import pytest
 
 from benchmarks.helpers import (
@@ -15,12 +17,12 @@ from benchmarks.helpers import (
     relay_star,
 )
 from repro.api import explore
-from repro.core import syntax
+from repro.core import canonical, syntax
 from repro.core.cache import cache_stats, clear_caches
 from repro.core.canonical import canonical_state
 from repro.core.parser import parse
 from repro.core.semantics import step_transitions
-from repro.core.syntax import intern_stats
+from repro.core.syntax import NIL, Output, Par, intern_stats
 
 
 @pytest.mark.parametrize("n", [8, 16])
@@ -56,30 +58,78 @@ def test_canonicalization_warm_vs_cold(benchmark, size):
         assert c is w  # memoized on the node, not recomputed
 
 
-#: (term, states, spine flattenings computed by one cold exploration).
-#: Without the sub-spine memo the spine walk visits every spine node of
-#: every edge target again: 30,505 visits for the star, 4,410 for the
-#: relay.
-SPINE_FLATTENINGS = [
-    ("broadcast_star(10)", broadcast_star, 10, 1025, 3358),
-    ("relay_star(5)", relay_star, 5, 244, 757),
+def _fresh(n: int, nest: str):
+    """*n* distinct binder-free outputs in a scrambled order, composed
+    right-nested or left-nested."""
+    comps = [Output(f"c{i * 7919 % n}", (), NIL) for i in range(n)]
+    if nest == "left":
+        return functools.reduce(Par, comps)
+    out = comps[-1]
+    for c in reversed(comps[:-1]):
+        out = Par(c, out)
+    return out
+
+
+#: (row, build, n, states, Par nodes normalization builds).  A cold
+#: exploration canonicalizes a successor by merging its new components
+#: into the longest suffix of its spine whose normal form is memoized,
+#: building only the nodes above the last insertion; sorting and
+#: rebuilding every successor's whole spine builds 11,028 for the star
+#: and 1,609 for the relay.  A fresh composition has no such suffix and
+#: is sorted once, about n nodes whichever way it nests; merging one
+#: component per level instead builds a number quadratic in n (987,924
+#: for the right-nested row).
+SPINE_NODES = [
+    ("broadcast_star(10)", broadcast_star, 10, 1025, 2315),
+    ("relay_star(5)", relay_star, 5, 244, 997),
+    ("fresh right-nested 2000", functools.partial(_fresh, nest="right"),
+     2000, None, 2000),
+    ("fresh left-nested 2000", functools.partial(_fresh, nest="left"),
+     2000, None, 1999),
 ]
 
 
-@pytest.mark.parametrize("case", SPINE_FLATTENINGS, ids=lambda c: c[0])
-def test_spine_flattened_once_per_node(benchmark, case):
-    """A successor's spine is flattened from its sources' memoized
-    sub-spines: an exact count of the ``_sp`` slots a cold exploration
-    fills, read after the run, so it holds on any host."""
-    _, build, n, states, flattenings = case
+@pytest.mark.parametrize("case", SPINE_NODES, ids=lambda c: c[0])
+def test_normalization_builds_spine_nodes(benchmark, monkeypatch, case):
+    """An exact count of the ``Par`` nodes that ``_normalize`` builds
+    (found in or added to the intern table) in one cold run, so it holds
+    on any host."""
+    row, build, n, states, expected = case
+    depth = built = 0
+    construct = syntax._InternMeta.__call__
+    normalize = canonical._normalize
 
-    def explore_cold():
+    def counting_construct(cls, *args, **kwargs):
+        nonlocal built
+        if depth and cls is Par:
+            built += 1
+        return construct(cls, *args, **kwargs)
+
+    def counting_normalize(p, collapse):
+        nonlocal depth
+        depth += 1
+        try:
+            return normalize(p, collapse)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(syntax._InternMeta, "__call__", counting_construct)
+    monkeypatch.setattr(canonical, "_normalize", counting_normalize)
+
+    def run_cold():
+        nonlocal built
         clear_caches()
-        return explore(build(n))
+        term = build(n)
+        built = 0
+        if states is None:
+            return canonical_state(term)
+        return explore(term)
 
-    assert len(benchmark(explore_cold).lts.states) == states
-    filled = [q for q in syntax._INTERN.values() if hasattr(q, "_sp")]
-    assert len(filled) == flattenings
+    result = benchmark(run_cold)
+    if states is not None:
+        assert len(result.lts.states) == states
+    print(f"{row}: {built} Par nodes built by normalization")
+    assert built == expected
 
 
 def test_identity_after_reparse(benchmark):

@@ -23,8 +23,6 @@ from __future__ import annotations
 from typing import Callable
 
 from .backend import BpiBackend, CalculusBackend
-from .lossy import LossyBackend
-from .wireless import Topology, WirelessBackend
 
 _FACTORIES: dict[str, Callable[[str], CalculusBackend]] = {}
 _INSTANCES: dict[str, CalculusBackend] = {}
@@ -88,13 +86,17 @@ def _make_bpi(params: str) -> CalculusBackend:
     return BpiBackend()
 
 
+# The lossy and wireless backends load on their first resolve, so a
+# process that only resolves "bpi" never imports them.
 def _make_lossy(params: str) -> CalculusBackend:
     if params:
         raise ValueError("the 'lossy' backend takes no parameters")
+    from .lossy import LossyBackend
     return LossyBackend()
 
 
 def _make_wireless(params: str) -> CalculusBackend:
+    from .wireless import Topology, WirelessBackend
     try:
         return WirelessBackend(Topology.parse(params))
     except ValueError as exc:

@@ -23,19 +23,25 @@ The transformation only touches the *active* structure of the state (the
 part the next transition can see); continuations under prefixes are left
 untouched apart from the final global alpha-canonicalization.
 
-Every part is memoized on the interned nodes.  A successor built by the
-parallel rules shares almost all of its spine with its source, so the
-flattened, normalized components of each binder-free sub-spine are kept
-in a slot (``_sp``/``_sp2``, one per collapse mode) and a new state's
-spine is flattened by walking only its new ``Par`` nodes.  The memo stops
-at a restriction: hoisting one renames its binder against the free names
-of the whole composition and the binders hoisted before it, so only a
-binder-free sub-spine flattens the same in every context.
+Every part is memoized on the interned nodes.  A binder-free state is a
+sorted multiset of components (laws b-d), and a successor built by the
+parallel rules keeps most of its source's spine.  So the normal form of
+a binder-free spine is made from the first sub-spine down its right
+spine whose normal form is already memoized (``_nf``/``_nf2``, one slot
+per collapse mode): the components above it are sorted and merged into
+that normal form, and only the nodes above the last insertion are built.
+Every node built is memoized as its own normal form, as every suffix of
+a normal form is, and so is each ``Par`` passed on the way down whose
+normal form costs one node.  A spine whose walk reaches a restriction is
+left to the hoisting walk: hoisting a binder renames it against the free
+names of the whole composition and the binders hoisted before it, so
+only a binder-free sub-spine normalizes the same in every context.
 """
 
 from __future__ import annotations
 
 import hashlib
+from typing import Iterator
 
 from .freenames import free_names, free_occurrence_order
 from .names import Name, fresh_name
@@ -156,9 +162,9 @@ def canonical_state_collapsed(p: Process) -> Process:
 
 
 canonical_state.cache_clear = (  # type: ignore[attr-defined]
-    lambda: purge_node_caches(("_canon", "_nf", "_sp")))
+    lambda: purge_node_caches(("_canon", "_nf")))
 canonical_state_collapsed.cache_clear = (  # type: ignore[attr-defined]
-    lambda: purge_node_caches(("_canon2", "_nf2", "_sp2")))
+    lambda: purge_node_caches(("_canon2", "_nf2")))
 
 
 def _normalize(p: Process, collapse: bool) -> Process:
@@ -170,6 +176,8 @@ def _normalize(p: Process, collapse: bool) -> Process:
         return getattr(p, slot)
     except AttributeError:
         pass
+    if isinstance(p, (Par, Restrict)):
+        return _normalize_composition(p, collapse)  # memoizes what it may
     result = _normalize_uncached(p, collapse)
     setattr(p, slot, result)
     return result
@@ -200,48 +208,166 @@ def _normalize_uncached(p: Process, collapse: bool) -> Process:
                 unique.append(q)
         unique.sort(key=_sort_key)
         return _rebuild(unique, Sum, NIL)
-    if isinstance(p, (Par, Restrict)):
-        return _normalize_composition(p, collapse)
     raise TypeError(f"unexpected node {type(p).__name__} in closed state")
 
 
-def _flatten_spine(q: Process, collapse: bool) -> tuple[Process, ...] | None:
-    """The normalized components of the binder-free sub-spine *q*, in
-    walk order, or ``None`` when the walk would reach a restriction.
+def _spine(q: Process) -> Iterator[Process]:
+    """The components of the normal form *q*, in order."""
+    while q.__class__ is Par:
+        yield q.left
+        q = q.right
+    if q is not NIL:
+        yield q
 
-    Memoized per interned node (one slot per collapse mode; ``None`` too).
-    A spine that reaches a restriction is left to
-    :func:`_normalize_composition`'s walk, because hoisting the binder
-    depends on the whole composition (see the module docstring).
+
+def _usable(nf: Process, slot: str) -> bool:
+    """Whether the memoized normal form *nf* of a sub-spine shows a walk
+    that reaches no restriction: a component, ``nil``, or a spine that is
+    its own normal form.  A restriction on top, or a spine that is not
+    its own normal form, comes only from the hoisting walk."""
+    cls = nf.__class__
+    return cls is not Restrict and (cls is not Par
+                                    or getattr(nf, slot, None) is nf)
+
+
+def _gather(p: Process, slot: str, collapse: bool,
+            parts: list[Process]) -> bool:
+    """Append the parts of the spine *p* to *parts* in walk order: each
+    normalized component, or the memoized normal form of a sub-spine,
+    not walked, when that is a spine (a ``Par`` that is its own normal
+    form).
+
+    Returns ``False`` as soon as the walk reaches a restriction.  Only
+    leaves are normalized, so no sub-spine that reaches one is.
     """
-    slot = "_sp2" if collapse else "_sp"
-    try:
-        return getattr(q, slot)
-    except AttributeError:
-        pass
-    result: tuple[Process, ...] | None
-    if isinstance(q, Restrict):
-        result = None
-    elif isinstance(q, Par):
-        left = _flatten_spine(q.left, collapse)
-        right = _flatten_spine(q.right, collapse)
-        result = (None if left is None or right is None
-                  else left + right)
-    elif isinstance(q, Match):
-        result = _flatten_spine(q.then if q.left == q.right else q.orelse,
-                                collapse)
-    else:
-        nq = _normalize(q, collapse)
-        if isinstance(nq, Nil):
-            result = ()
-        elif isinstance(nq, (Par, Restrict)):
-            # Normalization exposed more structure (e.g. a sum with one
-            # summand that is a composition); keep flattening.
-            result = _flatten_spine(nq, collapse)
+    stack = [p]
+    while stack:
+        q = stack.pop()
+        cls = q.__class__
+        if cls is Par:
+            nf = getattr(q, slot, None)
+            if nf is None:
+                stack += (q.right, q.left)
+            elif not _usable(nf, slot):
+                return False
+            elif nf is not NIL:
+                parts.append(nf)
+        elif cls is Match:
+            stack.append(q.then if q.left == q.right else q.orelse)
+        elif cls is Restrict:
+            return False
         else:
-            result = (nq,)
-    setattr(q, slot, result)
-    return result
+            nq = getattr(q, slot, None) or _normalize(q, collapse)
+            cls = nq.__class__
+            if cls is Par or cls is Restrict:
+                # Normalization exposed more structure (e.g. a sum with
+                # one summand that is a composition); keep walking.
+                stack.append(nq)
+            elif cls is not Nil:
+                parts.append(nq)
+    return True
+
+
+def _merge_spine(p: Par, collapse: bool) -> Process | None:
+    """The normal form of the binder-free spine *p*, or ``None`` when
+    its walk reaches a restriction.
+
+    The walk goes down *p*'s right spine to the first sub-spine whose
+    normal form *s* is memoized (or to its last component), gathering
+    the parts on the left of each ``Par`` it passes.  Bottom-up, each of
+    those ``Par`` nodes whose left part is one component that sorts
+    before all of *s* gets ``Par(component, s)`` as its normal form,
+    memoized on it; that is one new node a level.  The components above
+    the first level that does not are sorted and merged into *s* in one
+    pass, ties going to them: they precede all of *s* in walk order, so
+    the result is the stable sort of the whole walk.  Collapse mode drops
+    a component whose key equals the one before it.  Every node built is
+    its own normal form and memoized as such, as every suffix of *s*
+    already is.
+    """
+    slot = "_nf2" if collapse else "_nf"
+    levels: list[Par] = []
+    lefts: list[list[Process]] = []
+    s: Process = p
+    while True:
+        cls = s.__class__
+        if cls is Par:
+            nf = getattr(s, slot, None)
+            if nf is not None:
+                if not _usable(nf, slot):
+                    return None
+                s = nf
+                break
+            left: list[Process] = []
+            if not _gather(s.left, slot, collapse, left):
+                return None
+            levels.append(s)
+            lefts.append(left)
+            s = s.right
+        elif cls is Match:
+            s = s.then if s.left == s.right else s.orelse
+        elif cls is Restrict:
+            return None
+        else:
+            s = getattr(s, slot, None) or _normalize(s, collapse)
+            if s.__class__ is not Par and s.__class__ is not Restrict:
+                break
+    while levels:
+        left = lefts[-1]
+        if left:
+            c = left[0]
+            if len(left) > 1 or c.__class__ is Par:
+                break
+            if s is not NIL:
+                k = _sort_key(c)
+                hk = _sort_key(s.left if s.__class__ is Par else s)
+                if not (k < hk or (k == hk and not collapse)):
+                    break
+                s = Par(c, s)
+                setattr(s, slot, s)
+            else:
+                s = c
+        setattr(levels.pop(), slot, s)
+        lefts.pop()
+    if not levels:
+        return s
+    new: list[Process] = []
+    for left in lefts:
+        for q in left:
+            if q.__class__ is Par:
+                new.extend(_spine(q))
+            else:
+                new.append(q)
+    new.sort(key=_sort_key)
+    built: list[Process] = []
+    last = None
+    for c in new:
+        k = _sort_key(c)
+        while s is not NIL:
+            head, rest = (s.left, s.right) if s.__class__ is Par else (s, NIL)
+            hk = _sort_key(head)
+            if k <= hk:
+                break
+            if not (collapse and hk == last):
+                built.append(head)
+            last, s = hk, rest
+        if not (collapse and k == last):
+            built.append(c)
+        last = k
+    if collapse and s is not NIL:
+        head, rest = (s.left, s.right) if s.__class__ is Par else (s, NIL)
+        if _sort_key(head) == last:
+            s = rest
+    if s is NIL:
+        if not built:
+            setattr(p, slot, NIL)
+            return NIL
+        s = built.pop()
+    for c in reversed(built):
+        s = Par(c, s)
+        setattr(s, slot, s)
+    setattr(p, slot, s)
+    return s
 
 
 def _normalize_composition(p: Process, collapse: bool) -> Process:
@@ -251,12 +377,17 @@ def _normalize_composition(p: Process, collapse: bool) -> Process:
     dropped (law h), components sorted (laws c, d), nil components dropped
     (law b), binders renamed apart and ordered by first use.
 
-    The walk over the spine stops at every binder-free sub-spine and reads
-    its components from :func:`_flatten_spine`'s memo; it walks on only
-    through restrictions, whose hoisting depends on the context.  When no
-    binder is hoisted at all, the components go straight from the sort
-    (and the collapse) to the rebuilt spine.
+    A spine whose walk reaches no restriction is a sorted multiset of
+    components, made by :func:`_merge_spine` from its longest suffix
+    already in normal form.  Only a spine that reaches a restriction goes
+    through the hoisting walk below, which takes the components of every
+    sub-spine in normal form off that spine instead of walking into it.
     """
+    if isinstance(p, Par):
+        merged = _merge_spine(p, collapse)
+        if merged is not None:
+            return merged
+    slot = "_nf2" if collapse else "_nf"
     binders: list[Name] = []
     components: list[Process] = []
     # Any free name of the whole composition may occur in a sibling not yet
@@ -265,10 +396,6 @@ def _normalize_composition(p: Process, collapse: bool) -> Process:
     avoid_base = set(free_names(p))
 
     def collect(q: Process) -> None:
-        flat = _flatten_spine(q, collapse)
-        if flat is not None:
-            components.extend(flat)
-            return
         if isinstance(q, Restrict):
             name, body = q.name, q.body
             if name in avoid_base or name in binders:
@@ -278,25 +405,22 @@ def _normalize_composition(p: Process, collapse: bool) -> Process:
                 name = new
             binders.append(name)
             collect(body)
-            return
-        if isinstance(q, Par):
-            collect(q.left)
-            collect(q.right)
-            return
-        if isinstance(q, Match):
+        elif isinstance(q, Par):
+            if getattr(q, slot, None) is q:
+                components.extend(_spine(q))
+            else:
+                collect(q.left)
+                collect(q.right)
+        elif isinstance(q, Match):
             collect(q.then if q.left == q.right else q.orelse)
-            return
-        # A leaf whose normal form is a composition with a binder.
-        collect(_normalize(q, collapse))
+        else:
+            nq = _normalize(q, collapse)
+            if isinstance(nq, (Par, Restrict)):
+                collect(nq)
+            elif not isinstance(nq, Nil):
+                components.append(nq)
 
     collect(p)
-    if not binders:
-        # Nothing was hoisted: blind_key below is _sort_key, and there is
-        # nothing to push back inside a component or order by occurrence.
-        components.sort(key=_sort_key)
-        if collapse:
-            components = _dedup_alpha(components)
-        return _rebuild(components, Par, NIL)
     # Push every binder used by exactly ONE component back inside it (law
     # j in reverse).  Self-contained components compare equal across
     # states regardless of which top-level binder slot their private names
@@ -352,6 +476,11 @@ def _normalize_composition(p: Process, collapse: bool) -> Process:
     out = body
     for b in reversed(live):
         out = Restrict(b, out)
+    if out is not p and not _usable(out, slot):
+        # A memoized normal form that reads as binder-free tells the merge
+        # that the walk below reaches no restriction, so a result of that
+        # shape, or a spine left as it is, is not memoized here.
+        setattr(p, slot, out)
     return out
 
 

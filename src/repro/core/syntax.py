@@ -53,10 +53,9 @@ _NODE_CACHE_SLOTS = (
     "_caps",     # semantics.input_capabilities
     "_barbs",    # reduction.barbs
     "_listen",   # discard.listening_channels (In(p); discards reads it)
-    "_nf",       # canonical._normalize(p, collapse=False)
-    "_nf2",      # canonical._normalize(p, collapse=True)
-    "_sp",       # canonical._flatten_spine(p, collapse=False)
-    "_sp2",      # canonical._flatten_spine(p, collapse=True)
+    "_nf",       # canonical._normalize(p, collapse=False); a spine node
+                 # that canonical._merge_spine builds holds itself
+    "_nf2",      # canonical._normalize(p, collapse=True); likewise
     "_stable",   # canonical._stable_fingerprint
     "_sk",       # canonical._sort_key
     "_phisucc",  # equiv.reduction_graph.phi_successors (steps=True)

@@ -5,13 +5,17 @@ The key soundness property: canonicalization preserves one-step behaviour —
 matching transition sets modulo re-canonicalization of the targets.
 """
 
-from hypothesis import given, settings
+import functools
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import syntax
 from repro.core.actions import TAU
 from repro.core.cache import clear_caches
 from repro.core.canonical import (
     _flatten,
+    _normalize,
     _rebuild,
     _sort_key,
     canonical_state,
@@ -32,6 +36,7 @@ from repro.core.syntax import (
     Nil,
     Output,
     Par,
+    Process,
     Rec,
     Restrict,
     Sum,
@@ -266,29 +271,43 @@ def test_canonical_forms_independent_of_memo_state(p):
     assert canonical_alpha(warm) == _oracle_alpha(warm)
 
 
-def test_spine_slots_are_purged():
-    """The sub-spine memo lives in ``_sp``/``_sp2``; each canonical form's
-    ``cache_clear`` purges its own, and ``clear_caches`` both."""
-    p = parse("a! | (b?.c! | nu x (x! | a<x>)) | (c! | [a=a]{b! | 0}{0})")
-    nodes = list(iter_subterms(p))
+def _own_normal_forms(slot):
+    """The spine nodes memoized as their own normal form in *slot*."""
+    return [q for q in syntax._INTERN.values()
+            if isinstance(q, Par) and getattr(q, slot, None) is q]
 
-    def filled(slot):
-        return [q for q in nodes if hasattr(q, slot)]
+
+def test_spine_slots_are_purged():
+    """The merge memoizes every spine node it builds as its own normal
+    form, in ``_nf``/``_nf2``; each canonical form's ``cache_clear``
+    purges its own slot, and ``clear_caches`` both."""
+    p = parse("c! | (b?.c! | a!) | (d! | [a=a]{b! | 0}{0})")
 
     def fill():
         canonical_state(p)
         canonical_state_collapsed(p)
-        assert filled("_sp") and filled("_sp2")
+        assert _own_normal_forms("_nf") and _own_normal_forms("_nf2")
 
     fill()
     canonical_state.cache_clear()
-    assert not filled("_sp") and filled("_sp2")
+    assert not _own_normal_forms("_nf") and _own_normal_forms("_nf2")
     fill()
     canonical_state_collapsed.cache_clear()
-    assert filled("_sp") and not filled("_sp2")
+    assert _own_normal_forms("_nf") and not _own_normal_forms("_nf2")
     fill()
     clear_caches()
-    assert not filled("_sp") and not filled("_sp2")
+    assert not _own_normal_forms("_nf") and not _own_normal_forms("_nf2")
+
+
+@given(processes1)
+def test_binder_free_canonical_state_is_its_own_normal_form(p):
+    """A canonical state that binds nothing at top level normalizes to
+    itself, so a successor can keep any suffix of its spine."""
+    for collapse, canon in ((False, canonical_state),
+                            (True, canonical_state_collapsed)):
+        c = canon(p)
+        if not isinstance(c, Restrict):
+            assert _normalize(c, collapse) is c
 
 
 @given(processes1)
@@ -388,27 +407,98 @@ def _reference_normalize(p, collapse):
     return out
 
 
+def _reinterned(p):
+    """*p* rebuilt through the intern table, which ``clear_caches``
+    empties, so the contexts built from it share its nodes."""
+    return type(p)(*(_reinterned(v) if isinstance(v, Process) else v
+                     for v in (getattr(p, f) for f in p._fields)))
+
+
+def _respelled(p):
+    """An alpha-variant of *p* spelled unlike both *p* and
+    ``canonical_alpha(p)``: its binders are numbered from an offset."""
+    return canonical_alpha(Input("c", ("w0", "w1", "w2"), p)).cont
+
+
+def _swapped(state, new):
+    """Successor-shaped terms: *state* with one spine component replaced
+    by *new*, every other spine node kept."""
+    spine = []
+    while isinstance(state, Par):
+        spine.append(state)
+        state = state.right
+    out = []
+    for i in range(len(spine) + 1):
+        t = Par(new, spine[i].right) if i < len(spine) else new
+        for above in reversed(spine[:i]):
+            t = Par(above.left, t)
+        out.append(t)
+    return out
+
+
 def _contexts(p, q, name):
     """*p* beside *q*, under a restriction of *name* (which may clash with
     a free name of either), and beside a sibling that hoists *name* while
-    *p* and *q* may use it free."""
+    *p* and *q* may use it free; alpha-equal components spelled
+    differently on both sides of a ``Par`` (which one a tie keeps);
+    ``nil`` components; a match and a one-summand sum that resolve to a
+    composition; and canonical states with one component swapped out."""
     hoister = Restrict(name, Par(Output(name, ("a",), NIL),
                                  Input("a", ("x",), Output(name, ("x",), NIL))))
-    return [Par(p, q), Restrict(name, Par(p, q)), Par(hoister, Par(p, q)),
-            Par(Par(q, hoister), p), Restrict(name, Par(hoister, p))]
+    alias = _respelled(p)
+    out = [Par(p, q), Restrict(name, Par(p, q)), Par(hoister, Par(p, q)),
+           Par(Par(q, hoister), p), Restrict(name, Par(hoister, p)),
+           Par(p, Par(q, alias)), Par(Par(alias, q), p),
+           Par(alias, Par(p, alias)),
+           Par(p, NIL), Par(NIL, Par(q, NIL)),
+           Par(Match("a", "a", Par(q, p), NIL), alias),
+           Par(q, Match("a", "b", NIL, Sum(Par(p, alias), NIL)))]
+    for state in (canonical_state(Par(p, q)),
+                  canonical_state_collapsed(Par(q, Par(p, q))),
+                  _normalize(Par(p, Par(alias, q)), False)):
+        for new in (q, NIL, alias, hoister):
+            out += _swapped(state, new)
+    return out
 
 
 @settings(max_examples=150, deadline=None)
 @given(processes1, processes1, st.sampled_from(("a", "b", "c", "x")))
+# spines holding a restriction, one its own normal form and one not,
+# beside a free occurrence of the restricted name, which hoisting renames
+@example(parse("a! | nu x x!"), parse("x!"), "a")
+@example(parse("(nu x x!) | a!"), parse("x!"), "a")
 def test_spine_memo_matches_full_walk_in_every_context(p, q, name):
-    """Sub-spines first canonicalized standalone give the same canonical
-    forms inside other contexts as a full walk without any memo."""
+    """Sub-spines first canonicalized standalone, and the spines of
+    canonical states, give the same normal and canonical forms inside
+    other contexts as a full walk without any memo, in both collapse
+    modes."""
     clear_caches()
+    p, q = _reinterned(p), _reinterned(q)
     for s in (*iter_subterms(p), *iter_subterms(q)):
         canonical_state(s)
         canonical_state_collapsed(s)
     for ctx in _contexts(p, q, name):
+        assert _normalize(ctx, False) == _reference_normalize(ctx, False)
+        assert _normalize(ctx, True) == _reference_normalize(ctx, True)
         assert canonical_state(ctx) == \
             canonical_alpha(_reference_normalize(ctx, False))
         assert canonical_state_collapsed(ctx) == \
             canonical_alpha(_reference_normalize(ctx, True))
+
+
+def test_wide_composition_is_linear_in_its_width():
+    """A fresh binder-free composition of n components canonicalizes to
+    one node whichever way it nests, building a constant number of nodes
+    per component: the spine is sorted once, not re-merged per level."""
+    n = 5000
+    comps = [Output(f"c{i * 7919 % n}", (), NIL) if i % 2
+             else Input(f"c{i}", ("x",), Output("x", (), NIL))
+             for i in range(n)]
+    right = comps[-1]
+    for c in reversed(comps[:-1]):
+        right = Par(c, right)
+    left = functools.reduce(Par, comps)
+    clear_caches()
+    before = len(syntax._INTERN)
+    assert canonical_state(right) is canonical_state(left)
+    assert len(syntax._INTERN) - before <= 3 * n

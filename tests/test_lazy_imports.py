@@ -50,7 +50,7 @@ NEVER_ON_REQUEST_PATHS = (
 #: ``repro.explore`` and ``repro.reach`` under both explore backends.
 EXPLORE_REACH = IMPORT_REPRO | {
     "repro.calculi", "repro.calculi.backend", "repro.calculi.lossy",
-    "repro.calculi.registry", "repro.calculi.wireless",
+    "repro.calculi.registry",
     "repro.core.actions", "repro.core.binders", "repro.core.canonical",
     "repro.core.discard", "repro.core.reduction", "repro.core.semantics",
     "repro.flow", "repro.flow.analysis", "repro.flow.presolve",
@@ -61,8 +61,7 @@ EXPLORE_REACH = IMPORT_REPRO | {
 
 #: One ``serve`` line per relation, over a verdict store.
 SERVE = IMPORT_REPRO | {
-    "repro.calculi", "repro.calculi.backend", "repro.calculi.lossy",
-    "repro.calculi.registry", "repro.calculi.wireless",
+    "repro.calculi", "repro.calculi.backend", "repro.calculi.registry",
     "repro.core.actions", "repro.core.binders", "repro.core.canonical",
     "repro.core.discard", "repro.core.reduction", "repro.core.semantics",
     "repro.equiv", "repro.equiv.barbed", "repro.equiv.congruence",
