@@ -18,14 +18,25 @@ Format (version tag :data:`MAGIC`):
 * the term tree in pre-order, one tag byte per node, name operands as
   LEB128 indices into the table.
 
-Referencing names by table index is what makes the encoding
-*de-Bruijn-style stable*: the content address of a term
-(:func:`term_digest`) encodes its ``canonical_alpha`` form, whose
-binders are already canonical indexed names assigned in pre-order — so
-alpha-variants (and, via :func:`state_digest`, whole structural
-congruence classes) share one digest.  :func:`encode` itself is exact:
-it preserves the term bit-for-bit, including bound-name spellings,
-which is what the identity round-trip needs.
+The codec is the wire and disk encoding only.  Content addresses
+(:func:`term_digest`, :func:`state_digest`, :func:`pair_key`) come from
+the structural fingerprints memoized on the nodes
+(:func:`repro.core.canonical._stable_fingerprint`) of a canonical form:
+the ``canonical_alpha`` form of a term, whose binders are canonical
+indexed names, or the ``canonical_state`` of a state — so
+alpha-variants (and, for states, whole structural congruence classes)
+share one address, and computing one encodes nothing.  :func:`encode`
+itself is exact: it preserves the term bit-for-bit, including bound-name
+spellings, which is what the identity round-trip needs.
+
+A fingerprint is injective on terms, up to sha256 collisions: the bytes
+it hashes spell the term one way only.  They are a class name, then
+each field followed by a zero byte.  The class names are prefix-free,
+so the class is read first, and with it the number and kinds of the
+fields.  A child field is its own 32-byte digest, a fixed length.  A
+name field is the ``repr`` of a string or a tuple of strings, which
+never holds a raw zero byte (``repr`` escapes it), so the zero byte
+after it ends it.
 
 Decoding is strict: trailing bytes, truncated input, unknown tags and
 out-of-range name indices all raise :class:`CodecError` — a corrupt
@@ -36,7 +47,7 @@ from __future__ import annotations
 
 import hashlib
 
-from ..core.canonical import canonical_state
+from ..core.canonical import _stable_fingerprint, canonical_state
 from ..core.substitution import canonical_alpha
 from ..core.syntax import (
     NIL,
@@ -316,17 +327,17 @@ def decode(data: bytes) -> Process:
 
 
 def term_digest(p: Process) -> str:
-    """Content address of *p* modulo alpha: hex sha256 of the encoded
-    ``canonical_alpha`` form (binders as canonical indexed names)."""
-    return hashlib.sha256(encode(canonical_alpha(p))).hexdigest()
+    """Content address of *p* modulo alpha: hex sha256 of the fingerprint
+    of its ``canonical_alpha`` form (binders as canonical indexed names)."""
+    return hashlib.sha256(_stable_fingerprint(canonical_alpha(p))).hexdigest()
 
 
 def state_digest(p: Process) -> str:
     """Content address of the *state* ``p`` denotes: hex sha256 of the
-    encoded ``canonical_state`` form, so every member of the Lemma-6
-    structural-congruence class shares one digest.  Requires a closed
-    term (the same precondition as the checkers themselves)."""
-    return hashlib.sha256(encode(canonical_state(p))).hexdigest()
+    fingerprint of its ``canonical_state`` form, so every member of the
+    Lemma-6 structural-congruence class shares one digest.  Requires a
+    closed term (the same precondition as the checkers themselves)."""
+    return hashlib.sha256(_stable_fingerprint(canonical_state(p))).hexdigest()
 
 
 def pair_key(p: Process, q: Process, calculus: str = "bpi") -> str:
@@ -343,13 +354,16 @@ def pair_key(p: Process, q: Process, calculus: str = "bpi") -> str:
     wireless backend this bakes in the topology digest), so the same
     pair checked under different semantics can never share a verdict
     row.
+
+    The key is the sha256 of the length-prefixed calculus key and the
+    fingerprints of both canonical states, which are memoized on the
+    nodes, so a key costs no walk of a term already fingerprinted.  Each
+    fingerprint is a fixed 33 bytes, so the three parts split one way.
     """
     h = hashlib.sha256()
     ck = calculus.encode("utf-8")
     h.update(len(ck).to_bytes(2, "big"))
     h.update(ck)
-    cp, cq = encode(canonical_state(p)), encode(canonical_state(q))
-    h.update(len(cp).to_bytes(8, "big"))
-    h.update(cp)
-    h.update(cq)
+    h.update(_stable_fingerprint(canonical_state(p)))
+    h.update(_stable_fingerprint(canonical_state(q)))
     return h.hexdigest()

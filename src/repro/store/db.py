@@ -57,7 +57,10 @@ __all__ = ["SCHEMA_VERSION", "VerdictStore", "calculus_key",
 #: other version are invisible (treated as misses), never reinterpreted.
 #: v2: verdict identity includes the calculus backend key (rows written
 #: by v1 carry no backend and miss cleanly).
-SCHEMA_VERSION = 2
+#: v3: canonical forms number binders per component and name hoisted
+#: restrictions ``_h<i>``, and pair keys hash the states' fingerprints
+#: instead of their encodings, so every key changed.
+SCHEMA_VERSION = 3
 
 _TABLE = """\
 CREATE TABLE IF NOT EXISTS verdicts (

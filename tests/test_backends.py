@@ -291,11 +291,11 @@ class TestWireless:
 #: sha256 of the step and full graphs of every term above, per backend.
 BACKEND_PINS = {
     "lossy":
-        "4f6ff9c8a2cf7838594fb70c66d58a750a6048bcb4bf486ab113283eb556e0f2",
+        "42e056c94e8b398f6c9bdf6c214037c4a569f74abaa6fb0be3892cb3c212b14f",
     "wireless:a-b":
-        "86cb85d388041e6f5ff8e6b214a2dc8f95e137f1f85fec8d96fb8146bb153bb4",
+        "aac10b2d108c186e293820c406a5fe7012f3accb5c50f10560ac1f3ddd97f131",
     "wireless:a-b,b-c":
-        "7c17b2641688e37a765c2dd76c5221d829ea9bbd4badf8eb8b448de06b2c6f9f",
+        "25dc395a5140cb72cc9802d140641036d42ada76a78d3d98109fd5f2d75a6ebe",
 }
 
 

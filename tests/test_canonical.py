@@ -10,6 +10,7 @@ import functools
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.api import explore
 from repro.core import syntax
 from repro.core.actions import TAU
 from repro.core.cache import clear_caches
@@ -17,7 +18,8 @@ from repro.core.canonical import (
     _flatten,
     _normalize,
     _rebuild,
-    _sort_key,
+    _spine,
+    _stable_fingerprint,
     canonical_state,
     canonical_state_collapsed,
 )
@@ -28,7 +30,7 @@ from repro.core.parser import parse
 from repro.core.pretty import pretty
 from repro.core.reduction import barbs
 from repro.core.semantics import input_continuations, step_transitions
-from repro.core.substitution import apply_subst, canonical_alpha
+from repro.core.substitution import alpha_eq, apply_subst, canonical_alpha
 from repro.core.syntax import (
     NIL,
     Input,
@@ -43,7 +45,7 @@ from repro.core.syntax import (
     Tau,
     iter_subterms,
 )
-from tests.strategies import processes0, processes1
+from tests.strategies import finite_processes, processes0, processes1
 
 
 class TestStructuralLaws:
@@ -81,6 +83,14 @@ class TestStructuralLaws:
         c = canonical_state(p)
         assert free_names(c) == {"a", "x"}
         assert barbs(c) == barbs(p)
+
+    def test_hoisted_binder_tie_is_order_independent(self):
+        # three components tie on the name-blind key and on every key with
+        # the names given so far; the names of the binders decide
+        forms = {canonical_state(parse(f"nu x nu y nu z ({body} | a<x>)"))
+                 for body in ("x<y> | y<z> | z<x>", "y<z> | x<y> | z<x>",
+                              "z<x> | y<z> | x<y>")}
+        assert len(forms) == 1
 
     def test_match_resolved(self):
         assert canonical_state(parse("[a=a]{b!}{c!}")) == canonical_state(parse("b!"))
@@ -207,13 +217,19 @@ def _oracle_occurrence_order(p):
 
 
 def _oracle_alpha(p):
-    """canonical_alpha as one plain walk numbering binders in pre-order."""
+    """canonical_alpha as one plain walk numbering binders in pre-order,
+    skipping the indices of ``_v`` names free in *p*."""
+    taken = {int(n[2:]) for n in free_names(p)
+             if n.startswith("_v") and n[2:].isdigit()}
     count = [0]
 
     def fresh(names):
-        out = tuple(f"_v{count[0] + i}" for i in range(len(names)))
-        count[0] += len(names)
-        return out
+        out = []
+        while len(out) < len(names):
+            if count[0] not in taken:
+                out.append(f"_v{count[0]}")
+            count[0] += 1
+        return tuple(out)
 
     def walk(q, env):
         def r(name):
@@ -310,6 +326,116 @@ def test_binder_free_canonical_state_is_its_own_normal_form(p):
             assert _normalize(c, collapse) is c
 
 
+def _fresh_copy(p):
+    """*p* rebuilt in a cleared kernel: nothing on it is memoized."""
+    clear_caches()
+    return _reinterned(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(processes1)
+# hoisted binders whose components tie on the name-blind key
+@example(parse("nu x nu y (a<x> | a<y> | x! | y!)"))
+@example(parse("nu x nu y (a<y> | a<x> | x<y> | y<x>)"))
+@example(parse("nu x nu y nu z (x<y> | y<z> | z<x> | a<x>)"))
+def test_canonical_state_is_its_own_normal_form(p):
+    """Every canonical state, restrictions on top included, normalizes to
+    itself from a cleared kernel, in both collapse modes: no whole-state
+    pass renames it afterwards."""
+    for collapse, canon in ((False, canonical_state),
+                            (True, canonical_state_collapsed)):
+        c = _fresh_copy(canon(p))
+        assert _normalize(c, collapse) is c
+        assert canon(c) is c
+
+
+def _nameless(p, env=()):
+    """*p* with each bound name replaced by its binder's distance (de
+    Bruijn), free names kept: alpha-variants, and only they, are equal."""
+    def r(name):
+        for i, bound in enumerate(env):
+            if name == bound:
+                return i
+        return name
+
+    if isinstance(p, Nil):
+        return ()
+    if isinstance(p, Tau):
+        return ("tau", _nameless(p.cont, env))
+    if isinstance(p, Input):
+        inner = tuple(reversed(p.params)) + env
+        return ("in", r(p.chan), len(p.params), _nameless(p.cont, inner))
+    if isinstance(p, Output):
+        return ("out", r(p.chan), tuple(map(r, p.args)),
+                _nameless(p.cont, env))
+    if isinstance(p, Restrict):
+        return ("nu", _nameless(p.body, (p.name,) + env))
+    if isinstance(p, Match):
+        return ("match", r(p.left), r(p.right), _nameless(p.then, env),
+                _nameless(p.orelse, env))
+    return (type(p).__name__, _nameless(p.left, env),
+            _nameless(p.right, env))
+
+
+#: Monadic terms whose free names and binders include canonical ``_v``
+#: names, as extrusion leaves them in a state (the parser rejects them).
+_V_NAMES = ("_v0", "_v1", "a")
+v_processes = finite_processes(arity=1, free_pool=_V_NAMES,
+                               bound_pool=("x", "_v0", "_v1", "_v2"))
+v_processes_no_match = finite_processes(
+    arity=1, free_pool=_V_NAMES, bound_pool=("x", "_v0", "_v1", "_v2"),
+    allow_match=False)
+
+
+@given(v_processes)
+def test_canonical_alpha_captures_no_free_name(p):
+    c = canonical_alpha(p)
+    assert free_names(c) == free_names(p)
+    assert _nameless(c) == _nameless(p)
+    assert canonical_alpha(c) is c
+
+
+@given(v_processes_no_match)
+def test_canonical_state_captures_no_free_name(p):
+    """Without a match to resolve, the laws keep every free name."""
+    for canon in (canonical_state, canonical_state_collapsed):
+        assert free_names(canon(p)) == free_names(p)
+
+
+@given(v_processes)
+def test_transitions_preserved_with_free_canonical_names(p):
+    assert _canonical_moves(p) == _canonical_moves(canonical_state(p))
+
+
+class TestFreeCanonicalNames:
+    """A ``_v`` name free in a term is never captured by a canonical
+    binder (extrusion frees such names from canonical states)."""
+
+    def test_canonical_alpha_skips_a_free_name(self):
+        bound = Input("_v0", ("x",), Output("r", ("x",), NIL))
+        free = Input("_v0", ("x",), Output("r", ("_v0",), NIL))
+        assert canonical_alpha(bound) != canonical_alpha(free)
+        assert not alpha_eq(bound, free)
+        assert canonical_alpha(free) == \
+            Input("_v0", ("_v1",), Output("r", ("_v0",), NIL))
+
+    def test_extruded_name_is_not_captured_by_a_receiver(self):
+        # The bound output frees _v0; the receiver's own binder must not
+        # become it, or the match would hold and c! would be reachable.
+        ex = explore("nu x a<x>.(b<d> | b(y).[y=x]{c!})",
+                     close_binders=False)
+        assert ex.n_states == 3
+        assert not any("c" in barbs(s) for s in ex.lts.states)
+
+    def test_collapse_keeps_a_component_that_is_not_a_duplicate(self):
+        state = Restrict("_v0", Par(
+            Input("_v0", ("_v1",), Output("_v1", (), NIL)),
+            Par(Input("_v0", ("_v2",), Output("_v0", (), NIL)),
+                Output("_v0", ("s",), NIL))))
+        for canon in (canonical_state, canonical_state_collapsed):
+            assert len(list(_spine(canon(state).body))) == 3
+
+
 @given(processes1)
 def test_free_occurrence_order_matches_preorder_walk(p):
     for q in iter_subterms(p):
@@ -324,11 +450,19 @@ def test_free_occurrence_order_under_rec():
 
 # -- the sub-spine memo against the walk it replaces -------------------------
 
+def _key(q):
+    return _stable_fingerprint(canonical_alpha(q))
+
+
 def _reference_normalize(p, collapse):
-    """``_normalize`` as it was before the sub-spine memo: every spine is
-    walked in full, and nothing is memoized."""
+    """``_normalize`` by a plain walk: every spine is walked in full, and
+    nothing is memoized.  Components are alpha-canonical and sorted by
+    fingerprint; binders two or more of them share are hoisted, ordered
+    by a name-blind key with ties broken by the names given so far, then
+    by the names of the binders not yet named, and named ``_h0``,
+    ``_h1``, ... in that order, skipping the body's free names."""
     if isinstance(p, (Nil, Tau, Input, Output, Rec)):
-        return p
+        return canonical_alpha(p)
     if isinstance(p, Match):
         return _reference_normalize(
             p.then if p.left == p.right else p.orelse, collapse)
@@ -336,13 +470,10 @@ def _reference_normalize(p, collapse):
         parts = [nq for nq in (_reference_normalize(q, collapse)
                                for q in _flatten(p, Sum))
                  if not isinstance(nq, Nil)]
-        seen, unique = set(), []
-        for q in parts:
-            if canonical_alpha(q) not in seen:
-                seen.add(canonical_alpha(q))
-                unique.append(q)
-        unique.sort(key=_sort_key)
-        return _rebuild(unique, Sum, NIL)
+        unique = sorted({canonical_alpha(q) for q in parts}, key=_key)
+        if len(unique) == 1:
+            return parts[0]
+        return canonical_alpha(_rebuild(unique, Sum, NIL))
     binders, components = [], []
     avoid_base = set(free_names(p))
 
@@ -368,42 +499,62 @@ def _reference_normalize(p, collapse):
             elif not isinstance(nq, Nil):
                 components.append(nq)
 
+    def dedup(comps):
+        seen, out = set(), []
+        for c in comps:
+            if c not in seen:
+                seen.add(c)
+                out.append(c)
+        return out
+
     collect(p)
-    comp_free = [free_names(c) for c in components]
-    usage = {b: [i for i, fns in enumerate(comp_free) if b in fns]
+    if collapse:
+        components = dedup(components)
+    usage = {b: [i for i, c in enumerate(components) if b in free_names(c)]
              for b in binders}
-    pushed = set()
     for i, comp in enumerate(components):
         mine = [b for b in binders if usage[b] == [i]]
-        order = {n: k for k, n in enumerate(free_occurrence_order(comp))}
-        mine.sort(key=lambda b: order.get(b, len(order)))
-        for b in reversed(mine):
-            comp = Restrict(b, comp)
-        components[i] = comp
-        pushed.update(mine)
-    binders = [b for b in binders if b not in pushed]
-
-    def blind_key(q):
-        hidden = set(binders) & free_names(q)
-        hole = apply_subst(q, {b: "_hole" for b in hidden})
-        return _sort_key(hole) + _sort_key(q)
-
-    components.sort(key=blind_key)
+        if mine:
+            order = {n: k for k, n in enumerate(free_occurrence_order(comp))}
+            mine.sort(key=lambda b: order.get(b, len(order)))
+            for b in reversed(mine):
+                comp = Restrict(b, comp)
+            components[i] = canonical_alpha(comp)
     if collapse:
-        seen, deduped = set(), []
-        for comp in components:
-            if canonical_alpha(comp) not in seen:
-                seen.add(canonical_alpha(comp))
-                deduped.append(comp)
-        components = deduped
-    occurrence = {}
-    for comp in components:
-        for name in free_occurrence_order(comp):
-            occurrence.setdefault(name, len(occurrence))
-    out = _rebuild(components, Par, NIL)
-    for b in reversed(sorted((b for b in binders if b in occurrence),
-                             key=occurrence.__getitem__)):
-        out = Restrict(b, out)
+        components = dedup(components)
+    shared = [b for b in binders if len(usage[b]) > 1]
+    if not shared:
+        return _rebuild(sorted(components, key=_key), Par, NIL)
+
+    def key(q, named):
+        return _key(apply_subst(q, {b: named.get(b, "_hole")
+                                    for b in shared}))
+
+    free = set().union(*map(free_names, components)) - set(shared)
+    names = [n for n in (f"_h{i}" for i in range(len(shared) + len(free)))
+             if n not in free][:len(shared)]
+    def rank(n):
+        return (0, int(n[2:]), "") if n[:2] == "_h" and n[2:].isdigit() \
+            else (1, 0, n)
+
+    def next_key(q):
+        return key(q, named), [rank(n) for n in free_occurrence_order(q)
+                               if n in shared and n not in named]
+
+    named, ordered = {}, []
+    rest = sorted(components, key=lambda q: key(q, {}))
+    while rest:
+        blind = key(rest[0], {})
+        pick = min((q for q in rest if key(q, {}) == blind), key=next_key)
+        rest.remove(pick)
+        ordered.append(pick)
+        for n in free_occurrence_order(pick):
+            if n in shared and n not in named:
+                named[n] = names[len(named)]
+    out = _rebuild([canonical_alpha(apply_subst(c, named)) for c in ordered],
+                   Par, NIL)
+    for name in reversed(names):
+        out = Restrict(name, out)
     return out
 
 
@@ -480,10 +631,9 @@ def test_spine_memo_matches_full_walk_in_every_context(p, q, name):
     for ctx in _contexts(p, q, name):
         assert _normalize(ctx, False) == _reference_normalize(ctx, False)
         assert _normalize(ctx, True) == _reference_normalize(ctx, True)
-        assert canonical_state(ctx) == \
-            canonical_alpha(_reference_normalize(ctx, False))
+        assert canonical_state(ctx) == _reference_normalize(ctx, False)
         assert canonical_state_collapsed(ctx) == \
-            canonical_alpha(_reference_normalize(ctx, True))
+            _reference_normalize(ctx, True)
 
 
 def test_wide_composition_is_linear_in_its_width():

@@ -1,10 +1,14 @@
 """Pinned outputs of ``canonical_state`` and the explorations it keys.
 
 State identity in every exploration is ``canonical_state``: its component
-order, its spine and its ``canonical_alpha`` numbering decide the state
-list, the edge list and every store key.  These pins were taken before
-the sub-spine memo of ``core/canonical.py`` existed, so a memo that
-changes any output (or makes it depend on the hash seed) fails here.
+order, its spine and its binder names decide the state list, the edge
+list and every store key.  The component orders were pinned before the
+sub-spine memo of ``core/canonical.py`` existed, so a memo that changes
+any output (or makes it depend on the hash seed) fails here.  The
+binder names are those of the per-component numbering: each component
+numbers its own binders from ``_v0``, and hoisted restrictions are
+``_h0``, ``_h1``, ...; every state list and graph kept its order and
+shape when that numbering replaced the whole-state one.
 
 Rows are checked in fresh interpreters under ``PYTHONHASHSEED`` 0, 1 and
 random, like ``tests/test_store_codec.py::TestCrossProcessDigests``.
@@ -27,16 +31,16 @@ import pytest
 EXPLORATION_PINS = [
     ("a<v> | a(x0).r0<x0> | a(x1).r1<x1> | a(x2).r2<x2> | a(x3).r3<x3>"
      " | a(x4).r4<x4>", "bpi",
-     "07adc26a8eb09dc3b59fbd4ccb21e033bfade2391bc528b30a91670db39f4a49"),
+     "ceb4b138a1aa70f72b7e9db51af7136c526b902c50af1f47c8d11b991eb9ed6e"),
     ("nu a (a<v> | a(x0).tau.r0<x0> | a(x1).tau.r1<x1> | a(x2).tau.r2<x2>"
      " | a(x3).tau.r3<x3>)", "bpi",
-     "a3095689cc31783b919ea7d8ed33e13be2c97ebe0b01e39965219ea214f6ff56"),
+     "9916494fcf07a6c4d05092a45310a9c8b74795aba7a6c1a6ec6ecffdc8df1e7c"),
     ("nu tok c0<tok> | c0(t).c1<t> | c1(t).c2<t> | c2(t).c3<t>"
      " | c3(t).c0<t>", "bpi",
-     "2ac6a2952a21c8c5e29731e820e34b74378f9f0e3cd5c6296d77f2e2ada68f1e"),
+     "43e498d6fbc74e50281fbd4e94f82e4015d0560a55d35e83b2827f7f0c0d1652"),
     ("a<v> | a(x0).r0<x0> | a(x1).r1<x1> | a(x2).r2<x2> | a(x3).r3<x3>",
      "lossy",
-     "1190e0715492c0145a91e70e7a1dda1499b807bc6e639a3f2f99a035797e5232"),
+     "ff9068a6b6dd7942d1fb4adaba037d026bd51aacf91631d14c23eb451d505ee5"),
 ]
 
 #: (source, ``canonical_state``, ``canonical_state_collapsed``), both
@@ -48,23 +52,23 @@ COMPOSITION_PINS = [
     ("nu x (b! | a!) | c?", "c? | a! | b!", "c? | a! | b!"),
     # a restriction whose name clashes with a sibling's free name
     ("b?.c! | nu b (b! | a?.b!) | a!",
-     "nu _v0 (a?._v0! | b?.c! | a! | _v0!)",
-     "nu _v0 (a?._v0! | b?.c! | a! | _v0!)"),
+     "nu _h0 (a?._h0! | b?.c! | a! | _h0!)",
+     "nu _h0 (a?._h0! | b?.c! | a! | _h0!)"),
     # a match that resolves to a composition with a binder inside
     ("[a=a]{b! | nu x (x! | c<x>)}{0} | a! | [a=b]{c!}{c! | 0}",
-     "nu _v0 (a! | c<_v0> | _v0! | b! | c!)",
-     "nu _v0 (a! | c<_v0> | _v0! | b! | c!)"),
+     "nu _h0 (a! | c<_h0> | _h0! | b! | c!)",
+     "nu _h0 (a! | c<_h0> | _h0! | b! | c!)"),
     # a sum that normalizes to a composition
     ("(b! | a!) + 0 | c?", "c? | a! | b!", "c? | a! | b!"),
     # duplicate components, and duplicate garbage once privates move in
     ("a! | b?.c! | a! | b?.c! | nu x x! | nu y y! | nu z (z! | a<z>)",
-     "nu _v0 (b?.c! | b?.c! | a! | a! | _v0! | a<_v0> | nu _v1 _v1!"
-     " | nu _v2 _v2!)",
-     "nu _v0 (b?.c! | a! | _v0! | a<_v0> | nu _v1 _v1!)"),
+     "nu _h0 (b?.c! | b?.c! | a! | a! | _h0! | a<_h0> | nu _v0 _v0!"
+     " | nu _v0 _v0!)",
+     "nu _h0 (b?.c! | a! | _h0! | a<_h0> | nu _v0 _v0!)"),
     # the same binder-free sub-spine standalone and beside a binder
     ("(a! | b?.c!) | nu a (a?.c! | a!)",
-     "nu _v0 (_v0?.c! | b?.c! | a! | _v0!)",
-     "nu _v0 (_v0?.c! | b?.c! | a! | _v0!)"),
+     "nu _h0 (_h0?.c! | b?.c! | a! | _h0!)",
+     "nu _h0 (_h0?.c! | b?.c! | a! | _h0!)"),
 ]
 
 _PIN_SCRIPT = """

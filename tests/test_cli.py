@@ -13,6 +13,10 @@ class TestCli:
         out = capsys.readouterr().out
         assert "a<v>" in out and "v!" in out
 
+    def test_steps_shadowing_restriction(self, capsys):
+        assert main(["steps", "nu x nu x a<x>"]) == 0
+        assert capsys.readouterr().out == "--nu x' a<x'>-->  nu x 0\n"
+
     def test_steps_quiescent(self, capsys):
         assert main(["steps", "a(x).0"]) == 0
         assert "quiescent" in capsys.readouterr().out

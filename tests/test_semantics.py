@@ -94,6 +94,15 @@ class TestRestrictionRules:
         assert acts["a"].is_bound and acts["c"].is_bound
         assert acts["a"].binders != acts["c"].binders or True
 
+    def test_shadowing_restriction_renames_the_extruded_binder(self):
+        # The inner nu x extrudes x past an outer nu x that binds nothing
+        # here; the extruded binder is renamed (rules (5)/(7)), or the
+        # action would bind x twice.
+        p = parse("nu x nu x a<x>")
+        [(act, cont)] = step_transitions(p)
+        assert act == OutputAction("a", ("x'",), ("x'",))
+        assert cont == parse("nu x 0")
+
     def test_input_on_private_channel_impossible(self):
         p = parse("nu a a?")
         assert input_continuations(p, "a", ()) == ()

@@ -30,7 +30,7 @@ from repro.store import (
     run_batch,
 )
 from repro.store.batch import RequestError, request_from_record, serve
-from repro.store.db import _improves, request_cap
+from repro.store.db import SCHEMA_VERSION, _improves, _row_checksum, request_cap
 
 from tests.strategies import processes1
 
@@ -171,6 +171,22 @@ class TestIntegrity:
         # version skew is not "corruption": the row is left for the
         # version that wrote it
         assert len(store) == 1
+
+    def test_rows_of_the_previous_key_version_are_misses(self, store):
+        # Version 3 changed every canonical form and pair key; a row that
+        # version 2 wrote, with its own valid checksum, reads as a miss.
+        assert SCHEMA_VERSION == 3
+        p, q = parse("a! | nu x x<b>"), parse("a!")
+        store.record(p, q, Verdict.of(False, stats={"states": 2}))
+        row = store._conn.execute(
+            "SELECT pair_key, equivalence, strategy, calculus, truth, "
+            "reason, budget_floor, evidence FROM verdicts").fetchone()
+        self._corrupt(store, schema_version=2,
+                      checksum=_row_checksum(*row, 2))
+        assert store.lookup(p, q) is None
+        assert store.counters["integrity_failures"] == 0
+        assert len(store) == 1
+        assert store.check(p, q).is_false  # recomputed, not misread
 
     def test_garbage_floor_is_a_miss(self, store):
         p, q = parse("a!"), parse("a!")

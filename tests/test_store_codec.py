@@ -127,44 +127,44 @@ class TestDigests:
 _PINNED = [
     # a star with input binders
     ("a<v> | a(x).r0<x> | a(y).r1<y> | a(z).r2<z>",
-     "88dbfc59bab6156d0197cdf740c23e9a043cd952b93bd56c99e5c2caebd0e35f",
-     "6c119b7d4e2f456a0e89de5ecd6a267a74a6e23f9c07795a5a8334d64afce8f9",
-     "aebf250f491d12a2c38f2245c95bf6fc2636aafcea8836e4f34f408b6a391585"),
+     "14226b879d7f131cc38206105fc6d43f56790a0722c6b30818d102722fda0d2d",
+     "707e5327cb3e52814a1b172802e87ac6de70c40f1fb54f9fa6f7c0f4b670798a",
+     "9c218f1a790a0e46866b3e03a2ec83f30c70c2abae3883cd16b654cc245dde24"),
     # a nu-relay: a shared private channel stays hoisted
     ("nu c (a(x).c<x> | c(y).b<y>) | a<v>",
-     "dda8db36be7332d6fb4ebafb6ad4c4984a0609b72bb85850e9cc038b9bf2a330",
-     "64e5ce38ed6f774595d99aeb31fb12b723faea7e92ee2f7b8054e932e14f2bcb",
-     "e2840f9c50115041cbbef272e2c757700e5fd21df0f6cd14e6733e6bef35e68a"),
+     "cb35bd18830150e718cd583f7b9c4a0a2d940df3143318cf8b319a9ae296797f",
+     "0d4adaed415b9fc7afb88861bd4b56f372b986485237a74ba7ecce6a7d077892",
+     "16c8bc8907f9fa7945033c6b1d3d717355eda59cc4217ef7568aac60da0ee15d"),
     # a sum that needs orienting
     ("b!.tau.0 + a! + c?.b!",
-     "74136f5b71bd24ea2f7e90aef436d66e30e0053a934741d6529b8bff6786df62",
-     "a9fda62085839475d3b39476431e82233b896c036414a4b78f125b54bc806193",
-     "e0ca67427e4b3494f632d799ed55fa27ac1298007a69ddca6733db43812a7cdb"),
+     "cd33e6f438235fcd9b1396aaa815bb17d056dce2704418a3376b287afb18313e",
+     "ebb19f2ec17482011b8bcf1ed9ac0322244da37d628449ad042567c4615c3207",
+     "1e71664a71a1329e2003127989134da786483a354334997078ac8afcdc0b3438"),
     # q is private to one component and is pushed back inside it
     ("nu p nu q (p!.a! | q?.b! | a?.p!) | c!",
-     "f2960bb287b8390f2278b69dcbd6c706d62b94f0fc8d47a410481a1246662525",
-     "dc9a6a08ffda6576ab37da7c59057b2054e4cdf0a93e1e00a093aa911cc9565e",
-     "2c49b26f37d785c3bd672720b46247ad23ec8d32bfdb4735fe755b5c70653da3"),
+     "082cf273c166a0ba92a01e1d834c9fe1e2d19718593615c3875e89fa928adb1b",
+     "6c71db2e6947880cfe74e3b070b5a2d47817ac7d82916624805d701016688f20",
+     "957f99db773159cc2029de94b983dde98dbbc751ae475e3c06a53f32e430c382"),
     # matches resolved both ways
     ("[a=a]{nu x (x! | a<x>)}{b!} | [a=b]{c!}{a?.c!}",
-     "532d9045e7d7536c560242206d15a4d493e36175f4073868d7d71063e56da5a4",
-     "b807670144acc4fbf9c17e85e9345b28ac73ea60fcc2e1538948d157a3e53046",
-     "d2fc75f5ad249db53e8c63612bf96bfb5b260aa119b31d0e0d47714152716c8b"),
+     "8f3dbb4336a147f68d4ff3dbdc030974a623a041f3c361e40785c6642668ef59",
+     "44b65f55ee7271d473cbba2a02368756ce644bd49c39794bd8ca1a327074a3f5",
+     "f91386ef60f303c3fedb69c588775914a0a690837d85a02f89082ea875c5e8b3"),
     # a rec (atomic at the state level)
     ("rec X(x := a, y := b). x(z).(y<z> | X<y, x>)",
-     "a7055bf3a34cfb3d005b99e2dbfc5c608551ac8d39b5f54fd681eb41044772ce",
-     "a7055bf3a34cfb3d005b99e2dbfc5c608551ac8d39b5f54fd681eb41044772ce",
-     "fe259647d046bd2862e0e9773ca906b234c3391875961a66dd5005cfcd9327fd"),
+     "7890a18d954b9c22666e19a1285b1a8a357d1eea6f6fea324b2108227141be8a",
+     "7890a18d954b9c22666e19a1285b1a8a357d1eea6f6fea324b2108227141be8a",
+     "ce7709c6927f4a26e035455673363ce60f58d7477b6cefeb0bc6003121a07aac"),
     # clashing binder names, a dead restriction, binders under a sum
     ("nu k (k<a>.0 | k(u).u! | nu k k?) + tau.nu m (m! | a(w).w<m>)",
-     "17ab74a573d11469972a055feb2f441fe70f2fd6b6204f2aab0fd21b20ab10e8",
-     "096ca15258112fa1597dfdb425b05f0f35da97c663f39f78e46a6b3c89ea570f",
-     "bf3b1fb71f3da47153368d069fd4d1aa82e232c2281cea6924226a9c9f38cd68"),
+     "ebe79967d99dd9a15e9c90aa2c019127e24ebbe8e0beae92bba96e0b8b1e80f0",
+     "a6d6aafa28063b4d9d0ee62870cf9e21b50fa9ea84e23ac05d8a02caf3930373",
+     "36120bc2edbacc07c3e1c5e596347c96e77c033a093aa39086b3c549efded723"),
     # the same binder names at different pre-order offsets
     ("a(x).nu y (x<y> | y?.a!) | a(x).nu y (y?.x<y>)",
-     "77c2aae4d544239d38a5388f94700226af8ca1b2dffbdc62fab08b3919c4178e",
-     "ac5d02b2815f79386e6ae5544c3837005a4b1fedff4161dd0fae865494985334",
-     "82443facf07408940e7490a1b8c76e368616b2f8e002d2cb3dabd7aaee15f78f"),
+     "16cf68d07aa41d16d7459515c369caa88827e4274f9ed7676639c09961f86c9c",
+     "cafca55e79eed8a188cdb1470450c99a8c8412003504c3d2e2575b1444e20c2d",
+     "5755b0efb28a4257636af32332c2ac082c3cf85831febbd6027b41f63904600d"),
 ]
 
 _DIGEST_SCRIPT = """
