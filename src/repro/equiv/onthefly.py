@@ -46,7 +46,7 @@ from typing import Callable, Iterable, Protocol, runtime_checkable
 
 from ..calculi import registry as _registry
 from ..calculi.backend import CalculusBackend
-from ..core.canonical import _sort_key, canonical_state
+from ..core.canonical import _stable_fingerprint, canonical_state
 from ..core.freenames import free_occurrence_order
 from ..core.substitution import apply_subst
 from ..core.syntax import NIL, Par, Process
@@ -124,7 +124,8 @@ class SymmetryClosure:
 
     Bisimilarity is symmetric (and the challenge generators used here are
     symmetric in the pair), so ``(p, q)`` and ``(q, p)`` stand or fall
-    together — orienting by the canonical sort key merges them.
+    together — orienting by the sides' fingerprints merges them (after
+    the rewrite closure both sides are canonical states).
     """
 
     name = "symmetry"
@@ -132,7 +133,7 @@ class SymmetryClosure:
 
     def apply(self, pair: PairKey) -> PairKey | None:
         p, q = pair
-        if _sort_key(q) < _sort_key(p):
+        if _stable_fingerprint(q) < _stable_fingerprint(p):
             return (q, p)
         return pair
 
