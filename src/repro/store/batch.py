@@ -36,6 +36,7 @@ outcome records ``degraded=True`` so operators can see it happened.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Iterable, TextIO
 
@@ -398,9 +399,10 @@ def serve(in_stream: TextIO, out_stream: TextIO, *,
           store: "VerdictStore | None" = None) -> int:
     """``repro serve``: answer JSON-lines requests from *in_stream* one
     by one, emitting one JSON result line per request (flushed, so
-    pipelines see answers as they happen).  Malformed lines produce an
-    ``{"error": ...}`` line instead of killing the service.  Returns the
-    number of requests served."""
+    pipelines see answers as they happen).  Malformed lines, and
+    requests whose evaluation raises, produce an ``{"error": ...}`` line
+    instead of killing the service.  Returns the number of requests
+    answered with a verdict."""
     import time as _time
 
     served = 0
@@ -418,18 +420,29 @@ def serve(in_stream: TextIO, out_stream: TextIO, *,
                   file=out_stream, flush=True)
             continue
         t0 = _time.perf_counter()
-        if store is not None:
-            verdict = store.check(req.p, req.q, relation=req.relation,
-                                  weak=req.weak, strategy=req.strategy,
-                                  budget=req.budget(),
-                                  calculus=req.calculus)
-            hit = verdict.stats.get("store") == "hit"
-        else:
-            verdict = evaluate_request(
-                req.p, req.q, relation=req.relation, weak=req.weak,
-                strategy=req.strategy, max_states=req.max_states,
-                deadline=req.deadline, calculus=req.calculus)
-            hit = False
+        try:
+            if store is not None:
+                verdict = store.check(req.p, req.q, relation=req.relation,
+                                      weak=req.weak, strategy=req.strategy,
+                                      budget=req.budget(),
+                                      calculus=req.calculus)
+                hit = verdict.stats.get("store") == "hit"
+            else:
+                verdict = evaluate_request(
+                    req.p, req.q, relation=req.relation, weak=req.weak,
+                    strategy=req.strategy, max_states=req.max_states,
+                    deadline=req.deadline, calculus=req.calculus)
+                hit = False
+        except Exception as exc:
+            # Budget trips are already UNKNOWN verdicts; anything else
+            # the engine raises on this request (an open term, a
+            # recursion too deep) fails this request alone.
+            import traceback
+            traceback.print_exc(limit=-3, file=sys.stderr)
+            print(json.dumps({"line": lineno, "id": req.id,
+                              "error": f"{type(exc).__name__}: {exc}"}),
+                  file=out_stream, flush=True)
+            continue
         served += 1
         out = {"id": req.id, "truth": verdict.truth.value,
                "reason": verdict.reason,

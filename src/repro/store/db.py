@@ -27,6 +27,16 @@ mismatch — and any ``sqlite3`` error at all — degrades the lookup to a
 miss.  The Hypothesis property in ``tests/test_store.py`` pins
 store-mediated verdicts to direct verdicts at equal budgets.
 
+Durability: a row is a cache entry, so a store file journals in WAL
+mode with ``synchronous=NORMAL``.  A commit appends to the ``-wal``
+file instead of creating, fsyncing and deleting a rollback journal; a
+committed row survives an application crash, and a power loss can roll
+back the last commits but not corrupt the file — a lost row is a
+recomputation.  Each :meth:`VerdictStore.record` is one atomic upsert,
+committed at once, so every connection sharing the file sees the row
+and two writers cannot replace a better row with a worse one.  A file
+whose journal cannot be switched keeps its mode and keeps serving.
+
 Observability: lookups run inside a ``store.lookup`` span and bump the
 ``store.hit`` / ``store.miss`` / ``store.record`` counters (see
 ``docs/observability.md``).
@@ -78,6 +88,25 @@ CREATE TABLE IF NOT EXISTS verdicts (
     created_at      REAL    NOT NULL,
     PRIMARY KEY (pair_key, equivalence, strategy, calculus)
 )
+"""
+
+# One atomic statement per record: the conflict arm replaces the row only
+# when the reuse rule calls the new one strictly better (``improves``, the
+# connection's binding of :func:`_improves`) or the row was written under
+# another schema version, which no lookup of this version would serve.
+_UPSERT = """\
+INSERT INTO verdicts (pair_key, equivalence, strategy, calculus, truth,
+                      reason, budget_floor, evidence, stats, schema_version,
+                      checksum, created_at)
+VALUES (?,?,?,?,?,?,?,?,?,?,?,?)
+ON CONFLICT (pair_key, equivalence, strategy, calculus) DO UPDATE SET
+    truth=excluded.truth, reason=excluded.reason,
+    budget_floor=excluded.budget_floor, evidence=excluded.evidence,
+    stats=excluded.stats, schema_version=excluded.schema_version,
+    checksum=excluded.checksum, created_at=excluded.created_at
+WHERE verdicts.schema_version != excluded.schema_version
+   OR improves(verdicts.truth, verdicts.budget_floor,
+               excluded.truth, excluded.budget_floor)
 """
 
 # Cached flow-analysis summaries (repro.flow), keyed by term digest +
@@ -184,6 +213,8 @@ class VerdictStore:
         }
         try:
             self._conn = sqlite3.connect(self.path)
+            self._conn.create_function("improves", 4, _improves,
+                                       deterministic=True)
             self._conn.execute(_TABLE)
             self._conn.execute(_FLOW_TABLE)
             self._conn.commit()
@@ -201,6 +232,17 @@ class VerdictStore:
                 self._conn.commit()
             except sqlite3.Error:
                 pass  # column already present (the common case)
+            # A row is a cache entry (see "Durability" above): journal in
+            # WAL, and lower ``synchronous`` only once the journal is WAL,
+            # since under a rollback journal NORMAL risks the file itself.
+            # ``:memory:`` answers "memory" and stays as it is; a file that
+            # cannot switch keeps its journal mode and keeps serving.
+            try:
+                if self._conn.execute(
+                        "PRAGMA journal_mode=WAL").fetchone() == ("wal",):
+                    self._conn.execute("PRAGMA synchronous=NORMAL")
+            except sqlite3.Error:
+                self.counters["errors"] += 1
 
     # -- context management ----------------------------------------------
     def close(self) -> None:
@@ -372,7 +414,10 @@ class VerdictStore:
         Uncacheable verdicts (deadline/cancellation trips, UNKNOWN with
         no finite cap) are skipped.  An existing row is only replaced by
         a strictly better one: definite beats UNKNOWN, a lower definite
-        floor beats a higher one, a higher UNKNOWN cap beats a lower.
+        floor beats a higher one, a higher UNKNOWN cap beats a lower —
+        or by any row when the existing one carries another
+        ``schema_version`` (lookups never serve it).  The check and the
+        write are one statement, so concurrent writers cannot interleave.
         """
         if isinstance(cap, (Budget, Meter)):
             cap = request_cap(cap)
@@ -392,24 +437,17 @@ class VerdictStore:
             self.counters["errors"] += 1
             return False
         try:
-            existing = self._conn.execute(
-                "SELECT truth, budget_floor FROM verdicts WHERE pair_key=? "
-                "AND equivalence=? AND strategy=? AND calculus=?",
-                (key, equivalence, strat, ckey)).fetchone()
-            if existing is not None and not _improves(
-                    existing[0], int(existing[1]), truth, floor):
-                return False
-            self._conn.execute(
-                "INSERT OR REPLACE INTO verdicts (pair_key, equivalence, "
-                "strategy, calculus, truth, reason, budget_floor, evidence, "
-                "stats, schema_version, checksum, created_at) "
-                "VALUES (?,?,?,?,?,?,?,?,?,?,?,?)",
-                (key, equivalence, strat, ckey, truth, reason, floor,
-                 evidence_json, stats_json, SCHEMA_VERSION, checksum,
-                 time.time()))
+            written = self._conn.execute(
+                _UPSERT, (key, equivalence, strat, ckey, truth, reason,
+                          floor, evidence_json, stats_json, SCHEMA_VERSION,
+                          checksum, time.time())).rowcount == 1
+            # Commit either way: a skipped upsert still opened a write
+            # transaction, which would block every other writer.
             self._conn.commit()
         except sqlite3.Error:
             self.counters["errors"] += 1
+            return False
+        if not written:
             return False
         self.counters["records"] += 1
         if _OBS.enabled:

@@ -10,7 +10,12 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import sqlite3
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +34,7 @@ from repro.store import (
     parse_requests,
     run_batch,
 )
+from repro.store import db as store_db
 from repro.store.batch import RequestError, request_from_record, serve
 from repro.store.db import SCHEMA_VERSION, _improves, _row_checksum, request_cap
 
@@ -172,6 +178,16 @@ class TestIntegrity:
         # version that wrote it
         assert len(store) == 1
 
+    def test_record_replaces_a_version_skewed_row(self, store):
+        # A skewed row is invisible to lookups, so it must not block the
+        # current version's record either, or the pair recomputes forever.
+        p, q = parse("a!"), parse("b!")
+        assert store.record(p, q, Verdict.of(False, stats={"states": 1}))
+        self._corrupt(store, schema_version=99)
+        assert store.record(p, q, Verdict.of(False, stats={"states": 3}))
+        assert store.lookup(p, q).is_false
+        assert len(store) == 1
+
     def test_rows_of_the_previous_key_version_are_misses(self, store):
         # Version 3 changed every canonical form and pair key; a row that
         # version 2 wrote, with its own valid checksum, reads as a miss.
@@ -209,6 +225,110 @@ class TestIntegrity:
         assert s.lookup(parse("a!"), parse("a!")) is None
         v = s.check(parse("a!"), parse("a!"))
         assert v.is_true  # still computes, just cannot cache
+
+
+class _NoJournalSwitch:
+    """A connection whose journal pragma fails, like a file that cannot
+    be written; every other call reaches the real connection."""
+
+    def __init__(self, conn):
+        self._conn = conn
+
+    def execute(self, sql, *args):
+        if sql.startswith("PRAGMA journal_mode"):
+            raise sqlite3.OperationalError("cannot change journal mode")
+        return self._conn.execute(sql, *args)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+class TestJournal:
+    @staticmethod
+    def _pragma(s, name):
+        return s._conn.execute(f"PRAGMA {name}").fetchone()[0]
+
+    def test_file_store_journals_in_wal(self, store):
+        assert self._pragma(store, "journal_mode") == "wal"
+        assert self._pragma(store, "synchronous") == 1  # NORMAL
+        assert store.counters["errors"] == 0
+
+    def test_two_stores_on_one_path_share_rows(self, tmp_path):
+        path = tmp_path / "v.sqlite"
+        p, q = parse("a!"), parse("b!")
+        with VerdictStore(path) as writer, VerdictStore(path) as reader:
+            assert reader.lookup(p, q) is None
+            assert writer.record(p, q, Verdict.of(False, stats={"states": 2}))
+            assert reader.lookup(p, q).is_false
+            # the better row one writes is the row the other keeps
+            assert reader.record(p, q, Verdict.of(False, stats={"states": 1}))
+            assert not writer.record(p, q,
+                                     Verdict.of(False, stats={"states": 2}))
+            assert writer.lookup(p, q).stats["store_floor"] == 1
+
+    def test_concurrent_writers_keep_the_best_row(self, tmp_path):
+        # Every record improves on the writer's own last one; a check made
+        # apart from the write would let a stale comparison overwrite
+        # another writer's better row.  More writers than cores, and a
+        # short switch interval, so the threads interleave.
+        p, q = parse("a!"), parse("b!")
+        writers, per = 4, 60
+
+        def write(path, k):
+            with VerdictStore(path) as s:
+                for floor in range(writers * per - k, 0, -writers):
+                    s.record(p, q, Verdict.of(False, stats={"states": floor}))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(10):
+                path = tmp_path / f"v{trial}.sqlite"
+                threads = [threading.Thread(target=write, args=(path, k))
+                           for k in range(writers)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                with VerdictStore(path) as s:
+                    assert s.lookup(p, q).stats["store_floor"] == 1
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_last_close_leaves_no_sidecar_files(self, tmp_path):
+        path = tmp_path / "v.sqlite"
+        first, second = VerdictStore(path), VerdictStore(path)
+        first.record(parse("a!"), parse("a!"), Verdict.of(True))
+        second.record(parse("a!"), parse("b!"), Verdict.of(False))
+        first.close()
+        second.close()
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["v.sqlite"]
+        with VerdictStore(path) as s:
+            assert len(s) == 2
+
+    def test_failed_journal_switch_still_serves(self, tmp_path,
+                                                monkeypatch):
+        connect = sqlite3.connect
+        monkeypatch.setattr(store_db.sqlite3, "connect",
+                            lambda *a, **k: _NoJournalSwitch(connect(*a, **k)))
+        path = tmp_path / "v.sqlite"
+        with VerdictStore(path) as s:
+            p, q = parse("a!"), parse("b!")
+            assert s.record(p, q, Verdict.of(False, stats={"states": 2}))
+            assert s.lookup(p, q).is_false
+            assert s.check(p, q).stats["store"] == "hit"
+            assert s.counters["errors"] <= 1
+            assert s.counters["hits"] == 2
+            assert not Path(f"{path}-wal").exists()  # still a rollback journal
+
+    def test_memory_store_keeps_its_journal(self):
+        with VerdictStore(":memory:") as s:
+            assert self._pragma(s, "journal_mode") == "memory"
+            assert self._pragma(s, "synchronous") == 2  # FULL, the default
+            assert s.record(parse("a!"), parse("a!"), Verdict.of(True))
+            assert s.lookup(parse("a!"), parse("a!")).is_true
+            assert s.counters["errors"] == 0
 
 
 class TestStoreMediatedAgreement:
@@ -393,3 +513,26 @@ class TestServe:
         served = serve(io.StringIO('{"p": "a!", "q": "a!"}\n'), out)
         assert served == 1
         assert json.loads(out.getvalue())["source"] == "computed"
+
+    @pytest.mark.parametrize("bad, raised", [
+        ('{"id": "open", "p": "X<a>", "q": "a!"}', "TypeError"),
+        ('{"id": "deep", "p": "rec X(). X", "q": "0"}', "RecursionError"),
+    ], ids=["open-term", "unguarded-rec"])
+    def test_a_request_that_raises_is_an_error_line(self, bad, raised,
+                                                     tmp_path):
+        # A subprocess, so that a stack overflow cannot take pytest down.
+        src = Path(__file__).parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "serve",
+             "--store", str(tmp_path / "v.sqlite")],
+            input=bad + '\n{"id": "ok", "p": "a!", "q": "a!"}\n',
+            env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr[-2000:]
+        err, ok = (json.loads(ln) for ln in result.stdout.splitlines())
+        assert err["line"] == 1 and err["id"] == json.loads(bad)["id"]
+        assert err["error"].startswith(f"{raised}: ")
+        assert ok["id"] == "ok" and ok["truth"] == "true"
+        assert "answered 1 requests" in result.stderr
