@@ -135,9 +135,9 @@ class BpiBackend(Table3, CalculusBackend):
     """The paper's semantics, verbatim.
 
     :class:`~repro.core.semantics.Table3` as written, memoized on the node
-    slots and tables the module-level ``core.semantics`` functions share,
-    so routing through the registry is observationally identical to
-    calling those functions.
+    slots the module-level ``core.semantics`` functions share, so routing
+    through the registry is observationally identical to calling those
+    functions.
     """
 
     name = "bpi"

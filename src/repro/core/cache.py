@@ -2,16 +2,14 @@
 
 The hash-consing kernel (:mod:`repro.core.syntax`) interns every process
 term and memoizes semantic results (free names, canonical forms, step
-transitions, barbs, ``In(p)`` ...) directly on the interned nodes.  The one
-multi-argument relation of the default semantics,
-``input_continuations(p, a, v~)``, lives in a ``functools.lru_cache``.
-This module gives tests and benchmarks one switch for all of it:
+transitions, deliveries, barbs, ``In(p)`` ...) directly on the interned
+nodes.  This module gives tests and benchmarks one switch for all of it:
 
 * :func:`clear_caches` — forget every memoized result and empty the intern
   table, returning the kernel to a cold state (live terms held by callers
   stay usable; they simply re-intern/recompute on next use).
-* :func:`cache_stats` — intern-table hit/miss counters and the size of
-  that ``lru_cache``, for benchmark reporting.
+* :func:`cache_stats` — intern-table hit/miss counters, for benchmark
+  reporting.
 
 Clearing is also the memory-reclamation hook: the intern table holds strong
 references, so a long-running service embedding the library should call
@@ -23,7 +21,7 @@ from __future__ import annotations
 import sys
 from typing import Any
 
-from . import semantics, syntax
+from . import syntax
 
 
 #: Layers above the kernel that memoize on interned nodes: backend memo
@@ -36,12 +34,11 @@ def clear_caches() -> None:
     """Reset the term kernel to a cold state.
 
     Purges all node-level memoized results, empties the intern table (and
-    its hit/miss counters), clears the ``input_continuations`` cache and
-    the node-keyed memo tables of the loaded upper layers (backends,
-    flow summaries); it imports no layer to do so.
+    its hit/miss counters) and clears the node-keyed memo tables of the
+    loaded upper layers (backends, flow summaries); it imports no layer to
+    do so.
     """
     syntax.clear_intern_table()
-    semantics.input_continuations.cache_clear()
     for name in _NODE_KEYED_LAYERS:
         layer = sys.modules.get(name)
         if layer is not None:
@@ -49,14 +46,6 @@ def clear_caches() -> None:
 
 
 def cache_stats() -> dict[str, Any]:
-    """A snapshot of the kernel's cache state.
-
-    Returns the intern-table counters from
-    :func:`repro.core.syntax.intern_stats` plus the hits, misses and size
-    of the ``input_continuations`` cache.
-    """
-    stats: dict[str, Any] = dict(syntax.intern_stats())
-    info = semantics.input_continuations.cache_info()
-    stats["lru.input_continuations"] = {
-        "hits": info.hits, "misses": info.misses, "size": info.currsize}
-    return stats
+    """A snapshot of the kernel's cache state: the intern-table counters
+    of :func:`repro.core.syntax.intern_stats`."""
+    return dict(syntax.intern_stats())

@@ -70,7 +70,6 @@ from .syntax import (
     Restrict,
     Sum,
     Tau,
-    purge_node_caches,
 )
 
 
@@ -161,12 +160,6 @@ def canonical_state_collapsed(p: Process) -> Process:
         return p._nf2
     except AttributeError:
         return _normalize(p, True)
-
-
-canonical_state.cache_clear = (  # type: ignore[attr-defined]
-    lambda: purge_node_caches(("_nf",)))
-canonical_state_collapsed.cache_clear = (  # type: ignore[attr-defined]
-    lambda: purge_node_caches(("_nf2",)))
 
 
 def _normalize(p: Process, collapse: bool) -> Process:

@@ -39,7 +39,6 @@ from .syntax import (
     Restrict,
     Sum,
     Tau,
-    purge_node_caches,
 )
 
 
@@ -87,7 +86,3 @@ def _listening_channels(p: Process) -> frozenset[Name]:
         raise ValueError(
             f"In(p) undefined on open process (free identifier {p.ident!r})")
     raise TypeError(f"unknown process node {type(p).__name__}")
-
-
-listening_channels.cache_clear = (  # type: ignore[attr-defined]
-    lambda: purge_node_caches(("_listen",)))

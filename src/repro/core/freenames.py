@@ -26,7 +26,6 @@ from .syntax import (
     Restrict,
     Sum,
     Tau,
-    purge_node_caches,
 )
 
 
@@ -130,11 +129,6 @@ def _bound_names(p: Process) -> frozenset[Name]:
     if isinstance(p, Rec):
         return bound_names(p.body) | frozenset(p.params)
     raise TypeError(f"unknown process node {type(p).__name__}")
-
-
-# Drop-in replacements for the former lru_cache methods.
-free_names.cache_clear = lambda: purge_node_caches(("_fn",))  # type: ignore[attr-defined]
-bound_names.cache_clear = lambda: purge_node_caches(("_bn",))  # type: ignore[attr-defined]
 
 
 def all_names(p: Process) -> frozenset[Name]:

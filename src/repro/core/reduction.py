@@ -19,7 +19,7 @@ from .actions import OutputAction, TauAction
 from .binders import close_extrusion
 from .names import Name
 from .semantics import step_transitions
-from .syntax import Process, purge_node_caches
+from .syntax import Process
 
 __all__ = [
     "StateSpaceExceeded", "barbs", "has_barb", "tau_successors",
@@ -41,9 +41,6 @@ def barbs(p: Process) -> frozenset[Name]:
                        if isinstance(a, OutputAction))
     p._barbs = result
     return result
-
-
-barbs.cache_clear = lambda: purge_node_caches(("_barbs",))  # type: ignore[attr-defined]
 
 
 def has_barb(p: Process, chan: Name) -> bool:

@@ -38,8 +38,6 @@ rules (:meth:`Table3._par_steps`, :meth:`Table3._par_inputs`) and rule (6)
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .actions import TAU, Action, InputAction, OutputAction, TauAction
 from .binders import close_extrusion, freshen_action_binders
 from .discard import listening_channels
@@ -58,7 +56,6 @@ from .syntax import (
     Restrict,
     Sum,
     Tau,
-    purge_node_caches,
 )
 
 #: A transition: (action, target process).
@@ -118,11 +115,11 @@ class Table3:
     Two recursions: :meth:`_compute_steps` for the autonomous moves (rules
     2, 4-11, 13, 14) and :meth:`_compute_inputs` for the delivery of one
     broadcast (rules 3, 8-12).  As written, this is the paper's reliable
-    broadcast, memoized on the interned nodes (``_steps``, and the
-    ``_caps``/``_listen`` slots of the Table 2 judgements) and in the
-    module-level :func:`input_continuations` cache — tables shared by every
-    instance.  A subclass that changes a hook therefore brings its own memo
-    tables (:class:`repro.calculi.backend.StructuralBackend`).
+    broadcast, memoized on the interned nodes (``_steps``, ``_inputs``, and
+    the ``_caps``/``_listen`` slots of the Table 2 judgements) — slots
+    shared by every instance.  A subclass that changes a hook therefore
+    brings its own memo tables
+    (:class:`repro.calculi.backend.StructuralBackend`).
     """
 
     #: Names that freshly generated binders must avoid, besides the names
@@ -255,9 +252,17 @@ class Table3:
 
     def _deliver(self, p: Process, chan: Name,
                  values: tuple[Name, ...]) -> tuple[Process, ...]:
-        """Memoized :meth:`_compute_inputs`; the paper's rules share the
-        bounded cache of the module-level :func:`input_continuations`."""
-        return input_continuations(p, chan, values)
+        """Memoized :meth:`_compute_inputs`, on the interned node: one
+        ``(chan, values)`` -> residuals table per node."""
+        try:
+            memo = p._inputs
+        except AttributeError:
+            memo = p._inputs = {}
+        key = (chan, values)
+        result = memo.get(key)
+        if result is None:
+            result = memo[key] = self._compute_inputs(p, chan, values)
+        return result
 
     def _compute_inputs(self, p: Process, chan: Name,
                         values: tuple[Name, ...]) -> tuple[Process, ...]:
@@ -344,7 +349,6 @@ def step_transitions(p: Process) -> tuple[Transition, ...]:
     return _BPI.step_transitions(p)
 
 
-@lru_cache(maxsize=65536)
 def input_continuations(p: Process, chan: Name,
                         values: tuple[Name, ...]) -> tuple[Process, ...]:
     """All ``p'`` with ``p -chan(values)-> p'`` (early input, rule (3)).
@@ -353,16 +357,12 @@ def input_continuations(p: Process, chan: Name,
     different arity — the calculus is implicitly well-sorted; see
     :func:`check_sorts`).
     """
-    return _BPI._compute_inputs(p, chan, values)
+    return _BPI._deliver(p, chan, values)
 
 
 def transitions(p: Process, universe) -> list[Transition]:
     """The full (finitized) transition set of *p* (:meth:`Table3.transitions`)."""
     return _BPI.transitions(p, universe)
-
-
-step_transitions.cache_clear = lambda: purge_node_caches(("_steps",))  # type: ignore[attr-defined]
-input_capabilities.cache_clear = lambda: purge_node_caches(("_caps",))  # type: ignore[attr-defined]
 
 
 def check_sorts(p: Process) -> dict[Name, int]:

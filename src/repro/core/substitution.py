@@ -28,7 +28,6 @@ from .syntax import (
     Restrict,
     Sum,
     Tau,
-    purge_node_caches,
 )
 
 #: Reserved prefix for canonical bound names.  The parser rejects user
@@ -376,10 +375,6 @@ def _rebuild_alpha(q: Process, env: dict[Name, Name], counter: list[int],
         return Rec(q.ident, new_params,
                    _walk_alpha(q.body, inner, counter, taken), args)
     raise TypeError(f"unknown process node {type(q).__name__}")
-
-
-canonical_alpha.cache_clear = (  # type: ignore[attr-defined]
-    lambda: purge_node_caches(("_alpha", "_nb")))
 
 
 def alpha_eq(p: Process, q: Process) -> bool:

@@ -23,10 +23,9 @@ per-process intern table, so structurally equal terms are the *same*
 object.  This makes ``==`` an identity check in the common case, dict/set
 operations O(1) without tree walks, and lets semantic functions cache
 their results directly on the node (``free_names``, ``canonical_state``,
-``step_transitions``, ``In(p)`` ... use the ``_NODE_CACHE_SLOTS`` below
-instead of module-level ``lru_cache``s — the discard relation reads
-``In(p)``, so only the multi-argument ``input_continuations`` keeps one;
-the comment beside each slot names its owner).  :mod:`repro.core.cache` exposes ``clear_caches()`` /
+``step_transitions``, ``input_continuations``, ``In(p)`` ... use the
+``_NODE_CACHE_SLOTS`` below; the comment beside each slot names its
+owner).  :mod:`repro.core.cache` exposes ``clear_caches()`` /
 ``cache_stats()`` over this machinery.
 """
 
@@ -47,6 +46,8 @@ _NODE_CACHE_SLOTS = (
     "_nb",       # substitution._binder_count
     "_sub",      # substitution._apply_trim (image of _fo -> renamed node)
     "_steps",    # semantics.Table3.step_transitions (the paper's rules)
+    "_inputs",   # semantics.Table3._deliver (the paper's rules): a dict
+                 # (chan, values) -> input_continuations residuals
     "_caps",     # semantics.input_capabilities
     "_barbs",    # reduction.barbs
     "_listen",   # discard.listening_channels (In(p); discards reads it)

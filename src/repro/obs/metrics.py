@@ -80,7 +80,7 @@ def metrics_snapshot() -> dict[str, Any]:
 
 
 def kernel_cache_metrics() -> dict[str, Any]:
-    """The term kernel's intern-table and lru-cache statistics."""
+    """The term kernel's intern-table statistics."""
     from ..core.cache import cache_stats
     return cache_stats()
 

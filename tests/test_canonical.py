@@ -295,8 +295,8 @@ def _own_normal_forms(slot):
 
 def test_spine_slots_are_purged():
     """The merge memoizes every spine node it builds as its own normal
-    form, in ``_nf``/``_nf2``; each canonical form's ``cache_clear``
-    purges its own slot, and ``clear_caches`` both."""
+    form, in ``_nf``/``_nf2``; purging one slot leaves the other, and
+    ``clear_caches`` purges both."""
     p = parse("c! | (b?.c! | a!) | (d! | [a=a]{b! | 0}{0})")
 
     def fill():
@@ -305,10 +305,10 @@ def test_spine_slots_are_purged():
         assert _own_normal_forms("_nf") and _own_normal_forms("_nf2")
 
     fill()
-    canonical_state.cache_clear()
+    syntax.purge_node_caches(("_nf",))
     assert not _own_normal_forms("_nf") and _own_normal_forms("_nf2")
     fill()
-    canonical_state_collapsed.cache_clear()
+    syntax.purge_node_caches(("_nf2",))
     assert _own_normal_forms("_nf") and not _own_normal_forms("_nf2")
     fill()
     clear_caches()

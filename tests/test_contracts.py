@@ -439,3 +439,38 @@ def test_live_flow_package_is_verdict_free():
     assert files, "expected python files under src/repro/flow"
     violations = [v for f in files for v in cc.check_file(f)]
     assert violations == [], "\n".join(map(str, violations))
+
+
+# -- Rule G: no functools function-level caches -----------------------------
+
+def test_lru_cache_decorator_is_flagged():
+    assert codes("""
+import functools
+
+@functools.lru_cache(maxsize=65536)
+def deliver(p, chan, values):
+    return compute(p, chan, values)
+""") == ["memo-mechanism"]
+
+
+def test_cache_call_through_an_alias_is_flagged():
+    assert codes("""
+import functools as ft
+
+deliver = ft.cache(compute)
+""") == ["memo-mechanism"]
+
+
+def test_cache_import_is_flagged():
+    assert codes("""
+from functools import partial, lru_cache as memo
+""") == ["memo-mechanism"]
+
+
+def test_other_functools_uses_are_clean():
+    assert codes("""
+import functools
+from functools import partial
+
+total = functools.reduce(add, xs)
+""") == []

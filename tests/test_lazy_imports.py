@@ -138,11 +138,7 @@ class TestWhatLoads:
     def test_clear_caches_loads_no_layer(self):
         loaded = loaded_after("import repro\n"
                               "repro.core.clear_caches()\n")
-        assert loaded == IMPORT_REPRO | {"repro.core.cache",
-                                         "repro.core.semantics",
-                                         "repro.core.actions",
-                                         "repro.core.discard",
-                                         "repro.core.binders"}
+        assert loaded == IMPORT_REPRO | {"repro.core.cache"}
         assert not under(loaded, "repro.calculi")
         assert not under(loaded, "repro.flow")
 

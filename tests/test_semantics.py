@@ -4,6 +4,12 @@ One test (at least) per rule, plus broadcast-specific integration cases and
 the Lemma 1 free-name properties as hypothesis tests.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 from hypothesis import given
 
 from repro.core.actions import TAU, InputAction, OutputAction
@@ -168,6 +174,30 @@ class TestBroadcastComposition:
         p = parse("a(x).x! | a(y).c<y>")
         [q] = input_continuations(p, "a", ("b",))
         assert q == parse("b! | c<b>")
+
+    @pytest.mark.parametrize("width", [20_000, 30_000])
+    def test_joint_input_to_a_wide_composition(self, width):
+        # Delivery recurses once per Par level; a subprocess, so that a
+        # C-stack overflow fails this test instead of killing pytest.
+        code = (
+            "import sys\n"
+            "from repro.core.parser import parse\n"
+            "from repro.core.semantics import input_continuations\n"
+            "from repro.core.syntax import Par\n"
+            "x, y = parse('a(x).x!'), parse('a(y).y!')\n"
+            "p = y\n"
+            "for i in range(int(sys.argv[1]) - 1):\n"
+            "    p = Par(y if i % 2 else x, p)\n"
+            "print(len(input_continuations(p, 'a', ('b',))))\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(__file__).parent.parent / "src"),
+            env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", code, str(width)], env=env,
+            capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert result.stdout.split() == ["1"]
 
     def test_extrusion_to_many_receivers(self):
         # a single bound output exports the fresh name to both receivers

@@ -517,7 +517,10 @@ class TestServe:
     @pytest.mark.parametrize("bad, raised", [
         ('{"id": "open", "p": "X<a>", "q": "a!"}', "TypeError"),
         ('{"id": "deep", "p": "rec X(). X", "q": "0"}', "RecursionError"),
-    ], ids=["open-term", "unguarded-rec"])
+        # Each input doubles the composition: 20 states hold ~2^20 Pars.
+        ('{"id": "doubling", "p": "rec Y(e). e(y).(Y<e> | 0 + Y<e>)",'
+         ' "q": "0", "max_states": 20}', "RecursionError"),
+    ], ids=["open-term", "unguarded-rec", "doubling-pair"])
     def test_a_request_that_raises_is_an_error_line(self, bad, raised,
                                                      tmp_path):
         # A subprocess, so that a stack overflow cannot take pytest down.

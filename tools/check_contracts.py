@@ -60,6 +60,16 @@ Rule F (``flow-*``)
     the definite-FALSE-reachable / definite-TRUE-invariant side, never
     fabricate reachability.
 
+Rule G (``memo-mechanism``)
+    No ``functools.lru_cache`` / ``functools.cache`` under ``src/repro``,
+    as a decorator, a call or an import.  Node results are memoized on
+    the interned node's slots (``core/syntax.py``'s
+    ``_NODE_CACHE_SLOTS``) or in a backend's per-instance memo tables
+    (``CalculusBackend.memo``), all of which ``clear_caches()`` resets;
+    a function-level cache would be one more mechanism for that switch
+    to miss, and its C wrapper deepens the C stack of every recursion
+    through it.
+
 Run ``python tools/check_contracts.py`` (CI does); exit status 1 when a
 violation is found.  ``tests/test_contracts.py`` feeds the checker both
 the live tree and synthetic offenders.
@@ -125,6 +135,9 @@ SEMANTIC_NAMES = frozenset({
 #: File names under ``calculi/`` allowed to import the kernel directly:
 #: the module that binds its ``Table3`` class to the backend protocol.
 SEMANTIC_IMPORTERS = frozenset({"backend.py"})
+
+#: ``functools`` memoizing decorators (Rule G).
+FUNCTOOLS_CACHES = frozenset({"lru_cache", "cache"})
 
 #: Flow pre-solver entry points (Rule F): one-sided provers whose
 #: results may only surface through the verdict layer.
@@ -298,6 +311,7 @@ def check_source(source: str, path: str = "<string>") -> list[Violation]:
     _check_workers(tree, path, violations)
     _check_semantic_imports(tree, path, violations)
     _check_flow_rules(tree, path, violations)
+    _check_memo_mechanism(tree, path, violations)
     return violations
 
 
@@ -452,6 +466,30 @@ def _check_flow_rules(tree: ast.Module, path: str,
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             _check_flow_scope(node.body, node.name, _returns_verdict(node),
                               path, violations)
+
+
+def _check_memo_mechanism(tree: ast.Module, path: str,
+                          violations: list[Violation]) -> None:
+    """Rule G: no ``functools`` function-level caches."""
+    aliases = {alias.asname or alias.name
+               for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names if alias.name == "functools"}
+    for node in ast.walk(tree):
+        used = None
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            used = next((a.name for a in node.names
+                         if a.name in FUNCTOOLS_CACHES), None)
+        elif (isinstance(node, ast.Attribute)
+              and node.attr in FUNCTOOLS_CACHES
+              and isinstance(node.value, ast.Name)
+              and node.value.id in aliases):
+            used = node.attr
+        if used is not None:
+            violations.append(Violation(
+                path, node.lineno, "memo-mechanism",
+                f"uses `functools.{used}`; memoize node results on the "
+                f"interned node's slots or in a backend memo table, which "
+                f"`clear_caches()` resets"))
 
 
 def check_file(path: Path) -> list[Violation]:
