@@ -70,8 +70,8 @@ def _fresh(n: int, nest: str):
     return out
 
 
-#: (row, build, n, states, Par nodes normalization builds).  A cold
-#: exploration canonicalizes a successor by merging its new components
+#: (row, build, n, states, Par nodes normalization builds, nodes a cold
+#: exploration interns).  A cold exploration canonicalizes a successor by merging its new components
 #: into the longest suffix of its spine whose normal form is memoized,
 #: building only the nodes above the last insertion; sorting and
 #: rebuilding every successor's whole spine builds 11,028 for the star
@@ -79,24 +79,28 @@ def _fresh(n: int, nest: str):
 #: is sorted once, about n nodes whichever way it nests; merging one
 #: component per level instead builds a number quadratic in n (987,924
 #: for the right-nested row).  The relay's spines that the hoisting walk
-#: builds are memoized as their own normal forms too (997 before).
+#: builds are memoized as their own normal forms too (997 before).  The
+#: interned count covers every node exploring the built term adds to the
+#: table (Table 3 targets, normal forms, labels' residuals), so a change
+#: to the hot path that builds one node more or less shows here.
 SPINE_NODES = [
-    ("broadcast_star(10)", broadcast_star, 10, 1025, 2315),
-    ("relay_star(5)", relay_star, 5, 244, 994),
+    ("broadcast_star(10)", broadcast_star, 10, 1025, 2315, 3878),
+    ("relay_star(5)", relay_star, 5, 244, 994, 845),
     ("fresh right-nested 2000", functools.partial(_fresh, nest="right"),
-     2000, None, 2000),
+     2000, None, 2000, None),
     ("fresh left-nested 2000", functools.partial(_fresh, nest="left"),
-     2000, None, 1999),
+     2000, None, 1999, None),
 ]
 
 
 @pytest.mark.parametrize("case", SPINE_NODES, ids=lambda c: c[0])
 def test_normalization_builds_spine_nodes(benchmark, monkeypatch, case):
     """An exact count of the ``Par`` nodes that ``_normalize`` builds
-    (found in or added to the intern table) in one cold run, so it holds
-    on any host."""
-    row, build, n, states, expected = case
-    depth = built = 0
+    (found in or added to the intern table) in one cold run, and of the
+    nodes a cold exploration adds to the table, so both hold on any
+    host."""
+    row, build, n, states, expected, interned = case
+    depth = built = added = 0
     construct = syntax._InternMeta.__call__
     normalize = canonical._normalize
 
@@ -118,17 +122,22 @@ def test_normalization_builds_spine_nodes(benchmark, monkeypatch, case):
     monkeypatch.setattr(canonical, "_normalize", counting_normalize)
 
     def run_cold():
-        nonlocal built
+        nonlocal built, added
         clear_caches()
         term = build(n)
         built = 0
         if states is None:
             return canonical_state(term)
-        return explore(term)
+        before = intern_stats()["interned"]
+        result = explore(term)
+        added = intern_stats()["interned"] - before
+        return result
 
     result = benchmark(run_cold)
     if states is not None:
         assert len(result.lts.states) == states
+        print(f"{row}: {added} nodes interned by a cold exploration")
+        assert added == interned
     print(f"{row}: {built} Par nodes built by normalization")
     assert built == expected
 

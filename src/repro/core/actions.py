@@ -20,19 +20,14 @@ relation in :mod:`repro.core.discard` and represent the combined move with
 
 from __future__ import annotations
 
-from typing import Any
-
 from .names import Name
+from .syntax import Keyed
 
 
-class Action:
+class Action(Keyed):
     """Base class of transition labels."""
 
     __slots__ = ("_hash",)
-    _fields: tuple[str, ...] = ()
-
-    def _key(self) -> tuple[Any, ...]:
-        return (self.__class__,) + tuple(getattr(self, f) for f in self._fields)
 
     def _init_hash(self) -> None:
         self._hash = hash(self._key())

@@ -31,7 +31,9 @@ it sits, its sort key is its fingerprint, and a composition of such
 components is canonical as it stands.  Restrictions hoisted to the top
 are named ``_h0``, ``_h1``, ... by first occurrence, skipping the
 state's free names: a component binds only ``_v`` names, so none binds
-or captures one.
+or captures one.  The order of first occurrence is the least walk of the
+components read blind to those binders (:func:`_orders`), so neither
+their spelling nor their nesting shows in it.
 
 Every part is memoized on the interned nodes.  A binder-free state is a
 sorted multiset of components (laws b-d), and a successor built by the
@@ -134,7 +136,9 @@ def canonical_state(p: Process) -> Process:
     Memoized on the interned node (the normal form's ``_nf`` slot):
     exploring a state space recanonicalizes the same shared subterms over
     and over, and with hash-consing those are pointer-identical, so the
-    cache hit is a slot read.
+    cache hit is a slot read.  Warm callers (the equivalence checkers)
+    mostly hit, so the probe is a ``try``, cheaper than ``getattr`` on a
+    hit.
     """
     try:
         return p._nf
@@ -167,10 +171,9 @@ def _normalize(p: Process, collapse: bool) -> Process:
     # states of an exploration share almost all of their components, so
     # normalizing a successor mostly re-reads slots.
     slot = "_nf2" if collapse else "_nf"
-    try:
-        return getattr(p, slot)
-    except AttributeError:
-        pass
+    got = getattr(p, slot, None)
+    if got is not None:
+        return got
     if isinstance(p, (Par, Restrict)):
         return _normalize_composition(p, collapse)  # memoizes what it may
     result = _normalize_uncached(p, collapse)
@@ -437,9 +440,9 @@ def _normalize_composition(p: Process, collapse: bool) -> Process:
             continue
         order = {n: k for k, n in enumerate(free_occurrence_order(comp))}
         mine.sort(key=lambda b: order.get(b, len(order)))
-        for b in reversed(mine):
-            comp = Restrict(b, comp)
-        components[i] = canonical_alpha(comp)
+        # A sum's binders are nested as its summands were spelled; the
+        # settled form does not depend on that.
+        components[i] = _settle(canonical_alpha(_restrict(mine, comp)))
         pushed = True
     if collapse and pushed:
         # Garbage fragments are alpha-equal once their privates moved in.
@@ -467,77 +470,256 @@ def _normalize_composition(p: Process, collapse: bool) -> Process:
 #: so no component binds one.
 HOISTED_PREFIX = "_h"
 
-#: Stands for every hoisted binder in the name-blind order of components.
+#: Stands for every binder not yet named in a walk blind to them.
 _HOLE = "_hole"
 
 
-def _name_rank(name: Name) -> tuple:
-    """A total order on names: ``_h<i>`` by index, then the rest."""
-    n = len(HOISTED_PREFIX)
-    if name.startswith(HOISTED_PREFIX) and name[n:].isdigit():
-        return (0, int(name[n:]), "")
-    return (1, 0, name)
+def _fresh_names(prefix: str, parts: list[Process],
+                 binders: frozenset[Name]) -> list[Name]:
+    """``<prefix>0``, ``<prefix>1``, ..., one per binder, skipping the
+    names free in *parts* that are not *binders*."""
+    free = frozenset().union(*map(free_names, parts)) - binders
+    return [n for n in (f"{prefix}{i}"
+                        for i in range(len(binders) + len(free)))
+            if n not in free][:len(binders)]
+
+
+def _orders(parts: list[Process], holes: frozenset[Name],
+            naming: frozenset[Name], fill: dict[Name, Name],
+            names: list[Name], context: list[Process]
+            ) -> list[tuple[list[int], dict[Name, Name]]]:
+    """The least orders of *parts* read blind to the binders *holes*,
+    each with *fill* extended by the binders of *naming* it names: a
+    binder is given the next of *names* when the order first uses it
+    (:func:`_first_uses`).
+
+    The parts are ordered by a key blind to the binders (each unnamed
+    one read as the same hole), taken from the part's settled form
+    (:func:`_settle`), so neither the spelling nor the nesting of the
+    binders inside a part matters.  Parts whose blind keys tie are
+    taken one at a time: next is the one whose key is least with the
+    binders named so far, then with its own binders named.  Picks that
+    tie on both keys are each tried, and the orders whose keys are the
+    least sequence win, as pairs ``(order, fill)``.  A pick is not
+    tried when it is a symmetric image of one that is: the names that
+    walks from both give define a renaming of the binders, and when
+    that maps *parts* and *context* onto themselves, both picks lead to
+    the same keys.  The result is a function of *parts*, *context* and
+    *fill* whatever the spelling, nesting or order of the binders and
+    the parts, and it is kept when the result is normalized again.
+    """
+    hidden = [holes & free_names(c) for c in parts]
+
+    def key(i: int, fill: dict[Name, Name]) -> bytes:
+        if not hidden[i]:
+            return _stable_fingerprint(parts[i])
+        return _stable_fingerprint(_settle(canonical_alpha(apply_subst(
+            parts[i], {b: fill.get(b, _HOLE) for b in hidden[i]}))))
+
+    blind = [key(i, fill) for i in range(len(parts))]
+    order = sorted(range(len(parts)), key=blind.__getitem__)
+
+    def walk(pos: int, block: list[int], fill: dict[Name, Name],
+             picked: list[int], trace: list | None, first: bool = False
+             ) -> list[tuple[list[int], dict[Name, Name]]]:
+        # From *pos* in *order*, with *block* left of the current run of
+        # equal blind keys; *first* takes the first of tied picks.
+        while pos < len(order) or block:
+            if not block:
+                end = pos + 1
+                while (end < len(order)
+                       and blind[order[end]] == blind[order[pos]]):
+                    end += 1
+                block, pos = order[pos:end], end
+            tied = block
+            if len(tied) > 1:
+                held = [key(i, fill) for i in tied]
+                low = min(held)
+                tied = [i for i, k in zip(tied, held) if k == low]
+            ways = [(i, f) for i in tied
+                    for f in _first_uses(parts[i], holes, naming, fill, names,
+                                         context)]
+            if len(ways) > 1:
+                named = [key(i, f) for i, f in ways]
+                low = min(named)
+                ways = [w for w, k in zip(ways, named) if k == low]
+                ways = ways[:1] if first else unlike(ways, pos, block, fill)
+            i, f = ways[0]
+            if trace is not None:
+                trace.append((key(i, fill), key(i, f)))
+            if len(ways) == 1:
+                block = [j for j in block if j != i]
+                picked.append(i)
+                fill = f
+                continue
+            best: list | None = None
+            found: list[tuple[list[int], dict[Name, Name]]] = []
+            for i, f in ways:
+                sub: list = []
+                got = walk(pos, [j for j in block if j != i], f,
+                           picked + [i], sub)
+                if best is None or sub < best:
+                    best, found = sub, got
+                elif sub == best:
+                    found += got
+            if trace is not None and best is not None:
+                trace += best
+            return found
+        return [(picked, fill)]
+
+    def unlike(ways: list[tuple[int, dict[Name, Name]]], pos: int,
+               block: list[int], fill: dict[Name, Name]
+               ) -> list[tuple[int, dict[Name, Name]]]:
+        # The tied *ways*, less each symmetric image of one kept: first
+        # by the names the two picks give, then by those of the walks
+        # that go on from them.
+        def done(i: int, f: dict[Name, Name]) -> dict[Name, Name]:
+            return walk(pos, [j for j in block if j != i], f, [], None,
+                        True)[0][1]
+
+        kept: list[list] = []
+        for i, f in ways:
+            ahead = None
+            for rep in kept:
+                j, g = rep[0], rep[1]
+                if _symmetric(g, f, fill, parts[j], parts[i], parts, context):
+                    break
+                if rep[2] is None:
+                    rep[2] = done(j, g)
+                if ahead is None:
+                    ahead = done(i, f)
+                if _symmetric(rep[2], ahead, fill, parts[j], parts[i], parts,
+                              context):
+                    break
+            else:
+                kept.append([i, f, ahead])
+        return [(i, f) for i, f, _ in kept]
+
+    return walk(0, [], dict(fill), [], None)
+
+
+def _symmetric(mine: dict[Name, Name], theirs: dict[Name, Name],
+               fill: dict[Name, Name], part: Process, image: Process,
+               parts: list[Process], context: list[Process]) -> bool:
+    """Whether the renaming of the binders that *mine* names beyond
+    *fill* to those *theirs* gives the same names (a permutation, each
+    chain closed) maps *part* onto *image*, and *parts* and *context*
+    onto themselves."""
+    if sorted(n for b, n in mine.items() if b not in fill) != \
+            sorted(n for b, n in theirs.items() if b not in fill):
+        return False
+    named_by = {n: b for b, n in theirs.items()}
+    rename = {b: named_by[n] for b, n in mine.items() if b not in fill}
+    back = {v: b for b, v in rename.items()}
+    for b in list(rename.values()):
+        if b not in rename:
+            end = b
+            while end in back:
+                end = back[end]
+            rename[b] = end
+
+    def norm(q: Process) -> bytes:
+        return _stable_fingerprint(_settle(canonical_alpha(q)))
+
+    def onto(qs: list[Process]) -> bool:
+        return (sorted(norm(apply_subst(q, rename)) for q in qs)
+                == sorted(map(norm, qs)))
+
+    return (norm(apply_subst(part, rename)) == norm(image) and onto(parts)
+            and (context is parts or onto(context)))
+
+
+def _first_uses(c: Process, holes: frozenset[Name], naming: frozenset[Name],
+                fill: dict[Name, Name], names: list[Name],
+                context: list[Process]) -> list[dict[Name, Name]]:
+    """*fill* extended by the binders of *naming* free in the part *c*
+    and unnamed in *fill*, each named as a walk blind to *holes* first
+    meets it; one extension per least way to walk *c*.
+
+    A prefix, a recursion or a composition is walked in its own order
+    (free-occurrence order).  The summands of a sum, under any binders
+    pushed into it (read as holes), were sorted while the binders were
+    still spelled as written, so the walk takes them in their least
+    orders (:func:`_orders`) instead.
+    """
+    todo = naming & free_names(c)
+    if todo <= fill.keys():
+        return [fill]
+    body, inner = c, set()
+    while body.__class__ is Restrict:
+        inner.add(body.name)
+        body = body.body
+    if body.__class__ is Sum:
+        blank = {b: _HOLE for b in inner}
+        summands = [_settle(canonical_alpha(apply_subst(q, blank)))
+                    for q in _flatten(body, Sum)]
+        return list({tuple(f.items()): f for _, f in _orders(
+            summands, holes - inner, naming - inner, fill, names,
+            context)}.values())
+    fill = dict(fill)
+    for x in free_occurrence_order(c):
+        if x in todo and x not in fill:
+            fill[x] = names[len(fill)]
+    return [fill]
+
+
+def _settle(c: Process) -> Process:
+    """The component *c*, alpha-canonical, as it normalizes to itself:
+    the binders on top of a sum nested in the order of its least walk
+    (:func:`_orders`, blind to them) and the summands sorted by
+    fingerprint under their names, as :func:`_normalize` sorts a sum.
+    Anything else is *c*."""
+    binders = []
+    body = c
+    while body.__class__ is Restrict:
+        binders.append(body.name)
+        body = body.body
+    if body.__class__ is not Sum:
+        return c
+    nest = []
+    if binders:
+        own = frozenset(binders)
+        summands = [_settle(canonical_alpha(q)) for q in _flatten(body, Sum)]
+        nest = list(_orders(summands, own, own, {},
+                            _fresh_names(_HOLE, summands, own),
+                            summands)[0][1])
+        nest += [b for b in binders if b not in nest]
+    body = canonical_alpha(_restrict(nest, body))
+    named = []
+    while body.__class__ is Restrict:
+        named.append(body.name)
+        body = body.body
+    return canonical_alpha(_restrict(named, _rebuild(
+        sorted((_settle(canonical_alpha(q)) for q in _flatten(body, Sum)),
+               key=_stable_fingerprint), Sum, NIL)))
 
 
 def _hoist(components: list[Process], shared: list[Name]) -> Process:
     """``nu x1 .. nu xk (q1 || ... || qn)`` over the alpha-canonical
     *components*, each binder of *shared* free in two or more of them.
 
-    The components are ordered by a key blind to the binders (each one
-    read as the same hole), and the binders named by first occurrence in
-    that order.  Components whose blind keys tie are taken one at a time:
-    next is the one whose key is least with the binders named so far
-    (the rest still holes).  A tie that this cannot break goes to the
-    component whose unnamed binders, in order of occurrence, spell the
-    least sequence of names (``_h<i>`` by index, before any other name).
-    That makes the result a function of the components and their names,
-    whatever their order, and makes it normalize to itself: the component
-    it took next spells the next free indices in a row, which no other
-    component's sequence undercuts.
-
-    The binders are named ``_h0``, ``_h1``, ... in that order, skipping
-    the names free in the body: a component binds only ``_v`` names, so
-    none binds or captures one.
+    The components are put in their least order blind to the binders
+    (:func:`_orders`), which names them ``_h0``, ``_h1``, ... as it
+    meets them, skipping the names free in the body: a component binds
+    only ``_v`` names, so none binds or captures one.  Each component
+    that holds a binder is settled once the binders are named
+    (:func:`_settle`).  The result is a function of the components,
+    whatever their order and the spelling and order of the binders, and
+    normalizes to itself.
     """
     binder_set = frozenset(shared)
-    hidden = [binder_set & free_names(c) for c in components]
-    free = frozenset().union(*map(free_names, components)) - binder_set
-    names = [n for n in (f"{HOISTED_PREFIX}{i}"
-                         for i in range(len(shared) + len(free)))
-             if n not in free][:len(shared)]
-    mapping: dict[Name, Name] = {}
+    names = _fresh_names(HOISTED_PREFIX, components, binder_set)
+    ordered, mapping = _orders(components, binder_set, binder_set, {}, names,
+                               components)[0]
+    out = _rebuild([_settle(canonical_alpha(apply_subst(components[i],
+                                                        mapping)))
+                    if binder_set & free_names(components[i])
+                    else components[i] for i in ordered], Par, NIL)
+    return _restrict(names, out)
 
-    def key(i: int, fill: dict[Name, Name]) -> bytes:
-        if not hidden[i]:
-            return _stable_fingerprint(components[i])
-        return _stable_fingerprint(canonical_alpha(apply_subst(
-            components[i], {b: fill.get(b, _HOLE) for b in hidden[i]})))
 
-    def next_key(i: int) -> tuple:
-        unnamed = [_name_rank(x) for x in free_occurrence_order(components[i])
-                   if x in hidden[i] and x not in mapping]
-        return key(i, mapping), unnamed
-
-    blind = [key(i, {}) for i in range(len(components))]
-    order = sorted(range(len(components)), key=blind.__getitem__)
-    ordered: list[int] = []
-    start = 0
-    while start < len(order):
-        end = start + 1
-        while end < len(order) and blind[order[end]] == blind[order[start]]:
-            end += 1
-        rest = order[start:end]
-        while rest:
-            pick = rest[0] if len(rest) == 1 else min(rest, key=next_key)
-            rest.remove(pick)
-            ordered.append(pick)
-            for x in free_occurrence_order(components[pick]):
-                if x in binder_set and x not in mapping:
-                    mapping[x] = names[len(mapping)]
-        start = end
-    out = _rebuild([canonical_alpha(apply_subst(components[i], mapping))
-                    if hidden[i] else components[i] for i in ordered],
-                   Par, NIL)
-    for name in reversed(names):
-        out = Restrict(name, out)
-    return out
+def _restrict(binders: list[Name], p: Process) -> Process:
+    """``nu b1 .. nu bk p`` over *binders*, the first outermost."""
+    for b in reversed(binders):
+        p = Restrict(b, p)
+    return p

@@ -55,12 +55,9 @@ def listening_channels(p: Process) -> frozenset[Name]:
     available to *p*.  Only free names can be listened on from outside, so
     the result is a subset of ``fn(p)``.
     """
-    try:
-        return p._listen
-    except AttributeError:
-        pass
-    result = _listening_channels(p)
-    p._listen = result
+    result = getattr(p, "_listen", None)
+    if result is None:
+        result = p._listen = _listening_channels(p)
     return result
 
 

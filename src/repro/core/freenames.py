@@ -31,12 +31,9 @@ from .syntax import (
 
 def free_names(p: Process) -> frozenset[Name]:
     """The set ``fn(p)`` of free names of *p* (memoized on the node)."""
-    try:
-        return p._fn
-    except AttributeError:
-        pass
-    result = _free_names(p)
-    p._fn = result
+    result = getattr(p, "_fn", None)
+    if result is None:
+        result = p._fn = _free_names(p)
     return result
 
 

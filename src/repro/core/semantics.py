@@ -149,15 +149,14 @@ class Table3:
         Memoized on the interned node: parallel compositions share
         subterms heavily, so the recursion bottoms out in slot reads.
         """
-        try:
-            return p._steps
-        except AttributeError:
-            pass
-        result = self._compute_steps(p)
-        p._steps = result
+        result = getattr(p, "_steps", None)
+        if result is None:
+            result = p._steps = self._compute_steps(p)
         return result
 
     def _compute_steps(self, p: Process) -> tuple[Transition, ...]:
+        if isinstance(p, Par):
+            return tuple(self._par_steps(p))
         if isinstance(p, (Nil, Input)):
             return ()
         if isinstance(p, Tau):
@@ -173,8 +172,6 @@ class Table3:
             return self.step_transitions(unfold_rec(p))
         if isinstance(p, Restrict):
             return tuple(self._restrict_steps(p))
-        if isinstance(p, Par):
-            return tuple(self._par_steps(p))
         if isinstance(p, Ident):
             raise ValueError(
                 f"cannot take transitions of open process (free identifier {p.ident!r})")
@@ -214,30 +211,31 @@ class Table3:
 
     def _par_steps(self, p: Par) -> list[Transition]:
         out: list[Transition] = []
-        for active, passive, rebuild in (
-            (p.left, p.right, lambda a, b: Par(a, b)),
-            (p.right, p.left, lambda a, b: Par(b, a)),
-        ):
+        for on_left, active, passive in ((True, p.left, p.right),
+                                         (False, p.right, p.left)):
             for action, target in self.step_transitions(active):
                 if isinstance(action, TauAction):
                     # Rule (14) with alpha = tau (every process "discards" tau).
-                    out.append((TAU, rebuild(target, passive)))
-                    continue
-                assert isinstance(action, OutputAction)
-                if action.binders:
-                    # Side condition of rules (13)/(14): extruded names fresh
-                    # for the passive side.
-                    action, target = freshen_action_binders(
-                        action, target, free_names(passive) | self.avoid)
-                if self.discards(passive, action.chan):
-                    # Rule (14): the passive side is not listening; unchanged.
-                    out.append((action, rebuild(target, passive)))
+                    residuals: tuple[Process, ...] = (passive,)
                 else:
-                    # Rule (13): the passive side *must* take the broadcast,
-                    # in every way the delivery judgement admits.
-                    for received in self.input_continuations(
-                            passive, action.chan, action.objects):
-                        out.append((action, rebuild(target, received)))
+                    assert isinstance(action, OutputAction)
+                    if action.binders:
+                        # Side condition of rules (13)/(14): extruded names
+                        # fresh for the passive side.
+                        action, target = freshen_action_binders(
+                            action, target, free_names(passive) | self.avoid)
+                    if self.discards(passive, action.chan):
+                        # Rule (14): the passive side is not listening.
+                        residuals = (passive,)
+                    else:
+                        # Rule (13): the passive side *must* take the
+                        # broadcast, in every way the delivery judgement
+                        # admits.
+                        residuals = self.input_continuations(
+                            passive, action.chan, action.objects)
+                for received in residuals:
+                    out.append((action, Par(target, received) if on_left
+                                else Par(received, target)))
         return out
 
     # ----------------------------------------------------------- delivery
@@ -254,9 +252,8 @@ class Table3:
                  values: tuple[Name, ...]) -> tuple[Process, ...]:
         """Memoized :meth:`_compute_inputs`, on the interned node: one
         ``(chan, values)`` -> residuals table per node."""
-        try:
-            memo = p._inputs
-        except AttributeError:
+        memo = getattr(p, "_inputs", None)
+        if memo is None:
             memo = p._inputs = {}
         key = (chan, values)
         result = memo.get(key)

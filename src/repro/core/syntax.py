@@ -31,7 +31,8 @@ owner).  :mod:`repro.core.cache` exposes ``clear_caches()`` /
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from operator import attrgetter
+from typing import Any, Callable, Iterator
 
 from .names import Name
 
@@ -68,6 +69,32 @@ _INTERN: dict[tuple, "Process"] = {}
 _INTERN_STATS = {"hits": 0, "misses": 0}
 
 
+class Keyed:
+    """Base of node and action classes: an instance's structural key is
+    ``(obj.__class__,) + (obj.<field>, ...)`` over the class's
+    ``_fields``.
+
+    Each class gets its getter once, as ``_key_of``: with fields, one
+    C-level ``operator.attrgetter``, which returns a tuple for two or
+    more attributes; without (a singleton), a plain function.  It is
+    wrapped in a ``staticmethod`` so that the function, not a bound
+    method, is read through an instance.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _key_of: Callable[[Any], tuple[Any, ...]]
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        key_of = (attrgetter("__class__", *cls._fields) if cls._fields
+                  else lambda obj: (obj.__class__,))
+        cls._key_of = staticmethod(key_of)  # type: ignore[assignment]
+
+    def _key(self) -> tuple[Any, ...]:
+        return self._key_of(self)
+
+
 class _InternMeta(type):
     """Metaclass routing construction through the intern table.
 
@@ -79,25 +106,28 @@ class _InternMeta(type):
     """
 
     def __call__(cls, *args: Any, **kwargs: Any) -> "Process":
+        probe = None
         if not kwargs and len(args) == len(cls._fields):
             # Fast path: positional args in already-normalized form (the
             # overwhelmingly common case in rewriting loops) can be matched
             # against the table without building a candidate.  A miss here
             # is not authoritative — un-normalized spellings fall through.
+            probe = (cls,) + args
             try:
-                cached = _INTERN.get((cls,) + args)
+                cached = _INTERN.get(probe)
             except TypeError:  # unhashable spelling, e.g. a list of names
-                cached = None
+                probe = cached = None
             if cached is not None:
                 _INTERN_STATS["hits"] += 1
                 return cached
         obj = super().__call__(*args, **kwargs)
         key = obj._key()
         obj._hash = hash(key)
-        cached = _INTERN.get(key)
-        if cached is not None:
-            _INTERN_STATS["hits"] += 1
-            return cached
+        if key != probe:  # a spelling the constructor normalized
+            cached = _INTERN.get(key)
+            if cached is not None:
+                _INTERN_STATS["hits"] += 1
+                return cached
         _INTERN_STATS["misses"] += 1
         _INTERN[key] = obj
         return obj
@@ -137,7 +167,7 @@ def intern_stats() -> dict[str, int | float]:
             "hit_rate": (hits / total) if total else 0.0}
 
 
-class Process(metaclass=_InternMeta):
+class Process(Keyed, metaclass=_InternMeta):
     """Base class of all process terms.
 
     Subclasses declare ``__slots__`` for their fields and list them in
@@ -147,10 +177,6 @@ class Process(metaclass=_InternMeta):
     """
 
     __slots__ = ("_hash",) + _NODE_CACHE_SLOTS
-    _fields: tuple[str, ...] = ()
-
-    def _key(self) -> tuple[Any, ...]:
-        return (self.__class__,) + tuple(getattr(self, f) for f in self._fields)
 
     def __hash__(self) -> int:
         return self._hash

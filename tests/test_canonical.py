@@ -6,7 +6,9 @@ matching transition sets modulo re-canonicalization of the targets.
 """
 
 import functools
+import itertools
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -72,6 +74,12 @@ class TestStructuralLaws:
     def test_restriction_reorder(self):
         assert canonical_state(parse("nu x nu y (x<y>)")) == \
             canonical_state(parse("nu y nu x (x<y>)"))
+        # every part reads _hole<_hole> blind to the binders: the names a
+        # pick gives tell them apart, not the order the binders nest in
+        for body in ("x<x> | x<y> | y<x>", "x<x> + x<y> + y<x>",
+                     "(x<x> + x<y> + y<x>) | x! | y!"):
+            assert canonical_state(parse(f"nu x nu y ({body})")) == \
+                canonical_state(parse(f"nu y nu x ({body})"))
 
     def test_scope_extrusion(self):
         assert canonical_state(parse("(nu x x<a>) | b!")) == \
@@ -86,10 +94,13 @@ class TestStructuralLaws:
 
     def test_hoisted_binder_tie_is_order_independent(self):
         # three components tie on the name-blind key and on every key with
-        # the names given so far; the names of the binders decide
-        forms = {canonical_state(parse(f"nu x nu y nu z ({body} | a<x>)"))
+        # the names given so far; the walk that goes on from each decides.
+        # A rotation of the binders maps the cycle onto itself, so the
+        # three tails are alpha-variants.
+        forms = {canonical_state(parse(f"nu x nu y nu z ({body} | {tail})"))
                  for body in ("x<y> | y<z> | z<x>", "y<z> | x<y> | z<x>",
-                              "z<x> | y<z> | x<y>")}
+                              "z<x> | y<z> | x<y>")
+                 for tail in ("a<x>", "a<y>", "a<z>")}
         assert len(forms) == 1
 
     def test_match_resolved(self):
@@ -98,6 +109,11 @@ class TestStructuralLaws:
 
     def test_alpha_quotient(self):
         assert canonical_state(parse("nu x x<a>")) == canonical_state(parse("nu y y<a>"))
+        # a sum's summands are ordered blind to the binder pushed into it
+        # or hoisted over it, not by how that binder is spelled
+        for body in ("{0}<{0}> + {0}<b>", "({0}<{0}> + {0}<b>) | {0}!"):
+            assert canonical_state(parse(f"nu x ({body.format('x')})")) \
+                == canonical_state(parse(f"nu y ({body.format('y')})"))
 
     def test_does_not_touch_continuations(self):
         # under a prefix, structure is preserved (only alpha-normalised)
@@ -107,6 +123,10 @@ class TestStructuralLaws:
 
 
 @given(processes1)
+@example(parse("nu x (x<x> + x<b>)"))
+@example(parse("nu y (y<y> + y<b>)"))
+@example(parse("nu x ((x<x> + x<b>) | x!)"))
+@example(parse("nu y ((y<y> + y<b>) | y!)"))
 def test_idempotent(p):
     assert canonical_state(canonical_state(p)) == canonical_state(p)
 
@@ -338,6 +358,11 @@ def _fresh_copy(p):
 @example(parse("nu x nu y (a<x> | a<y> | x! | y!)"))
 @example(parse("nu x nu y (a<y> | a<x> | x<y> | y<x>)"))
 @example(parse("nu x nu y nu z (x<y> | y<z> | z<x> | a<x>)"))
+@example(parse("nu x nu y (x<x> | x<y> | y<x>)"))
+@example(parse("nu y nu x (x<x> | x<y> | y<x>)"))
+# a sum under pushed binders, and one under a restricted summand
+@example(parse("nu x nu y (x<x> + x<y> + y<x>)"))
+@example(parse("nu y nu z ((nu x (x<y> + x<z>)) | y<a> | z<b>)"))
 def test_canonical_state_is_its_own_normal_form(p):
     """Every canonical state, restrictions on top included, normalizes to
     itself from a cleared kernel, in both collapse modes: no whole-state
@@ -454,13 +479,126 @@ def _key(q):
     return _stable_fingerprint(canonical_alpha(q))
 
 
+def _fresh(prefix, parts, binders):
+    """``<prefix>0``, ``<prefix>1``, ..., one per binder, skipping the
+    parts' other free names."""
+    free = set().union(*map(free_names, parts)) - set(binders)
+    return [n for n in (f"{prefix}{i}"
+                        for i in range(len(binders) + len(free)))
+            if n not in free][:len(binders)]
+
+
+def _reference_key(q, fill, holes):
+    """The fingerprint of *q* settled, each binder of *holes* it holds
+    read as its name in *fill*, or as ``_hole``."""
+    return _key(_reference_settle(apply_subst(
+        q, {b: fill.get(b, "_hole") for b in set(holes) & free_names(q)})))
+
+
+def _reference_least(parts, holes, naming, fill, names):
+    """By brute force: every pair (order, fill) whose walk of *parts*
+    has the least key sequence.  A walk goes through the parts in an
+    order; each part names the binders of *naming* it holds and *fill*
+    does not, from *names* in turn (:func:`_reference_uses`), and adds
+    its key blind to the binders, with the names given before it, and
+    with its own.  Only orders whose blind keys do not decrease can be
+    least, so only those are tried."""
+    blind = [_reference_key(q, fill, holes) for q in parts]
+    groups = [[i for i in range(len(parts)) if blind[i] == k]
+              for k in sorted(set(blind))]
+
+    def walks(order, given):
+        if not order:
+            yield [], given
+            return
+        q = parts[order[0]]
+        for f in _reference_uses(q, holes, naming, given, names):
+            step = (blind[order[0]], _reference_key(q, given, holes),
+                    _reference_key(q, f, holes))
+            for keys, g in walks(order[1:], f):
+                yield [step] + keys, g
+
+    best, found = None, []
+    for perms in itertools.product(*map(itertools.permutations, groups)):
+        order = [i for perm in perms for i in perm]
+        for keys, f in walks(order, dict(fill)):
+            if best is None or keys < best:
+                best, found = keys, [(order, f)]
+            elif keys == best:
+                found.append((order, f))
+    return found
+
+
+def _reference_uses(c, holes, naming, fill, names):
+    """Every way *c* extends *fill* with the binders of *naming* it
+    holds unnamed: in free-occurrence order, or for a sum (under any
+    restrictions, read as holes) as every least walk of its summands
+    names them."""
+    todo = set(naming) & free_names(c)
+    if todo <= set(fill):
+        return [fill]
+    body, inner = c, set()
+    while isinstance(body, Restrict):
+        inner.add(body.name)
+        body = body.body
+    if isinstance(body, Sum):
+        blank = {b: "_hole" for b in inner}
+        summands = [_reference_settle(apply_subst(canonical_alpha(q), blank))
+                    for q in _flatten(body, Sum)]
+        fills = {}
+        for _, f in _reference_least(summands, set(holes) - inner,
+                                     set(naming) - inner, fill, names):
+            fills.setdefault(tuple(f.items()), f)
+        return list(fills.values())
+    fill = dict(fill)
+    for n in free_occurrence_order(c):
+        if n in todo and n not in fill:
+            fill[n] = names[len(fill)]
+    return [fill]
+
+
+def _restricted(binders, p):
+    for b in reversed(binders):
+        p = Restrict(b, p)
+    return p
+
+
+def _reference_settle(c):
+    """*c* alpha-canonical, a sum under restrictions with the binders
+    nested as a least walk of its summands names them and the summands
+    (each settled) sorted by fingerprint under the names its binders
+    then have."""
+    c = canonical_alpha(c)
+    binders, body = [], c
+    while isinstance(body, Restrict):
+        binders.append(body.name)
+        body = body.body
+    if not isinstance(body, Sum):
+        return c
+    summands = [_reference_settle(q) for q in _flatten(body, Sum)]
+    nest = []
+    if binders:
+        _, fill = _reference_least(summands, binders, binders, {},
+                                   _fresh("_hole", summands, binders))[0]
+        nest = list(fill) + [b for b in binders if b not in fill]
+    c = canonical_alpha(_restricted(nest, body))
+    named = []
+    while isinstance(c, Restrict):
+        named.append(c.name)
+        c = c.body
+    return canonical_alpha(_restricted(named, _rebuild(
+        sorted((_reference_settle(q) for q in _flatten(c, Sum)), key=_key),
+        Sum, NIL)))
+
+
 def _reference_normalize(p, collapse):
     """``_normalize`` by a plain walk: every spine is walked in full, and
     nothing is memoized.  Components are alpha-canonical and sorted by
-    fingerprint; binders two or more of them share are hoisted, ordered
-    by a name-blind key with ties broken by the names given so far, then
-    by the names of the binders not yet named, and named ``_h0``,
-    ``_h1``, ... in that order, skipping the body's free names."""
+    fingerprint; a binder one of them uses is pushed into it and the
+    component settled (:func:`_reference_settle`); binders two or more
+    of them share are hoisted, named as the least walk of the components
+    meets them (:func:`_reference_least`), and each component that holds
+    one is settled under those names."""
     if isinstance(p, (Nil, Tau, Input, Output, Rec)):
         return canonical_alpha(p)
     if isinstance(p, Match):
@@ -512,50 +650,25 @@ def _reference_normalize(p, collapse):
         components = dedup(components)
     usage = {b: [i for i, c in enumerate(components) if b in free_names(c)]
              for b in binders}
+    shared = [b for b in binders if len(usage[b]) > 1]
     for i, comp in enumerate(components):
         mine = [b for b in binders if usage[b] == [i]]
         if mine:
-            order = {n: k for k, n in enumerate(free_occurrence_order(comp))}
-            mine.sort(key=lambda b: order.get(b, len(order)))
-            for b in reversed(mine):
-                comp = Restrict(b, comp)
-            components[i] = canonical_alpha(comp)
+            # first occurrence nests them, but a sum's nest is settled
+            # whatever order it comes in, so take it reversed
+            nest = ([n for n in free_occurrence_order(comp) if n in mine]
+                    if not isinstance(comp, Sum) else mine[::-1])
+            components[i] = _reference_settle(_restricted(nest, comp))
     if collapse:
         components = dedup(components)
-    shared = [b for b in binders if len(usage[b]) > 1]
     if not shared:
         return _rebuild(sorted(components, key=_key), Par, NIL)
-
-    def key(q, named):
-        return _key(apply_subst(q, {b: named.get(b, "_hole")
-                                    for b in shared}))
-
-    free = set().union(*map(free_names, components)) - set(shared)
-    names = [n for n in (f"_h{i}" for i in range(len(shared) + len(free)))
-             if n not in free][:len(shared)]
-    def rank(n):
-        return (0, int(n[2:]), "") if n[:2] == "_h" and n[2:].isdigit() \
-            else (1, 0, n)
-
-    def next_key(q):
-        return key(q, named), [rank(n) for n in free_occurrence_order(q)
-                               if n in shared and n not in named]
-
-    named, ordered = {}, []
-    rest = sorted(components, key=lambda q: key(q, {}))
-    while rest:
-        blind = key(rest[0], {})
-        pick = min((q for q in rest if key(q, {}) == blind), key=next_key)
-        rest.remove(pick)
-        ordered.append(pick)
-        for n in free_occurrence_order(pick):
-            if n in shared and n not in named:
-                named[n] = names[len(named)]
-    out = _rebuild([canonical_alpha(apply_subst(c, named)) for c in ordered],
-                   Par, NIL)
-    for name in reversed(names):
-        out = Restrict(name, out)
-    return out
+    names = _fresh("_h", components, shared)
+    ordered, named = _reference_least(components, shared, shared, {},
+                                      names)[0]
+    return _restricted(names, _rebuild(
+        [_reference_settle(apply_subst(components[i], named))
+         for i in ordered], Par, NIL))
 
 
 def _reinterned(p):
@@ -634,6 +747,55 @@ def test_spine_memo_matches_full_walk_in_every_context(p, q, name):
         assert canonical_state(ctx) == _reference_normalize(ctx, False)
         assert canonical_state_collapsed(ctx) == \
             _reference_normalize(ctx, True)
+
+
+#: Compositions whose components tie blind to the binders, so that only
+#: the binders decide the order: the least walk decides, or symmetry.
+BINDER_TIES = [
+    "nu x nu y (x<x> | x<y> | y<x>)",
+    "nu x nu y (x<y> | y<x> | x<a> | y<b>)",
+    "nu x nu y nu z (x<y> | y<z> | z<x> | a<x>)",
+    "nu x nu y nu z nu u nu v nu w (x<y> | y<z> | z<x> | u<v> | v<w> | w<u>)",
+    "nu x nu y (x<x> + x<y> + y<x>)",
+    "nu x nu y ((x<y> + y<x>) | x<a> | y<b>)",
+    "nu y nu z ((nu x (x<y> + x<z>)) | y<a> | z<b>)",
+    "nu y nu z ((nu x (x<y> + x<z>)) | y<z> | z<y>)",
+    "nu x ((x<x> + a<x> + nu z (x<z> + a<z>)) | x(w).w<a>)",
+]
+
+
+@pytest.mark.parametrize("source", BINDER_TIES)
+def test_binder_ties_match_the_brute_force_reference(source):
+    """Ties that only the binders break give the form the brute-force
+    reference gives, whichever way the binders are spelled and nested."""
+    p = parse(source)
+    names = list(_binders(p))
+    forms = set()
+    body = p
+    while isinstance(body, Restrict):
+        body = body.body
+    # every nest order of up to four binders; of more, the rotations
+    # and the reverse
+    perms = (list(itertools.permutations(names)) if len(names) <= 4 else
+             [names[k:] + names[:k] for k in range(len(names))]
+             + [names[::-1]])
+    for perm in perms:
+        # nested in another order, and the binders renamed among
+        # themselves (an alpha-variant)
+        for q in (_restricted(perm, body),
+                  _restricted(names, apply_subst(body,
+                                                 dict(zip(perm, names))))):
+            for collapse in (False, True):
+                assert _normalize(q, collapse) == \
+                    _reference_normalize(q, collapse)
+            forms.add(canonical_state(q))
+    assert len(forms) == 1
+
+
+def _binders(p):
+    while isinstance(p, Restrict):
+        yield p.name
+        p = p.body
 
 
 def test_wide_composition_is_linear_in_its_width():

@@ -235,6 +235,46 @@ def test_cli_exit_status():
     assert cc.main([str(REPO / "src" / "repro")]) == 0
 
 
+# -- the facades: exempt from Rules A/B only --------------------------------
+
+FACADE_SRC = """
+import functools
+
+def explore(p):
+    try:
+        return grow(p)
+    except BudgetExceeded:
+        return None
+
+def show(p, chan):
+    return flow_refutes_barb(p, chan)
+
+@functools.cache
+def cached(p):
+    return p
+"""
+
+
+def test_facades_are_walked_and_checked_by_the_other_rules():
+    names = {f.name for f in cc.iter_files([REPO / "src" / "repro"])}
+    assert {"api.py", "__main__.py"} <= names
+    for facade in ("src/repro/api.py", "src/repro/__main__.py"):
+        found = [v.rule for v in cc.check_source(FACADE_SRC, facade)]
+        assert found == ["flow-presolve", "memo-mechanism"], facade
+    assert codes(FACADE_SRC) == ["swallowed-trip", "flow-presolve",
+                                 "memo-mechanism"]
+
+
+def test_flow_presolve_exemption_is_by_file_and_function():
+    src = """
+def _cmd_flow(args):
+    return flow_refutes_barb(args.p, args.barb)
+"""
+    assert flow_codes(src, "src/repro/__main__.py") == []
+    assert flow_codes(src, "src/repro/api.py") == ["flow-presolve"]
+    assert all(reason for reason in cc.FLOW_PRESOLVE_EXEMPT.values())
+
+
 # -- Rule C: pool workers must be verdict-level -----------------------------
 
 def worker_codes(src: str) -> list[str]:

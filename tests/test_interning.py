@@ -14,20 +14,27 @@ from hypothesis import strategies as st
 
 from tests.strategies import processes0, processes1
 
+from repro.core import discard, freenames
+from repro.core.actions import TAU, Action, InputAction, OutputAction
 from repro.core.cache import cache_stats, clear_caches
 from repro.core.canonical import canonical_state, canonical_state_collapsed
 from repro.core.freenames import free_names, free_occurrence_order
 from repro.core.parser import parse
 from repro.core.pretty import pretty
-from repro.core.semantics import step_transitions
+from repro.core.semantics import Table3, step_transitions
 from repro.core.substitution import apply_subst, canonical_alpha
 from repro.core.syntax import (
     _INTERN,
     _NODE_CACHE_SLOTS,
     NIL,
+    Ident,
+    Input,
+    Match,
     Output,
     Par,
     Process,
+    Rec,
+    Restrict,
     Sum,
     Tau,
     intern_stats,
@@ -82,6 +89,56 @@ class TestHashConsing:
         before = intern_stats()["hits"]
         Tau(NIL)
         assert intern_stats()["hits"] > before
+
+    def test_key_getter_spells_class_and_fields(self):
+        # The per-class getter stands for ``(cls,) + fields``, also for
+        # the one-field Tau (an attrgetter of one name would return the
+        # bare value) and the field-less singletons.
+        cont = Tau(NIL)
+        objects = [NIL, cont, Input("a", ("x",), cont),
+                   Output("a", ("x", "y"), cont), Restrict("x", cont),
+                   Match("a", "b", cont, NIL), Sum(cont, NIL),
+                   Par(NIL, cont), Ident("X", ("a",)),
+                   Rec("X", ("x",), Ident("X", ("x",)), ("a",)),
+                   TAU, InputAction("a", ("b",)),
+                   OutputAction("a", ("x", "b"), ("x",))]
+        classes = {type(o) for o in objects}
+        assert classes >= set(Process.__subclasses__())
+        assert classes >= set(Action.__subclasses__())
+        for obj in objects:
+            spelled = (type(obj),) + tuple(getattr(obj, f)
+                                           for f in obj._fields)
+            assert type(obj)._key_of(obj) == spelled
+            assert obj._key() == spelled
+            assert hash(obj) == hash(spelled)
+
+    def test_a_falsy_memo_is_read_back(self, monkeypatch):
+        # `()` steps, an empty In(p) and an empty fn(p) are memoized
+        # results like any other: a probe that tested truth instead of
+        # `is not None` would recompute them on every read.
+        calls = []
+
+        def counting(wrapped):
+            def count(*args):
+                calls.append(wrapped.__name__)
+                return wrapped(*args)
+            return count
+
+        monkeypatch.setattr(Table3, "_compute_steps",
+                            counting(Table3._compute_steps))
+        monkeypatch.setattr(discard, "_listening_channels",
+                            counting(discard._listening_channels))
+        monkeypatch.setattr(freenames, "_free_names",
+                            counting(freenames._free_names))
+        clear_caches()
+        listener = parse("a(x).x!")
+        for _ in range(3):
+            assert step_transitions(NIL) == ()
+            assert step_transitions(listener) == ()
+            assert discard.listening_channels(NIL) == frozenset()
+            assert free_names(NIL) == frozenset()
+        assert sorted(calls) == ["_compute_steps", "_compute_steps",
+                                 "_free_names", "_listening_channels"]
 
 
 class TestClearCaches:

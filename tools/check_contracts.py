@@ -54,7 +54,8 @@ Rule F (``flow-*``)
     verdict layer decides; (``flow-presolve``) calls to the presolvers
     (:data:`FLOW_PRESOLVERS`) outside ``flow/`` appear only inside
     ``-> Verdict`` functions, so flow answers always surface through the
-    three-valued API; (``flow-polarity``) a refuter's result never feeds
+    three-valued API (a function named in :data:`FLOW_PRESOLVE_EXEMPT`
+    is excused, with the reason it stays one-sided); (``flow-polarity``) a refuter's result never feeds
     ``Verdict.of(True, ...)`` and the prover's never feeds
     ``Verdict.of(False, ...)`` — flow evidence may only ever strengthen
     the definite-FALSE-reachable / definite-TRUE-invariant side, never
@@ -69,6 +70,10 @@ Rule G (``memo-mechanism``)
     a function-level cache would be one more mechanism for that switch
     to miss, and its C wrapper deepens the C stack of every recursion
     through it.
+
+The facades ``api.py`` and ``__main__.py`` (:data:`EXEMPT_FILES`)
+translate trips into their own vocabulary, so Rules A and B skip them;
+every other rule checks them.
 
 Run ``python tools/check_contracts.py`` (CI does); exit status 1 when a
 violation is found.  ``tests/test_contracts.py`` feeds the checker both
@@ -110,7 +115,8 @@ RAW_EXPLORERS = frozenset({
 })
 
 #: Facade modules translating trips into their own vocabulary
-#: (``Exploration(complete=False)``, CLI exit codes) instead of Verdicts.
+#: (``Exploration(complete=False)``, CLI exit codes) instead of Verdicts:
+#: exempt from Rules A and B only, every other rule checks them.
 EXEMPT_FILES = frozenset({"api.py", "__main__.py"})
 
 #: Pool-worker entry points, by file name: these run on the far side of a
@@ -142,6 +148,15 @@ FUNCTOOLS_CACHES = frozenset({"lru_cache", "cache"})
 #: Flow pre-solver entry points (Rule F): one-sided provers whose
 #: results may only surface through the verdict layer.
 FLOW_PRESOLVERS = frozenset({"flow_refutes_barb", "flow_proves_invariant"})
+
+#: Functions, by ``(file name, function name)``, allowed to call a flow
+#: presolver outside a ``-> Verdict`` function (Rule F ``flow-presolve``),
+#: each with the reason it stays one-sided.
+FLOW_PRESOLVE_EXEMPT: dict[tuple[str, str], str] = {
+    ("__main__.py", "_cmd_flow"):
+        "the `repro flow --barb` diagnostic prints the refuter's evidence "
+        "or 'may be reachable'; it never states that a barb is reachable",
+}
 
 #: The only ``Verdict.of(<bool>, ...)`` polarity each presolver's result
 #: may feed: the barb refuter proves FALSE-reachable, the invariant
@@ -302,12 +317,13 @@ def check_source(source: str, path: str = "<string>") -> list[Violation]:
         violations.append(Violation(path, exc.lineno or 0, "syntax",
                                     f"cannot parse: {exc.msg}"))
         return violations
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ExceptHandler) and _catches_budget(node):
-            _check_handler(node, path, violations)
-        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and _returns_verdict(node)):
-            _check_verdict_fn(node, path, violations)
+    if Path(path).name not in EXEMPT_FILES:  # Rules A and B
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and _catches_budget(node):
+                _check_handler(node, path, violations)
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and _returns_verdict(node)):
+                _check_verdict_fn(node, path, violations)
     _check_workers(tree, path, violations)
     _check_semantic_imports(tree, path, violations)
     _check_flow_rules(tree, path, violations)
@@ -409,7 +425,8 @@ def _check_flow_scope(nodes: list[ast.stmt], owner: str, is_verdict: bool,
         if not isinstance(node, ast.Call):
             continue
         callee = _call_name(node)
-        if callee in FLOW_PRESOLVERS and not is_verdict:
+        if (callee in FLOW_PRESOLVERS and not is_verdict
+                and (Path(path).name, owner) not in FLOW_PRESOLVE_EXEMPT):
             violations.append(Violation(
                 path, node.lineno, "flow-presolve",
                 f"`{owner}` calls flow presolver `{callee}` but is not "
@@ -502,8 +519,7 @@ def iter_files(roots: list[Path]) -> list[Path]:
         if root.is_file():
             files.append(root)
         else:
-            files.extend(p for p in sorted(root.rglob("*.py"))
-                         if p.name not in EXEMPT_FILES)
+            files.extend(sorted(root.rglob("*.py")))
     return files
 
 
