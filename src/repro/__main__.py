@@ -19,13 +19,13 @@ canon "<process>"
 lint "<process>" [--select CODES] [--ignore CODES] [--format text|json]
     Static analysis (BP diagnostics); `--corpus` lints every apps/examples
     term instead.  Exit 0 clean, 1 findings, 2 parse failure.
-flow "<process>" [--closed] [--barb CHAN] [--format text|json] [--store P]
+flow "<process>" [--closed] [--barb CHAN] [--format text|json]
     The channel-capability flow analysis: per-channel may-broadcast /
     may-listen / may-extrude / may-carry sets.  With --barb CHAN the
     static pre-solver answers the reachability question: exit 0 when a
     barb on CHAN may be reachable, 1 when it is proven inert (no
     exploration), 2 on a parse failure.  `--corpus` summarises every
-    apps/examples term; --store caches summaries in the verdict store.
+    apps/examples term.
 batch FILE [--store PATH] [--workers N] [--format text|json]
     Answer many check requests (JSON-lines; `-` reads stdin), deduped
     against each other and the store, misses fanned out over a process
@@ -268,13 +268,6 @@ def _cmd_flow(args: argparse.Namespace) -> int:
                   f"{{{', '.join(evidence.may_broadcast)}}})")
         return 1 if evidence is not None else 0
     analysis = flow_analysis(p, calculus=args.calculus, mode=mode)
-    if args.store:
-        from .store.db import VerdictStore
-        with VerdictStore(args.store) as store:
-            summary, source = store.flow_summary(
-                p, calculus=args.calculus, mode=mode)
-        print(f"[store] flow summary {source} "
-              f"({summary['digest'][:12]}...)", file=sys.stderr)
     if args.format == "json":
         print(json.dumps(analysis.to_json(), indent=2))
     else:
@@ -565,8 +558,6 @@ def main(argv: list[str] | None = None) -> int:
     s.add_argument("--barb", metavar="CHAN", default=None,
                    help="ask the pre-solver about a barb on CHAN "
                         "(exit 1 = proven inert)")
-    s.add_argument("--store", metavar="PATH", default=None,
-                   help="cache the flow summary in the verdict store")
     s.add_argument("--format", default="text", choices=["text", "json"])
     _add_calculus_arg(s)
     s.set_defaults(func=_cmd_flow)

@@ -11,7 +11,8 @@ proves sound for all three equivalences and their congruences:
 * Lemma 6 (b)-(d):   ``p || nil ~ p``, commutativity/associativity of ``||``
 * Lemma 6 (e)-(g) and axioms (S1)-(S4): the same for ``+`` (plus idempotence)
 * Lemma 6 (h)-(l) / Table 7: garbage-collection, reordering and scope
-  extrusion of restrictions
+  extrusion of restrictions, and axiom R2, ``nu x (p + q) = nu x p +
+  nu x q``, sound for strong congruence, the finest relation decided here
 * match resolution (rules (9)/(10) make both branches one-step-identical)
 * rule (1): alpha-conversion.
 
@@ -23,6 +24,9 @@ The transformation only touches the *active* structure of the state (the
 part the next transition can see); continuations under prefixes are left
 as written, up to alpha.
 
+No normal form restricts a sum: a binder pushed into one goes to the
+summands that use it (R2, then law h; :func:`_push`).
+
 A normal form is its own canonical representative: there is no final
 alpha pass over the whole state.  Every top-level component is its own
 :func:`~repro.core.substitution.canonical_alpha`, with its binders
@@ -32,8 +36,9 @@ components is canonical as it stands.  Restrictions hoisted to the top
 are named ``_h0``, ``_h1``, ... by first occurrence, skipping the
 state's free names: a component binds only ``_v`` names, so none binds
 or captures one.  The order of first occurrence is the least walk of the
-components read blind to those binders (:func:`_orders`), so neither
-their spelling nor their nesting shows in it.
+components read blind to those binders (:func:`_orders`), walking the
+summands of a sum and the components of a composition inside one the
+same way, so neither their spelling nor their nesting shows in it.
 
 Every part is memoized on the interned nodes.  A binder-free state is a
 sorted multiset of components (laws b-d), and a successor built by the
@@ -193,8 +198,11 @@ def _normalize_uncached(p: Process, collapse: bool) -> Process:
         for q in _flatten(p, Sum):
             # Summands may be restrictions, matches or nested structure;
             # law (k) hoists restrictions only at the composition layer.
+            # A summand that normalizes to a sum joins this one.
             nq = _normalize(q, collapse)
-            if not isinstance(nq, Nil):  # (S1)
+            if nq.__class__ is Sum:
+                parts += _flatten(nq, Sum)
+            elif not isinstance(nq, Nil):  # (S1)
                 parts.append(nq)
         # (S2)-(S4): dedup modulo alpha, sort, right-nest.  A lone part
         # is a normal form already; a sum of several is a component.
@@ -372,9 +380,11 @@ def _normalize_composition(p: Process, collapse: bool) -> Process:
 
     Produces ``nu _h0 .. nu _hk (q1 || ... || qn)`` with: unused
     restrictions dropped (law h), a binder private to one component
-    pushed into it (law j), components alpha-canonical and sorted (laws
-    c, d), nil components dropped (law b), and the binders two or more
-    components share hoisted on top and named by first use (:func:`_hoist`).
+    pushed into it (law j, :func:`_push`), components alpha-canonical
+    and sorted (laws c, d), nil components dropped (law b), and the
+    binders two or more components share hoisted on top and named by
+    first use (:func:`_hoist`).  Collapse mode merges identical
+    components, and pushes again until no more merge.
 
     A spine whose walk reaches no restriction is a sorted multiset of
     components, made by :func:`_merge_spine` from its longest suffix
@@ -420,36 +430,34 @@ def _normalize_composition(p: Process, collapse: bool) -> Process:
                 components.append(nq)
 
     collect(p)
-    if collapse:
-        # Identical components first: a binder that only duplicates share
-        # is private once they merge, and stays so when the result is
-        # normalized again.
-        components = list(dict.fromkeys(components))
-    # Push every binder used by exactly ONE component back inside it (law
-    # j in reverse).  Self-contained components compare equal across
-    # states regardless of which top-level binder slot their private names
-    # would have occupied — essential for recognising duplicated "garbage"
-    # fragments (dead sessions, spent emitters) as identical.
-    comp_free = [free_names(c) for c in components]
-    usage = {b: [i for i, fns in enumerate(comp_free) if b in fns]
-             for b in binders}
-    pushed = False
-    for i, comp in enumerate(components):
-        mine = [b for b in binders if usage[b] == [i]]
-        if not mine:
-            continue
-        order = {n: k for k, n in enumerate(free_occurrence_order(comp))}
-        mine.sort(key=lambda b: order.get(b, len(order)))
-        # A sum's binders are nested as its summands were spelled; the
-        # settled form does not depend on that.
-        components[i] = _settle(canonical_alpha(_restrict(mine, comp)))
-        pushed = True
-    if collapse and pushed:
-        # Garbage fragments are alpha-equal once their privates moved in.
-        components = list(dict.fromkeys(components))
+    while True:
+        if collapse:
+            # Identical components first: a binder that only duplicates
+            # share is private once they merge.
+            components = list(dict.fromkeys(components))
+        # Push every binder used by exactly ONE component back inside it:
+        # self-contained components compare equal across states, which
+        # recognises duplicated "garbage" fragments (dead sessions, spent
+        # emitters) as identical.
+        comp_free = [free_names(c) for c in components]
+        usage = {b: [i for i, fns in enumerate(comp_free) if b in fns]
+                 for b in binders}
+        for i, comp in enumerate(components):
+            mine = [b for b in binders if usage[b] == [i]]
+            if mine:
+                components[i] = _push(mine, comp, collapse)
+        # Garbage fragments may be alpha-equal once their privates moved
+        # in; merging them may leave another binder private.
+        if not collapse or len(set(components)) == len(components):
+            break
     shared = [b for b in binders if len(usage[b]) > 1]
-    if shared:
-        out = _hoist(components, shared)
+    if any(_body(c).__class__ is Par for c in components):
+        # A sum whose summands merged once their binders moved in is one
+        # composition: spread it out among the others.
+        out = _normalize(_restrict(shared, _rebuild(components, Par, NIL)),
+                         collapse)
+    elif shared:
+        out = _hoist(components, shared, collapse)
     elif not components:
         out = NIL
     else:
@@ -465,6 +473,35 @@ def _normalize_composition(p: Process, collapse: bool) -> Process:
     return out
 
 
+def _body(c: Process) -> Process:
+    """*c* without the restrictions on top of it."""
+    while c.__class__ is Restrict:
+        c = c.body
+    return c
+
+
+def _push(mine: list[Name], comp: Process, collapse: bool) -> Process:
+    """The normal form of the component *comp* under the binders *mine*,
+    each free in it (law j in reverse).
+
+    Over a sum, each summand takes the binders it uses (axiom R2, then
+    law h) and the sum is normalized again, so no normal form restricts
+    a choice.  Over a component already under restrictions, as one
+    taken off a memoized spine is, the binders join its own.  Either way
+    they nest by first free occurrence, not in the order they came in.
+    """
+    if comp.__class__ is Sum:
+        return _normalize(_rebuild(
+            [_restrict([b for b in mine if b in free_names(q)], q)
+             for q in _flatten(comp, Sum)], Sum, NIL), collapse)
+    binders = list(mine)
+    while comp.__class__ is Restrict:
+        binders.append(comp.name)
+        comp = comp.body
+    order = free_occurrence_order(comp)
+    return canonical_alpha(_restrict(sorted(binders, key=order.index), comp))
+
+
 #: Prefix of the names of hoisted restrictions (``_h0``, ``_h1``, ...).
 #: The parser rejects it, and ``canonical_alpha`` names binders ``_v<i>``,
 #: so no component binds one.
@@ -474,47 +511,34 @@ HOISTED_PREFIX = "_h"
 _HOLE = "_hole"
 
 
-def _fresh_names(prefix: str, parts: list[Process],
-                 binders: frozenset[Name]) -> list[Name]:
-    """``<prefix>0``, ``<prefix>1``, ..., one per binder, skipping the
-    names free in *parts* that are not *binders*."""
-    free = frozenset().union(*map(free_names, parts)) - binders
-    return [n for n in (f"{prefix}{i}"
-                        for i in range(len(binders) + len(free)))
-            if n not in free][:len(binders)]
-
-
 def _orders(parts: list[Process], holes: frozenset[Name],
-            naming: frozenset[Name], fill: dict[Name, Name],
-            names: list[Name], context: list[Process]
+            fill: dict[Name, Name], names: list[Name],
+            context: list[Process], collapse: bool
             ) -> list[tuple[list[int], dict[Name, Name]]]:
     """The least orders of *parts* read blind to the binders *holes*,
-    each with *fill* extended by the binders of *naming* it names: a
-    binder is given the next of *names* when the order first uses it
-    (:func:`_first_uses`).
+    each with *fill* extended by the binders it names: a binder is given
+    the next of *names* when the order first uses it (:func:`_first_uses`).
 
-    The parts are ordered by a key blind to the binders (each unnamed
-    one read as the same hole), taken from the part's settled form
-    (:func:`_settle`), so neither the spelling nor the nesting of the
-    binders inside a part matters.  Parts whose blind keys tie are
-    taken one at a time: next is the one whose key is least with the
-    binders named so far, then with its own binders named.  Picks that
-    tie on both keys are each tried, and the orders whose keys are the
-    least sequence win, as pairs ``(order, fill)``.  A pick is not
-    tried when it is a symmetric image of one that is: the names that
-    walks from both give define a renaming of the binders, and when
-    that maps *parts* and *context* onto themselves, both picks lead to
-    the same keys.  The result is a function of *parts*, *context* and
-    *fill* whatever the spelling, nesting or order of the binders and
-    the parts, and it is kept when the result is normalized again.
+    A part's key is the fingerprint of its normal form with each binder
+    read as its name in *fill*, or, unnamed, as one hole shared by all,
+    so the spelling and nesting of the binders do not show in it.  The
+    parts are sorted by the key with no binder named; parts that tie are
+    taken one at a time, least first by the key with the binders named
+    so far, then with their own binders named.  Picks that tie on both
+    are each tried, and the least key sequences win, as pairs ``(order,
+    fill)``.  A pick is not tried when it is a symmetric image of one
+    that is: the names walks from both give define a renaming of the
+    binders, and when that maps *parts* and *context* onto themselves,
+    both picks lead to the same keys.  The result is a function of
+    *parts*, *context* and *fill*, and is kept when normalized again.
     """
     hidden = [holes & free_names(c) for c in parts]
 
     def key(i: int, fill: dict[Name, Name]) -> bytes:
         if not hidden[i]:
             return _stable_fingerprint(parts[i])
-        return _stable_fingerprint(_settle(canonical_alpha(apply_subst(
-            parts[i], {b: fill.get(b, _HOLE) for b in hidden[i]}))))
+        return _stable_fingerprint(_normalize(apply_subst(
+            parts[i], {b: fill.get(b, _HOLE) for b in hidden[i]}), collapse))
 
     blind = [key(i, fill) for i in range(len(parts))]
     order = sorted(range(len(parts)), key=blind.__getitem__)
@@ -537,8 +561,8 @@ def _orders(parts: list[Process], holes: frozenset[Name],
                 low = min(held)
                 tied = [i for i, k in zip(tied, held) if k == low]
             ways = [(i, f) for i in tied
-                    for f in _first_uses(parts[i], holes, naming, fill, names,
-                                         context)]
+                    for f in _first_uses(parts[i], holes, fill, names,
+                                         context, collapse)]
             if len(ways) > 1:
                 named = [key(i, f) for i, f in ways]
                 low = min(named)
@@ -582,14 +606,15 @@ def _orders(parts: list[Process], holes: frozenset[Name],
             ahead = None
             for rep in kept:
                 j, g = rep[0], rep[1]
-                if _symmetric(g, f, fill, parts[j], parts[i], parts, context):
+                if _symmetric(g, f, fill, parts[j], parts[i], parts, context,
+                              collapse):
                     break
                 if rep[2] is None:
                     rep[2] = done(j, g)
                 if ahead is None:
                     ahead = done(i, f)
                 if _symmetric(rep[2], ahead, fill, parts[j], parts[i], parts,
-                              context):
+                              context, collapse):
                     break
             else:
                 kept.append([i, f, ahead])
@@ -600,7 +625,8 @@ def _orders(parts: list[Process], holes: frozenset[Name],
 
 def _symmetric(mine: dict[Name, Name], theirs: dict[Name, Name],
                fill: dict[Name, Name], part: Process, image: Process,
-               parts: list[Process], context: list[Process]) -> bool:
+               parts: list[Process], context: list[Process],
+               collapse: bool) -> bool:
     """Whether the renaming of the binders that *mine* names beyond
     *fill* to those *theirs* gives the same names (a permutation, each
     chain closed) maps *part* onto *image*, and *parts* and *context*
@@ -619,7 +645,7 @@ def _symmetric(mine: dict[Name, Name], theirs: dict[Name, Name],
             rename[b] = end
 
     def norm(q: Process) -> bytes:
-        return _stable_fingerprint(_settle(canonical_alpha(q)))
+        return _stable_fingerprint(_normalize(q, collapse))
 
     def onto(qs: list[Process]) -> bool:
         return (sorted(norm(apply_subst(q, rename)) for q in qs)
@@ -629,33 +655,33 @@ def _symmetric(mine: dict[Name, Name], theirs: dict[Name, Name],
             and (context is parts or onto(context)))
 
 
-def _first_uses(c: Process, holes: frozenset[Name], naming: frozenset[Name],
-                fill: dict[Name, Name], names: list[Name],
-                context: list[Process]) -> list[dict[Name, Name]]:
-    """*fill* extended by the binders of *naming* free in the part *c*
-    and unnamed in *fill*, each named as a walk blind to *holes* first
-    meets it; one extension per least way to walk *c*.
+def _first_uses(c: Process, holes: frozenset[Name], fill: dict[Name, Name],
+                names: list[Name], context: list[Process], collapse: bool
+                ) -> list[dict[Name, Name]]:
+    """*fill* extended by the binders of *holes* free in the part *c* and
+    unnamed in *fill*, each named as a walk blind to them first meets
+    it; one extension per least way to walk *c*.
 
-    A prefix, a recursion or a composition is walked in its own order
-    (free-occurrence order).  The summands of a sum, under any binders
-    pushed into it (read as holes), were sorted while the binders were
-    still spelled as written, so the walk takes them in their least
-    orders (:func:`_orders`) instead.
+    A prefix or a recursion is walked in its own order (free-occurrence
+    order).  The summands of a sum and the components of a composition,
+    under any restrictions of its own (read as holes), were sorted while
+    the binders were still spelled as written, so the walk takes them in
+    their least orders (:func:`_orders`) instead.
     """
-    todo = naming & free_names(c)
+    todo = holes & free_names(c)
     if todo <= fill.keys():
         return [fill]
     body, inner = c, set()
     while body.__class__ is Restrict:
         inner.add(body.name)
         body = body.body
-    if body.__class__ is Sum:
+    cls = body.__class__
+    if cls is Sum or cls is Par:
         blank = {b: _HOLE for b in inner}
-        summands = [_settle(canonical_alpha(apply_subst(q, blank)))
-                    for q in _flatten(body, Sum)]
+        parts = [_normalize(apply_subst(q, blank), collapse)
+                 for q in _flatten(body, cls)]
         return list({tuple(f.items()): f for _, f in _orders(
-            summands, holes - inner, naming - inner, fill, names,
-            context)}.values())
+            parts, holes - inner, fill, names, context, collapse)}.values())
     fill = dict(fill)
     for x in free_occurrence_order(c):
         if x in todo and x not in fill:
@@ -663,56 +689,27 @@ def _first_uses(c: Process, holes: frozenset[Name], naming: frozenset[Name],
     return [fill]
 
 
-def _settle(c: Process) -> Process:
-    """The component *c*, alpha-canonical, as it normalizes to itself:
-    the binders on top of a sum nested in the order of its least walk
-    (:func:`_orders`, blind to them) and the summands sorted by
-    fingerprint under their names, as :func:`_normalize` sorts a sum.
-    Anything else is *c*."""
-    binders = []
-    body = c
-    while body.__class__ is Restrict:
-        binders.append(body.name)
-        body = body.body
-    if body.__class__ is not Sum:
-        return c
-    nest = []
-    if binders:
-        own = frozenset(binders)
-        summands = [_settle(canonical_alpha(q)) for q in _flatten(body, Sum)]
-        nest = list(_orders(summands, own, own, {},
-                            _fresh_names(_HOLE, summands, own),
-                            summands)[0][1])
-        nest += [b for b in binders if b not in nest]
-    body = canonical_alpha(_restrict(nest, body))
-    named = []
-    while body.__class__ is Restrict:
-        named.append(body.name)
-        body = body.body
-    return canonical_alpha(_restrict(named, _rebuild(
-        sorted((_settle(canonical_alpha(q)) for q in _flatten(body, Sum)),
-               key=_stable_fingerprint), Sum, NIL)))
-
-
-def _hoist(components: list[Process], shared: list[Name]) -> Process:
-    """``nu x1 .. nu xk (q1 || ... || qn)`` over the alpha-canonical
+def _hoist(components: list[Process], shared: list[Name],
+           collapse: bool) -> Process:
+    """``nu x1 .. nu xk (q1 || ... || qn)`` over the normalized
     *components*, each binder of *shared* free in two or more of them.
 
     The components are put in their least order blind to the binders
-    (:func:`_orders`), which names them ``_h0``, ``_h1``, ... as it
-    meets them, skipping the names free in the body: a component binds
-    only ``_v`` names, so none binds or captures one.  Each component
-    that holds a binder is settled once the binders are named
-    (:func:`_settle`).  The result is a function of the components,
-    whatever their order and the spelling and order of the binders, and
-    normalizes to itself.
+    (:func:`_orders`), which names them ``_h0``, ``_h1``, ... as it meets
+    them, skipping the names free in the body: a component binds only
+    ``_v`` names, so none binds or captures one.  Each component that
+    holds a binder is normalized again under those names.  The result is
+    a function of the components, whatever their order and the spelling
+    and order of the binders, and normalizes to itself.
     """
     binder_set = frozenset(shared)
-    names = _fresh_names(HOISTED_PREFIX, components, binder_set)
-    ordered, mapping = _orders(components, binder_set, binder_set, {}, names,
-                               components)[0]
-    out = _rebuild([_settle(canonical_alpha(apply_subst(components[i],
-                                                        mapping)))
+    free = frozenset().union(*map(free_names, components)) - binder_set
+    names = [n for n in (f"{HOISTED_PREFIX}{i}"
+                         for i in range(len(shared) + len(free)))
+             if n not in free][:len(shared)]
+    ordered, mapping = _orders(components, binder_set, {}, names, components,
+                               collapse)[0]
+    out = _rebuild([_normalize(apply_subst(components[i], mapping), collapse)
                     if binder_set & free_names(components[i])
                     else components[i] for i in ordered], Par, NIL)
     return _restrict(names, out)

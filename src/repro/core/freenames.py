@@ -13,6 +13,8 @@ open-process machinery (Definition 12).
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .names import Name
 from .syntax import (
     Ident,
@@ -159,6 +161,34 @@ class NotAProcess(ValueError):
     open (a free process identifier) or has unguarded recursion."""
 
 
+def unguarded_occurrences(
+        p: Process) -> Iterator[tuple[tuple[int, ...], str]]:
+    """Each occurrence of a ``rec``-bound identifier with no prefix
+    between it and its ``rec``, in pre-order, as ``(path, identifier)``:
+    *path* is the child indices (:meth:`Process.children`) from *p* down
+    to the occurrence.
+
+    The one walk behind both :func:`check_guarded` (admission) and the
+    lint pass BP101.
+    """
+    stack: list[tuple[Process, frozenset[str], tuple[int, ...]]] = [
+        (p, frozenset(), ())]
+    while stack:
+        q, unguarded, path = stack.pop()
+        if isinstance(q, Ident):
+            if q.ident in unguarded:
+                yield path, q.ident
+            continue
+        if isinstance(q, (Tau, Input, Output)):
+            # Underneath a prefix everything is guarded.
+            unguarded = frozenset()
+        elif isinstance(q, Rec):
+            unguarded = unguarded | {q.ident}
+        children = list(q.children())
+        for i in reversed(range(len(children))):
+            stack.append((children[i], unguarded, path + (i,)))
+
+
 def check_guarded(p: Process) -> None:
     """Raise :class:`NotAProcess` unless every ``rec``-bound identifier occurs
     guarded (strictly underneath a prefix) in its body.
@@ -167,24 +197,9 @@ def check_guarded(p: Process) -> None:
     progress; the discard relation's rule (10) and the LTS rule (11) both
     rely on it for termination.
     """
-
-    def walk(q: Process, unguarded: frozenset[str]) -> None:
-        if isinstance(q, Ident):
-            if q.ident in unguarded:
-                raise NotAProcess(
-                    f"identifier {q.ident!r} occurs unguarded in a rec body")
-            return
-        if isinstance(q, (Tau, Input, Output)):
-            # Underneath a prefix everything is guarded.
-            walk(q.cont, frozenset())
-            return
-        if isinstance(q, Rec):
-            walk(q.body, unguarded | {q.ident})
-            return
-        for c in q.children():
-            walk(c, unguarded)
-
-    walk(p, frozenset())
+    for _, ident in unguarded_occurrences(p):
+        raise NotAProcess(
+            f"identifier {ident!r} occurs unguarded in a rec body")
 
 
 def validate(p: Process) -> None:

@@ -4,9 +4,13 @@
 offering the success broadcast.  Failure modes: a quiescent composite that
 never succeeded, or a divergence (a reachable cycle) avoiding success.
 
-Decided exactly on the bounded collapsed state graph: success states are
-absorbing; the experiment fails iff the non-success subgraph reachable
-from the start contains a dead end or a cycle.
+Decided exactly on the bounded graph of exact canonical states
+(``canonical_state``, multiplicities kept): success states are absorbing;
+the experiment fails iff the non-success subgraph reachable from the
+start contains a dead end or a cycle.  Collapsing duplicate components
+would be unsound in both directions: ``a! | a!`` must pass
+``a?.a?.succ_omega!`` (both broadcasts fire and the observer hears
+both), but its collapsed state ``a!`` leaves the observer stuck.
 
 The broadcast twist mirrors may-testing's: observers cannot refuse
 broadcasts, so ``a!.(b! + c!) must (hear a; hear b; succeed)`` fails while
@@ -16,7 +20,7 @@ may (both directions are exercised in the tests).
 
 from __future__ import annotations
 
-from ..core.canonical import canonical_state_collapsed
+from ..core.canonical import canonical_state
 from ..core.names import Name
 from ..core.reduction import barbs, step_successors_closed
 from ..core.syntax import Par, Process
@@ -51,7 +55,7 @@ def must_pass(p: Process, observer: Process, *, success: Name = SUCCESS,
 
 def _must_pass(p: Process, observer: Process, success: Name,
                meter: Meter) -> bool:
-    start = canonical_state_collapsed(Par(p, observer))
+    start = canonical_state(Par(p, observer))
     meter.charge()
     if success in barbs(start):
         return True
@@ -63,7 +67,7 @@ def _must_pass(p: Process, observer: Process, success: Name,
     def expand(state: Process) -> list[Process]:
         out = []
         for t in step_successors_closed(state):
-            out.append(canonical_state_collapsed(t))
+            out.append(canonical_state(t))
         return out
 
     succs = expand(start)

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from ..core.freenames import free_names
+from ..core.freenames import free_names, unguarded_occurrences
 from ..core.names import Name
 from ..core.sorts import SortError, infer_sorts
 from ..core.syntax import (
@@ -111,25 +111,11 @@ def bp101_unguarded_recursion(term: Process) -> Iterator[tuple[Path, str]]:
     occur *guarded* — strictly underneath a prefix — in its body.
     """
 
-    def walk(q: Process, unguarded: frozenset[str],
-             path: Path) -> Iterator[tuple[Path, str]]:
-        if isinstance(q, Ident):
-            if q.ident in unguarded:
-                yield path, (
-                    f"recursion variable {q.ident!r} occurs unguarded in its "
-                    f"rec body; the axiomatisation's side condition "
-                    f"(Tables 6-8) requires it strictly under a prefix")
-            return
-        if isinstance(q, (Tau, Input, Output)):
-            yield from walk(q.cont, frozenset(), path + (0,))
-            return
-        if isinstance(q, Rec):
-            yield from walk(q.body, unguarded | {q.ident}, path + (0,))
-            return
-        for i, c in _indexed_children(q):
-            yield from walk(c, unguarded, path + (i,))
-
-    yield from walk(term, frozenset(), ())
+    for path, ident in unguarded_occurrences(term):
+        yield path, (
+            f"recursion variable {ident!r} occurs unguarded in its "
+            f"rec body; the axiomatisation's side condition "
+            f"(Tables 6-8) requires it strictly under a prefix")
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".batch": ("BatchOutcome", "BatchResult", "CheckRequest",
                "evaluate_request", "parse_requests", "run_batch", "serve"),
     ".codec": ("CodecError", "decode", "encode", "pair_key",
-               "state_digest", "term_digest"),
+               "state_digest"),
     ".db": ("SCHEMA_VERSION", "VerdictStore", "equivalence_name",
             "request_cap"),
 })

@@ -19,12 +19,10 @@ Format (version tag :data:`MAGIC`):
   LEB128 indices into the table.
 
 The codec is the wire and disk encoding only.  Content addresses
-(:func:`term_digest`, :func:`state_digest`, :func:`pair_key`) come from
-the structural fingerprints memoized on the nodes
-(:func:`repro.core.canonical._stable_fingerprint`) of a canonical form:
-the ``canonical_alpha`` form of a term, whose binders are canonical
-indexed names, or the ``canonical_state`` of a state — so
-alpha-variants (and, for states, whole structural congruence classes)
+(:func:`state_digest`, :func:`pair_key`) come from the structural
+fingerprints memoized on the nodes
+(:func:`repro.core.canonical._stable_fingerprint`) of the
+``canonical_state`` of a state — so whole structural congruence classes
 share one address, and computing one encodes nothing.  :func:`encode`
 itself is exact: it preserves the term bit-for-bit, including bound-name
 spellings, which is what the identity round-trip needs.
@@ -48,7 +46,6 @@ from __future__ import annotations
 import hashlib
 
 from ..core.canonical import _stable_fingerprint, canonical_state
-from ..core.substitution import canonical_alpha
 from ..core.syntax import (
     NIL,
     Ident,
@@ -64,8 +61,8 @@ from ..core.syntax import (
     Tau,
 )
 
-__all__ = ["CodecError", "encode", "decode", "term_digest", "state_digest",
-           "pair_key", "MAGIC"]
+__all__ = ["CodecError", "encode", "decode", "state_digest", "pair_key",
+           "MAGIC"]
 
 #: Format tag: bumped whenever the wire layout changes, so a store
 #: written by one version can never be misread by another.
@@ -324,12 +321,6 @@ def decode(data: bytes) -> Process:
     if r.pos != len(data):
         raise CodecError(f"{len(data) - r.pos} trailing bytes after term")
     return result
-
-
-def term_digest(p: Process) -> str:
-    """Content address of *p* modulo alpha: hex sha256 of the fingerprint
-    of its ``canonical_alpha`` form (binders as canonical indexed names)."""
-    return hashlib.sha256(_stable_fingerprint(canonical_alpha(p))).hexdigest()
 
 
 def state_digest(p: Process) -> str:

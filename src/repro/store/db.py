@@ -109,25 +109,6 @@ WHERE verdicts.schema_version != excluded.schema_version
                excluded.truth, excluded.budget_floor)
 """
 
-# Cached flow-analysis summaries (repro.flow), keyed by term digest +
-# backend key + analysis mode + FLOW_VERSION — the abstraction's own
-# version joins the key, so a semantics change makes old rows invisible
-# rather than reinterpreted.  Same degradation discipline as verdicts:
-# any corruption or version skew is a miss, never a wrong summary.
-_FLOW_TABLE = """\
-CREATE TABLE IF NOT EXISTS flow_summaries (
-    term_digest     TEXT    NOT NULL,
-    calculus        TEXT    NOT NULL,
-    mode            TEXT    NOT NULL,
-    flow_version    INTEGER NOT NULL,
-    summary         TEXT    NOT NULL,
-    checksum        TEXT    NOT NULL,
-    created_at      REAL    NOT NULL,
-    PRIMARY KEY (term_digest, calculus, mode, flow_version)
-)
-"""
-
-
 def calculus_key(calculus: "str | None") -> str:
     """The backend identity key a request's *calculus* spec denotes.
 
@@ -209,14 +190,12 @@ class VerdictStore:
             "hits_at_larger_budget": 0, "hits_at_smaller_budget": 0,
             "hits_at_equal_budget": 0,
             "integrity_failures": 0, "errors": 0,
-            "flow_hits": 0, "flow_misses": 0, "flow_records": 0,
         }
         try:
             self._conn = sqlite3.connect(self.path)
             self._conn.create_function("improves", 4, _improves,
                                        deterministic=True)
             self._conn.execute(_TABLE)
-            self._conn.execute(_FLOW_TABLE)
             self._conn.commit()
         except sqlite3.Error:
             # A store we cannot open is a store of misses.
@@ -484,94 +463,6 @@ class VerdictStore:
                  "frontier": ev.frontier, "max_depth": ev.max_depth},
                 sort_keys=True)
         return tripped_cap, verdict.reason, evidence_json
-
-    # -- flow summaries ----------------------------------------------------
-    def flow_summary(self, p: Process, *, calculus: "str | None" = None,
-                     mode: str = "open") -> tuple[dict[str, Any], str]:
-        """The flow-analysis summary of *p*, cached across runs.
-
-        Returns ``(summary, source)`` with *source* ``"hit"`` (served
-        from the store) or ``"miss"`` (computed and recorded).  The key
-        is the term's content digest + the resolved backend key + the
-        analysis mode + ``FLOW_VERSION``, so batch runs over overlapping
-        term sets reuse each other's analyses and any abstraction-
-        semantics bump invalidates cleanly.
-        """
-        from ..flow.analysis import FLOW_VERSION, flow_analysis
-        from .codec import term_digest
-        ckey = calculus_key(calculus)
-        digest = term_digest(p)
-        cached = self._flow_lookup(digest, ckey, mode, FLOW_VERSION)
-        if cached is not None:
-            self.counters["flow_hits"] += 1
-            return cached, "hit"
-        self.counters["flow_misses"] += 1
-        summary = flow_analysis(p, calculus=calculus, mode=mode).to_json()
-        self._flow_record(digest, ckey, mode, FLOW_VERSION, summary)
-        return summary, "miss"
-
-    @staticmethod
-    def _flow_checksum(digest: str, ckey: str, mode: str, version: int,
-                       summary_json: str) -> str:
-        payload = json.dumps([digest, ckey, mode, version, summary_json],
-                             separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-    def _flow_lookup(self, digest: str, ckey: str, mode: str,
-                     version: int) -> dict[str, Any] | None:
-        if self._conn is None:
-            return None
-        try:
-            row = self._conn.execute(
-                "SELECT summary, checksum FROM flow_summaries WHERE "
-                "term_digest=? AND calculus=? AND mode=? AND "
-                "flow_version=?", (digest, ckey, mode, version)).fetchone()
-        except sqlite3.Error:
-            self.counters["errors"] += 1
-            return None
-        if row is None:
-            return None
-        summary_json, checksum = row
-        if checksum != self._flow_checksum(digest, ckey, mode, version,
-                                           summary_json):
-            self.counters["integrity_failures"] += 1
-            try:
-                self._conn.execute(
-                    "DELETE FROM flow_summaries WHERE term_digest=? AND "
-                    "calculus=? AND mode=? AND flow_version=?",
-                    (digest, ckey, mode, version))
-                self._conn.commit()
-            except sqlite3.Error:
-                self.counters["errors"] += 1
-            return None
-        try:
-            loaded = json.loads(summary_json)
-        except ValueError:
-            self.counters["integrity_failures"] += 1
-            return None
-        return loaded if isinstance(loaded, dict) else None
-
-    def _flow_record(self, digest: str, ckey: str, mode: str, version: int,
-                     summary: dict[str, Any]) -> bool:
-        if self._conn is None:
-            self.counters["errors"] += 1
-            return False
-        summary_json = json.dumps(summary, sort_keys=True)
-        checksum = self._flow_checksum(digest, ckey, mode, version,
-                                       summary_json)
-        try:
-            self._conn.execute(
-                "INSERT OR REPLACE INTO flow_summaries (term_digest, "
-                "calculus, mode, flow_version, summary, checksum, "
-                "created_at) VALUES (?,?,?,?,?,?,?)",
-                (digest, ckey, mode, version, summary_json, checksum,
-                 time.time()))
-            self._conn.commit()
-        except sqlite3.Error:
-            self.counters["errors"] += 1
-            return False
-        self.counters["flow_records"] += 1
-        return True
 
     # -- the thin-client core ---------------------------------------------
     def check(self, p: Process, q: Process, *, relation: str = "labelled",

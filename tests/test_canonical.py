@@ -109,8 +109,8 @@ class TestStructuralLaws:
 
     def test_alpha_quotient(self):
         assert canonical_state(parse("nu x x<a>")) == canonical_state(parse("nu y y<a>"))
-        # a sum's summands are ordered blind to the binder pushed into it
-        # or hoisted over it, not by how that binder is spelled
+        # a binder pushed into a sum goes to its summands, and one hoisted
+        # over it is named blind to its spelling
         for body in ("{0}<{0}> + {0}<b>", "({0}<{0}> + {0}<b>) | {0}!"):
             assert canonical_state(parse(f"nu x ({body.format('x')})")) \
                 == canonical_state(parse(f"nu y ({body.format('y')})"))
@@ -127,8 +127,15 @@ class TestStructuralLaws:
 @example(parse("nu y (y<y> + y<b>)"))
 @example(parse("nu x ((x<x> + x<b>) | x!)"))
 @example(parse("nu y ((y<y> + y<b>) | y!)"))
+# summands that normalize to a sum, and a composition in a sum
+@example(parse("(nu z (y(w).w<b> + y<y>)) + tau"))
+@example(parse("nu y (a! + (y<y> | y<b>))"))
+# a binder that only duplicates share, private once they collapse
+@example(parse("nu z nu y nu x (x<y> | x<z>)"))
 def test_idempotent(p):
     assert canonical_state(canonical_state(p)) == canonical_state(p)
+    assert canonical_state_collapsed(canonical_state_collapsed(p)) == \
+        canonical_state_collapsed(p)
 
 
 @given(processes1)
@@ -360,7 +367,7 @@ def _fresh_copy(p):
 @example(parse("nu x nu y nu z (x<y> | y<z> | z<x> | a<x>)"))
 @example(parse("nu x nu y (x<x> | x<y> | y<x>)"))
 @example(parse("nu y nu x (x<x> | x<y> | y<x>)"))
-# a sum under pushed binders, and one under a restricted summand
+# binders pushed into a sum, and a sum under a restricted summand
 @example(parse("nu x nu y (x<x> + x<y> + y<x>)"))
 @example(parse("nu y nu z ((nu x (x<y> + x<z>)) | y<a> | z<b>)"))
 def test_canonical_state_is_its_own_normal_form(p):
@@ -488,22 +495,23 @@ def _fresh(prefix, parts, binders):
             if n not in free][:len(binders)]
 
 
-def _reference_key(q, fill, holes):
-    """The fingerprint of *q* settled, each binder of *holes* it holds
-    read as its name in *fill*, or as ``_hole``."""
-    return _key(_reference_settle(apply_subst(
-        q, {b: fill.get(b, "_hole") for b in set(holes) & free_names(q)})))
+def _reference_key(q, fill, holes, collapse):
+    """The fingerprint of *q*'s reference normal form, each binder of
+    *holes* it holds read as its name in *fill*, or as ``_hole``."""
+    return _stable_fingerprint(_reference_normalize(apply_subst(
+        q, {b: fill.get(b, "_hole") for b in set(holes) & free_names(q)}),
+        collapse))
 
 
-def _reference_least(parts, holes, naming, fill, names):
+def _reference_least(parts, holes, fill, names, collapse):
     """By brute force: every pair (order, fill) whose walk of *parts*
     has the least key sequence.  A walk goes through the parts in an
-    order; each part names the binders of *naming* it holds and *fill*
+    order; each part names the binders of *holes* it holds and *fill*
     does not, from *names* in turn (:func:`_reference_uses`), and adds
     its key blind to the binders, with the names given before it, and
     with its own.  Only orders whose blind keys do not decrease can be
     least, so only those are tried."""
-    blind = [_reference_key(q, fill, holes) for q in parts]
+    blind = [_reference_key(q, fill, holes, collapse) for q in parts]
     groups = [[i for i in range(len(parts)) if blind[i] == k]
               for k in sorted(set(blind))]
 
@@ -512,9 +520,9 @@ def _reference_least(parts, holes, naming, fill, names):
             yield [], given
             return
         q = parts[order[0]]
-        for f in _reference_uses(q, holes, naming, given, names):
-            step = (blind[order[0]], _reference_key(q, given, holes),
-                    _reference_key(q, f, holes))
+        for f in _reference_uses(q, holes, given, names, collapse):
+            step = (blind[order[0]], _reference_key(q, given, holes, collapse),
+                    _reference_key(q, f, holes, collapse))
             for keys, g in walks(order[1:], f):
                 yield [step] + keys, g
 
@@ -529,25 +537,25 @@ def _reference_least(parts, holes, naming, fill, names):
     return found
 
 
-def _reference_uses(c, holes, naming, fill, names):
-    """Every way *c* extends *fill* with the binders of *naming* it
-    holds unnamed: in free-occurrence order, or for a sum (under any
-    restrictions, read as holes) as every least walk of its summands
-    names them."""
-    todo = set(naming) & free_names(c)
+def _reference_uses(c, holes, fill, names, collapse):
+    """Every way *c* extends *fill* with the binders of *holes* it holds
+    unnamed: in free-occurrence order, or for a sum or a composition
+    (under any restrictions, read as holes) as every least walk of its
+    summands or components names them."""
+    todo = set(holes) & free_names(c)
     if todo <= set(fill):
         return [fill]
     body, inner = c, set()
     while isinstance(body, Restrict):
         inner.add(body.name)
         body = body.body
-    if isinstance(body, Sum):
+    if isinstance(body, (Sum, Par)):
         blank = {b: "_hole" for b in inner}
-        summands = [_reference_settle(apply_subst(canonical_alpha(q), blank))
-                    for q in _flatten(body, Sum)]
+        parts = [_reference_normalize(apply_subst(q, blank), collapse)
+                 for q in _flatten(body, type(body))]
         fills = {}
-        for _, f in _reference_least(summands, set(holes) - inner,
-                                     set(naming) - inner, fill, names):
+        for _, f in _reference_least(parts, set(holes) - inner, fill, names,
+                                     collapse):
             fills.setdefault(tuple(f.items()), f)
         return list(fills.values())
     fill = dict(fill)
@@ -563,51 +571,44 @@ def _restricted(binders, p):
     return p
 
 
-def _reference_settle(c):
-    """*c* alpha-canonical, a sum under restrictions with the binders
-    nested as a least walk of its summands names them and the summands
-    (each settled) sorted by fingerprint under the names its binders
-    then have."""
-    c = canonical_alpha(c)
-    binders, body = [], c
-    while isinstance(body, Restrict):
-        binders.append(body.name)
-        body = body.body
-    if not isinstance(body, Sum):
-        return c
-    summands = [_reference_settle(q) for q in _flatten(body, Sum)]
-    nest = []
-    if binders:
-        _, fill = _reference_least(summands, binders, binders, {},
-                                   _fresh("_hole", summands, binders))[0]
-        nest = list(fill) + [b for b in binders if b not in fill]
-    c = canonical_alpha(_restricted(nest, body))
-    named = []
-    while isinstance(c, Restrict):
-        named.append(c.name)
-        c = c.body
-    return canonical_alpha(_restricted(named, _rebuild(
-        sorted((_reference_settle(q) for q in _flatten(c, Sum)), key=_key),
-        Sum, NIL)))
+def _reference_push(mine, comp, collapse):
+    """``nu mine comp`` normalized: over a sum, each binder on the
+    summands that use it (axiom R2, then law h); otherwise with the
+    component's own restrictions, all nested by first free occurrence."""
+    if isinstance(comp, Sum):
+        return _reference_normalize(_rebuild(
+            [_restricted([b for b in mine if b in free_names(q)], q)
+             for q in _flatten(comp, Sum)], Sum, NIL), collapse)
+    binders = list(mine)
+    while isinstance(comp, Restrict):
+        binders.append(comp.name)
+        comp = comp.body
+    order = free_occurrence_order(comp)
+    return canonical_alpha(_restricted(sorted(binders, key=order.index),
+                                       comp))
 
 
 def _reference_normalize(p, collapse):
     """``_normalize`` by a plain walk: every spine is walked in full, and
     nothing is memoized.  Components are alpha-canonical and sorted by
-    fingerprint; a binder one of them uses is pushed into it and the
-    component settled (:func:`_reference_settle`); binders two or more
-    of them share are hoisted, named as the least walk of the components
-    meets them (:func:`_reference_least`), and each component that holds
-    one is settled under those names."""
+    fingerprint; the binders one of them uses are pushed into it
+    (:func:`_reference_push`), in collapse mode until no duplicates
+    merge; binders two or more of them share are hoisted, named as the
+    least walk of the components meets them (:func:`_reference_least`),
+    and each component that holds one is normalized under those names."""
     if isinstance(p, (Nil, Tau, Input, Output, Rec)):
         return canonical_alpha(p)
     if isinstance(p, Match):
         return _reference_normalize(
             p.then if p.left == p.right else p.orelse, collapse)
     if isinstance(p, Sum):
-        parts = [nq for nq in (_reference_normalize(q, collapse)
-                               for q in _flatten(p, Sum))
-                 if not isinstance(nq, Nil)]
+        parts = []
+        for q in _flatten(p, Sum):
+            nq = _reference_normalize(q, collapse)
+            if isinstance(nq, Sum):
+                parts += _flatten(nq, Sum)
+            elif not isinstance(nq, Nil):
+                parts.append(nq)
         unique = sorted({canonical_alpha(q) for q in parts}, key=_key)
         if len(unique) == 1:
             return parts[0]
@@ -646,28 +647,31 @@ def _reference_normalize(p, collapse):
         return out
 
     collect(p)
-    if collapse:
-        components = dedup(components)
-    usage = {b: [i for i, c in enumerate(components) if b in free_names(c)]
-             for b in binders}
+    while True:
+        if collapse:
+            components = dedup(components)
+        usage = {b: [i for i, c in enumerate(components)
+                     if b in free_names(c)] for b in binders}
+        for i, comp in enumerate(components):
+            mine = [b for b in binders if usage[b] == [i]]
+            if mine:
+                components[i] = _reference_push(mine, comp, collapse)
+        if not collapse or len(dedup(components)) == len(components):
+            break
     shared = [b for b in binders if len(usage[b]) > 1]
-    for i, comp in enumerate(components):
-        mine = [b for b in binders if usage[b] == [i]]
-        if mine:
-            # first occurrence nests them, but a sum's nest is settled
-            # whatever order it comes in, so take it reversed
-            nest = ([n for n in free_occurrence_order(comp) if n in mine]
-                    if not isinstance(comp, Sum) else mine[::-1])
-            components[i] = _reference_settle(_restricted(nest, comp))
-    if collapse:
-        components = dedup(components)
+    for c in components:
+        while isinstance(c, Restrict):
+            c = c.body
+        if isinstance(c, Par):
+            return _reference_normalize(
+                _restricted(shared, _rebuild(components, Par, NIL)), collapse)
     if not shared:
         return _rebuild(sorted(components, key=_key), Par, NIL)
     names = _fresh("_h", components, shared)
-    ordered, named = _reference_least(components, shared, shared, {},
-                                      names)[0]
+    ordered, named = _reference_least(components, shared, {}, names,
+                                      collapse)[0]
     return _restricted(names, _rebuild(
-        [_reference_settle(apply_subst(components[i], named))
+        [_reference_normalize(apply_subst(components[i], named), collapse)
          for i in ordered], Par, NIL))
 
 
@@ -761,6 +765,11 @@ BINDER_TIES = [
     "nu y nu z ((nu x (x<y> + x<z>)) | y<a> | z<b>)",
     "nu y nu z ((nu x (x<y> + x<z>)) | y<z> | z<y>)",
     "nu x ((x<x> + a<x> + nu z (x<z> + a<z>)) | x(w).w<a>)",
+    # compositions inside sums: their components are walked like summands
+    "nu y (a! + (y<y> | y<b>))",
+    "nu x nu y ((a! + (x<y> | y<c>)) | x? | y?)",
+    "nu x nu y (((x<y> | y<b>) + a!) | x<a> | y?)",
+    "nu x nu y ((nu z (z<x> | z<y> | x<z>)) + b! | x? | y<a>)",
 ]
 
 
@@ -796,6 +805,63 @@ def _binders(p):
     while isinstance(p, Restrict):
         yield p.name
         p = p.body
+
+
+def test_collapse_pushes_a_binder_shared_only_by_duplicates():
+    # y and z move into two components that are then duplicates; once
+    # they merge, x is private to what is left and moves in too
+    p = parse("nu z nu y nu x (x<y> | x<z>)")
+    c = canonical_state_collapsed(p)
+    assert pretty(c) == "nu _v0 nu _v1 _v0<_v1>"
+    assert canonical_state_collapsed(c) is c
+
+
+def test_no_normal_form_restricts_a_choice():
+    # axiom R2: nu x (p + q) = nu x p + nu x q, and law (h) drops the
+    # binder from a summand that does not use it
+    assert pretty(canonical_state(parse("nu x (x! + a<x> + b!)"))) == \
+        "b! + nu _v0 a<_v0> + nu _v1 _v1!"
+    # summands that merge once their binders move in leave a composition,
+    # which joins its siblings
+    assert canonical_state(parse(
+        "nu x nu y (((x<b> | x?) + (y<b> | y?)) | c!)")) == \
+        canonical_state(parse("nu x (x<b> | x? | c!)"))
+
+
+_TIE_BINDERS = ("x", "y", "z")
+_tie_names = st.sampled_from(_TIE_BINDERS + ("a", "b", "u"))
+_tie_prefixes = st.one_of(
+    st.builds(lambda c, d: Output(c, (d,), NIL), _tie_names, _tie_names),
+    st.builds(lambda c, d: Input(c, ("w",), Output("w", (d,), NIL)),
+              _tie_names, _tie_names))
+_tie_compositions = st.lists(_tie_prefixes, min_size=2, max_size=3).map(
+    lambda qs: _rebuild(qs, Par, NIL))
+_tie_summands = st.one_of(_tie_prefixes, _tie_compositions,
+                          _tie_compositions.map(lambda q: Restrict("u", q)))
+_tie_components = st.one_of(
+    _tie_prefixes,
+    st.lists(_tie_summands, min_size=2, max_size=3).map(
+        lambda qs: _rebuild(qs, Sum, NIL)),
+    _tie_compositions.map(lambda q: Restrict("u", q)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_tie_components, min_size=1, max_size=4).map(
+           lambda qs: _rebuild(qs, Par, NIL)),
+       st.lists(st.sampled_from(_TIE_BINDERS), min_size=1, max_size=3,
+                unique=True))
+def test_restricted_sums_of_compositions_have_one_form(body, names):
+    """A restricted composition whose sums hold compositions and
+    restricted compositions gets one form in each collapse mode, however
+    its binders nest and are spelled, and that form is its own."""
+    for canon in (canonical_state, canonical_state_collapsed):
+        forms = set()
+        for perm in itertools.permutations(names):
+            forms.add(canon(_restricted(perm, body)))
+            forms.add(canon(_restricted(names, apply_subst(
+                body, dict(zip(perm, names))))))
+        (form,) = forms
+        assert canon(form) == form
 
 
 def test_wide_composition_is_linear_in_its_width():

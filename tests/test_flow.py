@@ -1,4 +1,4 @@
-"""The flow analysis subsystem: capability sets, pre-solver, store cache.
+"""The flow analysis subsystem: capability sets and the pre-solver.
 
 The one invariant everything here orbits: the abstraction is a *may*
 analysis.  It over-approximates what can ever happen, so the only
@@ -30,7 +30,6 @@ from repro.flow import (
     memo_stats,
 )
 from repro.runtime.analysis import invariant_holds
-from repro.store.db import VerdictStore
 
 from tests.strategies import FREE_NAMES, processes0, processes1
 
@@ -189,43 +188,6 @@ def test_analysis_is_memoised_on_node_identity():
     assert memo_stats()["analyses"] >= 1
     clear_caches()
     assert memo_stats()["analyses"] == 0
-
-
-# -- store integration ------------------------------------------------------
-
-def test_flow_summary_round_trip(tmp_path):
-    p = parse("nu c (c<v> | c(x).x!)")
-    with VerdictStore(tmp_path / "fl.db") as store:
-        summary, status = store.flow_summary(p)
-        assert status == "miss"
-        again, status = store.flow_summary(p)
-        assert status == "hit"
-        assert again == summary
-        assert store.counters["flow_hits"] == 1
-        assert store.counters["flow_misses"] == 1
-
-
-def test_flow_summary_keyed_by_mode_and_calculus(tmp_path):
-    p = parse("a(x).x!")
-    with VerdictStore(tmp_path / "fl.db") as store:
-        store.flow_summary(p, mode="open")
-        _, status = store.flow_summary(p, mode="closed")
-        assert status == "miss"
-        _, status = store.flow_summary(p, calculus="lossy")
-        assert status == "miss"
-
-
-def test_corrupt_flow_summary_degrades_to_miss(tmp_path):
-    p = parse("a<v> | a(x).x!")
-    with VerdictStore(tmp_path / "fl.db") as store:
-        store.flow_summary(p)
-        store._conn.execute(
-            "UPDATE flow_summaries SET summary = '{\"forged\": true}'")
-        store._conn.commit()
-        summary, status = store.flow_summary(p)
-        assert status == "miss"  # checksum mismatch: recomputed, not served
-        assert "forged" not in summary
-        assert store.counters["integrity_failures"] == 1
 
 
 # -- Hypothesis: soundness oracle and canonicalisation stability ------------

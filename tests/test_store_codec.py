@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from repro.core.canonical import canonical_state
 from repro.core.parser import parse
-from repro.core.substitution import canonical_alpha
 from repro.core.syntax import NIL, Ident, Input, Output, Rec, Restrict, Tau
 from repro.store.codec import (
     MAGIC,
@@ -30,7 +29,6 @@ from repro.store.codec import (
     encode,
     pair_key,
     state_digest,
-    term_digest,
 )
 
 from tests.strategies import processes0, processes1
@@ -81,11 +79,11 @@ class TestRoundTrip:
 
 
 class TestDigests:
-    def test_alpha_variants_share_term_digest(self):
+    def test_alpha_variants_share_state_digest(self):
         p = parse("nu x (x! | a(y).y<v>)")
         q = parse("nu w (w! | a(u).u<v>)")
         assert p is not q
-        assert term_digest(p) == term_digest(q)
+        assert state_digest(p) == state_digest(q)
         assert encode(p) != encode(q)  # encode itself is exact
 
     def test_structural_congruence_shares_state_digest(self):
@@ -94,12 +92,7 @@ class TestDigests:
         assert state_digest(p) == state_digest(q)
 
     def test_different_terms_different_digest(self):
-        assert term_digest(parse("a!")) != term_digest(parse("b!"))
-
-    @settings(max_examples=60, deadline=None)
-    @given(p=processes1)
-    def test_term_digest_is_alpha_canonical_encoding(self, p):
-        assert term_digest(p) == term_digest(canonical_alpha(p))
+        assert state_digest(parse("a!")) != state_digest(parse("b!"))
 
     def test_pair_key_congruence_invariant(self):
         k1 = pair_key(parse("a! | b!"), parse("nu x x?"))
@@ -120,61 +113,53 @@ class TestDigests:
 
 
 #: Sources covering each canonicalisation step, with their digests.
-#: Each row is (source, state_digest, term_digest, pair_key against the
-#: first source).  The hex values are the ones written to existing verdict
+#: Each row is (source, state_digest, pair_key against the first
+#: source).  The hex values are the ones written to existing verdict
 #: stores: a change to canonical forms that moves any of them orphans
 #: every stored verdict, so they are pinned, not recomputed.
 _PINNED = [
     # a star with input binders
     ("a<v> | a(x).r0<x> | a(y).r1<y> | a(z).r2<z>",
      "14226b879d7f131cc38206105fc6d43f56790a0722c6b30818d102722fda0d2d",
-     "707e5327cb3e52814a1b172802e87ac6de70c40f1fb54f9fa6f7c0f4b670798a",
      "9c218f1a790a0e46866b3e03a2ec83f30c70c2abae3883cd16b654cc245dde24"),
     # a nu-relay: a shared private channel stays hoisted
     ("nu c (a(x).c<x> | c(y).b<y>) | a<v>",
      "cb35bd18830150e718cd583f7b9c4a0a2d940df3143318cf8b319a9ae296797f",
-     "0d4adaed415b9fc7afb88861bd4b56f372b986485237a74ba7ecce6a7d077892",
      "16c8bc8907f9fa7945033c6b1d3d717355eda59cc4217ef7568aac60da0ee15d"),
     # a sum that needs orienting
     ("b!.tau.0 + a! + c?.b!",
      "cd33e6f438235fcd9b1396aaa815bb17d056dce2704418a3376b287afb18313e",
-     "ebb19f2ec17482011b8bcf1ed9ac0322244da37d628449ad042567c4615c3207",
      "1e71664a71a1329e2003127989134da786483a354334997078ac8afcdc0b3438"),
     # q is private to one component and is pushed back inside it
     ("nu p nu q (p!.a! | q?.b! | a?.p!) | c!",
      "082cf273c166a0ba92a01e1d834c9fe1e2d19718593615c3875e89fa928adb1b",
-     "6c71db2e6947880cfe74e3b070b5a2d47817ac7d82916624805d701016688f20",
      "957f99db773159cc2029de94b983dde98dbbc751ae475e3c06a53f32e430c382"),
     # matches resolved both ways
     ("[a=a]{nu x (x! | a<x>)}{b!} | [a=b]{c!}{a?.c!}",
      "8f3dbb4336a147f68d4ff3dbdc030974a623a041f3c361e40785c6642668ef59",
-     "44b65f55ee7271d473cbba2a02368756ce644bd49c39794bd8ca1a327074a3f5",
      "f91386ef60f303c3fedb69c588775914a0a690837d85a02f89082ea875c5e8b3"),
     # a rec (atomic at the state level)
     ("rec X(x := a, y := b). x(z).(y<z> | X<y, x>)",
-     "7890a18d954b9c22666e19a1285b1a8a357d1eea6f6fea324b2108227141be8a",
      "7890a18d954b9c22666e19a1285b1a8a357d1eea6f6fea324b2108227141be8a",
      "ce7709c6927f4a26e035455673363ce60f58d7477b6cefeb0bc6003121a07aac"),
     # clashing binder names, a dead restriction, binders under a sum
     ("nu k (k<a>.0 | k(u).u! | nu k k?) + tau.nu m (m! | a(w).w<m>)",
      "ebe79967d99dd9a15e9c90aa2c019127e24ebbe8e0beae92bba96e0b8b1e80f0",
-     "a6d6aafa28063b4d9d0ee62870cf9e21b50fa9ea84e23ac05d8a02caf3930373",
      "36120bc2edbacc07c3e1c5e596347c96e77c033a093aa39086b3c549efded723"),
     # the same binder names at different pre-order offsets
     ("a(x).nu y (x<y> | y?.a!) | a(x).nu y (y?.x<y>)",
      "16cf68d07aa41d16d7459515c369caa88827e4274f9ed7676639c09961f86c9c",
-     "cafca55e79eed8a188cdb1470450c99a8c8412003504c3d2e2575b1444e20c2d",
      "5755b0efb28a4257636af32332c2ac082c3cf85831febbd6027b41f63904600d"),
 ]
 
 _DIGEST_SCRIPT = """
 import json, sys
 from repro.core.parser import parse
-from repro.store.codec import pair_key, state_digest, term_digest
+from repro.store.codec import pair_key, state_digest
 sources = json.loads(sys.argv[1])
 first = parse(sources[0])
-print(json.dumps([[state_digest(parse(s)), term_digest(parse(s)),
-                   pair_key(parse(s), first)] for s in sources]))
+print(json.dumps([[state_digest(parse(s)), pair_key(parse(s), first)]
+                  for s in sources]))
 """
 
 

@@ -53,6 +53,12 @@ class TestMustPass:
         # ... even in parallel with a successful branch
         assert not must_pass(p | parse("a!"), hear_then_succeed("a"))
 
+    def test_duplicate_broadcasts_are_both_heard(self):
+        # two copies of a! fire one after the other and the observer hears
+        # both: the states must keep both copies, not collapse them
+        assert must_pass(parse("a! | a!"), hear_then_succeed("a", "a"))
+        assert not must_pass(parse("a!"), hear_then_succeed("a", "a"))
+
     def test_success_state_absorbs(self):
         # after success, later behaviour is irrelevant
         p = parse("a!.rec X(). tau.X")
