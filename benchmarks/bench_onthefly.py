@@ -24,7 +24,8 @@ Run ``python benchmarks/bench_onthefly.py`` for the full ledger
 (5M-state pools, wall-clock safety deadline on the eager rows) or
 ``--quick`` for the CI perf gate: the 50k-pair pool under which every
 on-the-fly verdict must be definite and correct while the global
-strategy trips on the starred rows — exit status 1 otherwise.
+strategy trips on the starred rows, and every on-the-fly row must charge
+the pairs the ledger records — exit status 1 otherwise.
 ``report.py`` embeds the same A/B rows in BENCH_report.json (schema 5)
 via :func:`ab_block`.
 """
@@ -49,6 +50,15 @@ from benchmarks.helpers import (  # noqa: E402
 #: The shared pools: the CI gate's pair pool and the full ledger's.
 QUICK_MAX_STATES = 50_000
 FULL_MAX_STATES = 5_000_000
+
+#: The pairs each on-the-fly row charges, as the ledger records them.
+#: The search is deterministic and these counts hold on every pool that
+#: does not trip, so a different count means the search itself moved.
+ONTHEFLY_CHARGES = {
+    "star12-distinguished": 2,
+    "star12-bisimilar-idle": 1,
+    "relay5-distinguished": 1493,
+}
 
 #: Wall-clock safety net for eager rows whose 5M trip would take hours
 #: (the star rows charge the pool once per *pair*, at ~1.5 ms each).
@@ -167,6 +177,11 @@ def gate(block: dict) -> list[str]:
             failures.append(
                 f"{row['name']}: onthefly returned {fly['truth']} "
                 f"(expected {want}) after {fly['charges']} pairs")
+        charges = ONTHEFLY_CHARGES[row["name"]]
+        if fly["charges"] != charges:
+            failures.append(
+                f"{row['name']}: onthefly charged {fly['charges']} pairs "
+                f"(the ledger records {charges})")
         glob = row.get("global")
         if glob is not None and glob["truth"] != "unknown":
             failures.append(

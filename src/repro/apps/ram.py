@@ -254,19 +254,3 @@ def program_add(src: str, dst: str, out_chan: Name) -> list[Instr]:
         Jmp(3),               # 5
         Halt(),               # 6
     ]
-
-
-def program_multiply(a: str, b: str, out_chan: Name) -> list[Instr]:
-    """Emit a*b times (classic two-counter nested loop), using scratch 't'."""
-    return [
-        DecJz(a, 9),          # 0: outer loop over a
-        DecJz(b, 4),          # 1: inner: move b to t, emitting
-        Emit(out_chan),       # 2
-        Jmp(6),               # 3  (inc t after emit)
-        DecJz("t", 7),        # 4: restore b from t
-        Jmp(4),               # 5  (unreachable filler)
-        Inc("t"),             # 6  (inc t, back to inner)
-        Inc(b),               # 7  (restore one unit)
-        Jmp(4),               # 8
-        Halt(),               # 9
-    ]

@@ -111,14 +111,6 @@ def noisy_finite(p: Process, q: Process, *,
 # Matching under a fixed complete condition
 # ---------------------------------------------------------------------------
 
-def _fresh_symbol(part: Partition) -> Name:
-    for i in count():
-        cand = f"_s{i}"
-        if cand not in part.support:
-            return cand
-    raise AssertionError("unreachable")
-
-
 def _extensions(part: Partition, name: Name) -> Iterator[Partition]:
     """All ways a newly received name may relate to the known ones:
     joining any existing block, or fresh (singleton)."""

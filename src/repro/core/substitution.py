@@ -90,6 +90,19 @@ def apply_subst(p: Process, mapping: Subst) -> Process:
     return got
 
 
+def apply_image(p: Process, image: tuple[Name, ...]) -> Process:
+    """*p* with its free names renamed position by position.
+
+    *image* holds the names the entries of ``free_occurrence_order(p)``
+    go to: the same renaming as :func:`apply_subst` with the map
+    ``fo[i] -> image[i]``, for a caller that already holds the image.
+    """
+    got = _apply_trim(p, {}, image)
+    if got is not p and _OBS.enabled:
+        _metrics.inc("core.substitutions_applied")
+    return got
+
+
 def _apply(p: Process, mapping: dict[Name, Name]) -> Process:
     """One renaming step at *p*, some of whose free names *mapping* moves
     (so *p* is not nil); the children go through :func:`_apply_trim`."""
@@ -129,17 +142,21 @@ def _apply(p: Process, mapping: dict[Name, Name]) -> Process:
     raise TypeError(f"unknown process node {type(p).__name__}")
 
 
-def _apply_trim(p: Process, mapping: Subst) -> Process:
-    """*mapping* applied to *p*, memoized on the node.
+def _apply_trim(p: Process, mapping: Subst,
+                image: tuple[Name, ...] | None = None) -> Process:
+    """*mapping* applied to *p*, memoized on the node: the one reader of
+    the ``_sub`` memo.
 
     The renaming reads *mapping* only at p's free names, and binders are
     freshened against those names and their images alone, so the result
     is a pure function of the image of p's free-occurrence order: that
     image keys the memo, and an image equal to the order itself leaves
-    *p* as it is.
+    *p* as it is.  A caller that already holds the image passes it as
+    *image*, and *mapping* is then not read.
     """
     fo = free_occurrence_order(p)
-    image = tuple([mapping.get(n, n) for n in fo])
+    if image is None:
+        image = tuple([mapping.get(n, n) for n in fo])
     if image == fo:
         return p
     try:

@@ -25,6 +25,7 @@ the image-finite fragment the paper's Theorem 1 addresses.
 from __future__ import annotations
 
 from itertools import count, product
+from typing import Iterable
 
 from ..calculi import registry as _registry
 from ..calculi.backend import CalculusBackend
@@ -59,10 +60,12 @@ MAX_FRESH_PER_INPUT = 3
 
 PairKey = tuple[Process, Process]
 
-#: One state's outputs: ``(shape, action, target)`` in step order, and the
-#: ``(action, target)`` moves of each shape in the same order.
-_OutputIndex = tuple[list[tuple[tuple, OutputAction, Process]],
-                     dict[tuple, list[tuple[OutputAction, Process]]]]
+#: One state's move table: its tau targets in step order, its outputs as
+#: ``(shape, action, target)`` in step order, and the ``(action, target)``
+#: moves of each shape in the same order.
+_MoveTable = tuple[tuple[Process, ...],
+                   list[tuple[tuple, OutputAction, Process]],
+                   dict[tuple, list[tuple[OutputAction, Process]]]]
 
 
 def _pair_key(p: Process, q: Process) -> PairKey:
@@ -101,15 +104,31 @@ def _output_shape(action: OutputAction) -> tuple:
         ("bound", idx[o]) if o in idx else ("free", o) for o in action.objects))
 
 
-def _outputs(p: Process,
-             backend: CalculusBackend) -> list[tuple[OutputAction, Process]]:
-    return [(a, t) for a, t in backend.step_transitions(p)
-            if isinstance(a, OutputAction)]
+def _move_table(p: Process, backend: CalculusBackend) -> _MoveTable:
+    """*p*'s ``(taus, outputs, by_shape)`` table.
 
-
-def _taus(p: Process, backend: CalculusBackend) -> list[Process]:
-    return [t for a, t in backend.step_transitions(p)
-            if isinstance(a, TauAction)]
+    The table depends on *p* and *backend* alone and charges nothing, so
+    it is the per-state backend memo ``"labelled-moves"``: built on the
+    first request for *p* in a session, read by every later search, and
+    emptied by ``clear_caches()``.  Grouping the outputs by
+    :func:`_output_shape` lets an output challenge be answered only by
+    the moves of its own shape.
+    """
+    memo = backend.memo("labelled-moves")
+    table = memo.get(p)
+    if table is None:
+        taus: list[Process] = []
+        outputs: list[tuple[tuple, OutputAction, Process]] = []
+        by_shape: dict[tuple, list[tuple[OutputAction, Process]]] = {}
+        for action, target in backend.step_transitions(p):
+            if isinstance(action, TauAction):
+                taus.append(target)
+            elif isinstance(action, OutputAction):
+                shape = _output_shape(action)
+                outputs.append((shape, action, target))
+                by_shape.setdefault(shape, []).append((action, target))
+        table = memo[p] = (tuple(taus), outputs, by_shape)
+    return table
 
 
 def _align_output(action: OutputAction, target: Process,
@@ -144,7 +163,7 @@ def _tau_closure(p: Process, meter: Meter,
     while stack:
         meter.tick()
         q = stack.pop()
-        for t in _taus(q, backend):
+        for t in _move_table(q, backend)[0]:
             key = canonical_state(t)
             if key not in seen:
                 meter.charge()
@@ -153,9 +172,9 @@ def _tau_closure(p: Process, meter: Meter,
     return tuple(seen.values())
 
 
-def _pair_universe(p: Process, q: Process, arity: int) -> list[tuple[Name, ...]]:
-    """Input vectors to offer the pair: fn(p,q) plus fresh names."""
-    known = sorted(free_names(p) | free_names(q))
+def _pair_universe(known: list[Name], arity: int) -> list[tuple[Name, ...]]:
+    """Input vectors to offer a pair whose free names, sorted, are
+    *known*: those names plus fresh ones."""
     n_fresh = min(arity, MAX_FRESH_PER_INPUT)
     fresh = []
     it = (f"_f{i}" for i in count())
@@ -172,6 +191,11 @@ def _io_subjects(p: Process, q: Process,
     return sorted(backend.input_capabilities(p) | backend.input_capabilities(q))
 
 
+#: One pair's input challenges: ``(chan, values, x_moves, y_moves)`` for
+#: each input vector offered, in subject then universe order.
+_Inputs = list[tuple[Name, tuple[Name, ...], list[Process], list[Process]]]
+
+
 class _LabelledGame:
     """Challenge generator shared by the strong and weak checkers.
 
@@ -183,10 +207,8 @@ class _LabelledGame:
     historical per-call accounting so its budget semantics — and the
     regression baselines built on them — stay put.
 
-    A per-search output index spares the output clause its rescans: each
-    state's outputs are listed once, in step order, with their
-    :func:`_output_shape`, and grouped by that shape, so an output
-    challenge is answered only by the moves of its own shape.
+    Each state's moves come from its :func:`_move_table`, which outlives
+    the search.
     """
 
     def __init__(self, weak: bool, meter: Meter, *, lazy: bool = False,
@@ -198,32 +220,13 @@ class _LabelledGame:
             LazyReach(lambda s: phi_successors(s, steps=False,
                                                backend=self.backend), meter)
             if (weak and lazy) else None)
-        self._outputs: dict[Process, _OutputIndex] = {}
 
     def tau_closure(self, p: Process) -> tuple[Process, ...]:
         if self._reach is not None:
             return self._reach.reach(canonical_state(p))
         return _tau_closure(p, self.meter, self.backend)
 
-    def outputs(self, p: Process) -> _OutputIndex:
-        """*p*'s ``(moves, by_shape)`` index, built on the first request."""
-        index = self._outputs.get(p)
-        if index is None:
-            moves: list[tuple[tuple, OutputAction, Process]] = []
-            by_shape: dict[tuple, list[tuple[OutputAction, Process]]] = {}
-            for action, target in _outputs(p, self.backend):
-                shape = _output_shape(action)
-                moves.append((shape, action, target))
-                by_shape.setdefault(shape, []).append((action, target))
-            index = self._outputs[p] = (moves, by_shape)
-        return index
-
     # --- weak answer machinery ------------------------------------------
-    def _answer_taus(self, q: Process) -> list[Process]:
-        if not self.weak:
-            return _taus(q, self.backend)
-        return list(self.tau_closure(q))
-
     def _answer_outputs(self, q: Process, reference: OutputAction,
                         shape: tuple) -> list[Process]:
         """All q' answering the output challenge *reference*, whose
@@ -231,7 +234,8 @@ class _LabelledGame:
         answers: list[Process] = []
         starts = self.tau_closure(q) if self.weak else (q,)
         for q1 in starts:
-            for action, q2 in self.outputs(q1)[1].get(shape, ()):
+            by_shape = _move_table(q1, self.backend)[2]
+            for action, q2 in by_shape.get(shape, ()):
                 aligned = _align_output(action, q2, reference)
                 if self.weak:
                     answers.extend(self.tau_closure(aligned))
@@ -241,9 +245,8 @@ class _LabelledGame:
 
     def _answer_inputs(self, q: Process, chan: Name,
                        values: tuple[Name, ...]) -> list[Process]:
-        """All q' answering the input-or-discard challenge."""
-        if not self.weak:
-            return _input_moves(q, chan, values, self.backend)
+        """All q' weakly answering the input-or-discard challenge (a
+        strong answer is q's own input-or-discard move)."""
         answers: list[Process] = []
         for q1 in self.tau_closure(q):
             for q2 in _input_moves(q1, chan, values, self.backend):
@@ -252,39 +255,74 @@ class _LabelledGame:
 
     # --- challenges ------------------------------------------------------
     def challenges(self, key: PairKey) -> list[list[PairKey]]:
+        """The challenges of both sides of *key*: p's moves, then q's.
+
+        The pair's free names and input offers are worked out once for
+        both directions, and so are the input moves of each side, which
+        in the strong game are also the other side's answers.
+        """
         p, q = key
-        out: list[list[PairKey]] = []
-        for x, y, mk in ((p, q, lambda a, b: _pair_key(a, b)),
-                         (q, p, lambda a, b: _pair_key(b, a))):
-            out.extend(self._one_sided(x, y, mk))
+        fn_pair = free_names(p) | free_names(q)
+        inputs = self._inputs(p, q, fn_pair)
+        out = self._one_sided(p, q, False, fn_pair, inputs)
+        out += self._one_sided(q, p, True, fn_pair,
+                               [(c, v, ym, xm) for c, v, xm, ym in inputs])
         return out
 
-    def _one_sided(self, x: Process, y: Process, mk) -> list[list[PairKey]]:
+    def _inputs(self, p: Process, q: Process,
+                fn_pair: frozenset[Name]) -> _Inputs:
+        """``(chan, values, p_moves, q_moves)`` for each input the pair is
+        offered: its subjects, each over the universe of its arity."""
+        known = sorted(fn_pair)
+        universes: dict[int, list[tuple[Name, ...]]] = {}
+        inputs: _Inputs = []
+        for chan, arity in _io_subjects(p, q, self.backend):
+            universe = universes.get(arity)
+            if universe is None:
+                universe = universes[arity] = _pair_universe(known, arity)
+            for values in universe:
+                inputs.append((
+                    chan, values,
+                    _input_moves(p, chan, values, self.backend),
+                    _input_moves(q, chan, values, self.backend)))
+        return inputs
+
+    def _one_sided(self, x: Process, y: Process, flip: bool,
+                   fn_pair: frozenset[Name],
+                   inputs: _Inputs) -> list[list[PairKey]]:
+        """x's challenges, each answered by y, with x's side first in the
+        candidate pairs unless *flip*.  *inputs* is :meth:`_inputs` of
+        ``(x, y)``."""
+
+        def pairs(x1: Process, answers: Iterable[Process]) -> list[PairKey]:
+            c1 = canonical_state(x1)
+            if flip:
+                return [(canonical_state(y1), c1) for y1 in answers]
+            return [(c1, canonical_state(y1)) for y1 in answers]
+
         chals: list[list[PairKey]] = []
-        fn_pair = free_names(x) | free_names(y)
+        taus, outputs, _ = _move_table(x, self.backend)
         # Clause 1: tau challenges.
-        y_taus = None
-        for x1 in _taus(x, self.backend):
-            if y_taus is None:
-                y_taus = self._answer_taus(y)
-            chals.append([mk(x1, y1) for y1 in y_taus])
+        if taus:
+            y_taus = (self.tau_closure(y) if self.weak
+                      else _move_table(y, self.backend)[0])
+            for x1 in taus:
+                chals.append(pairs(x1, y_taus))
         # Clause 2: output challenges (free outputs are binderless).
         # Canonical binders keep the shape, so it keys the answers as is.
-        for shape, action, x1 in self.outputs(x)[0]:
+        for shape, action, x1 in outputs:
             ref, x1 = _canonicalize_output(action, x1, fn_pair)
-            answers = self._answer_outputs(y, ref, shape)
-            chals.append([mk(x1, y1) for y1 in answers])
+            chals.append(pairs(x1, self._answer_outputs(y, ref, shape)))
         # Clause 3: input-or-discard challenges.
-        for chan, arity in _io_subjects(x, y, self.backend):
-            for values in _pair_universe(x, y, arity):
-                x_moves = _input_moves(x, chan, values, self.backend)
-                if not x_moves:
-                    # x neither receives nor discards at this arity
-                    # (cross-sorted pair): x has no a(b~)? move to answer.
-                    continue
-                answers = self._answer_inputs(y, chan, values)
-                for x1 in x_moves:
-                    chals.append([mk(x1, y1) for y1 in answers])
+        for chan, values, x_moves, y_moves in inputs:
+            if not x_moves:
+                # x neither receives nor discards at this arity
+                # (cross-sorted pair): x has no a(b~)? move to answer.
+                continue
+            if self.weak:
+                y_moves = self._answer_inputs(y, chan, values)
+            for x1 in x_moves:
+                chals.append(pairs(x1, y_moves))
         return chals
 
 

@@ -47,9 +47,9 @@ from .labelled import (
     _canonicalize_output,
     _io_subjects,
     _LabelledGame,
+    _move_table,
     _pair_universe,
     _tau_closure,
-    _taus,
     labelled_bisimilar,
 )
 
@@ -106,22 +106,22 @@ def _strict_bisimilar(p: Process, q: Process, *, weak: bool, meter: Meter,
         if weak:
             y_taus = [q2
                       for q1 in _tau_closure(y, meter, backend)
-                      for t in _taus(q1, backend)
+                      for t in _move_table(q1, backend)[0]
                       for q2 in _tau_closure(t, meter, backend)]
         else:
-            y_taus = _taus(y, backend)
-        for x1 in _taus(x, backend):
+            y_taus = _move_table(y, backend)[0]
+        for x1 in _move_table(x, backend)[0]:
             if not any(ok(x1, y1) for y1 in y_taus):
                 return False
         # Clause 2: outputs by binder-aligned outputs.
-        for shape, action, x1 in game.outputs(x)[0]:
+        for shape, action, x1 in _move_table(x, backend)[1]:
             ref, x1c = _canonicalize_output(action, x1, fn_pair)
             answers = game._answer_outputs(y, ref, shape)
             if not any(ok(x1c, y1) for y1 in answers):
                 return False
         # Clause 3 (strict): genuine inputs by genuine inputs.
         for chan, arity in _io_subjects(x, y, backend):
-            for values in _pair_universe(x, y, arity):
+            for values in _pair_universe(sorted(fn_pair), arity):
                 x_moves = backend.input_continuations(x, chan, values)
                 if not x_moves:
                     continue

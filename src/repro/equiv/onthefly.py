@@ -48,7 +48,7 @@ from ..calculi import registry as _registry
 from ..calculi.backend import CalculusBackend
 from ..core.canonical import _stable_fingerprint, canonical_state
 from ..core.freenames import free_occurrence_order
-from ..core.substitution import apply_subst
+from ..core.substitution import apply_image
 from ..core.syntax import NIL, Par, Process
 from ..engine.budget import Budget, BudgetExceeded, Meter, resolve_meter
 from ..lts.weak import LazyReach
@@ -138,6 +138,22 @@ class SymmetryClosure:
         return pair
 
 
+#: The first renamed names ``_c0, _c1, ...``; a pair with more free
+#: names spells the rest on demand.
+_RENAMED = tuple(f"{RENAME_PREFIX}{i}" for i in range(32))
+
+
+def _renamed_name(i: int) -> str:
+    return _RENAMED[i] if i < len(_RENAMED) else f"{RENAME_PREFIX}{i}"
+
+
+def _renamed(k: int) -> tuple[str, ...]:
+    """``_c0 .. _c(k-1)``."""
+    if k <= len(_RENAMED):
+        return _RENAMED[:k]
+    return tuple(_renamed_name(i) for i in range(k))
+
+
 class RenamingClosure:
     """Up-to-injective-renaming: map the pair's free names to ``_c<i>``.
 
@@ -148,6 +164,10 @@ class RenamingClosure:
     free names to ``_c<i>`` in first-occurrence order therefore merges
     whole orbits of alpha-on-free-names variants — e.g. the residuals of
     the input challenges over fresh ``_f<i>`` vectors.
+
+    The renaming goes by image: each side's free-occurrence order is
+    sent to its ``_c<i>`` names through :func:`apply_image`, which reads
+    the node's substitution memo without building a name map.
     """
 
     name = "renaming"
@@ -155,19 +175,23 @@ class RenamingClosure:
 
     def apply(self, pair: PairKey) -> PairKey | None:
         p, q = pair
-        order: list[str] = []
-        seen: set[str] = set()
-        for side in (p, q):
-            for n in free_occurrence_order(side):
-                if n not in seen:
-                    seen.add(n)
-                    order.append(n)
-        mapping = {n: f"{RENAME_PREFIX}{i}" for i, n in enumerate(order)
-                   if n != f"{RENAME_PREFIX}{i}"}
-        if not mapping:
+        fo_p = free_occurrence_order(p)
+        fo_q = free_occurrence_order(q)
+        # p's names come first in the joint order, so its image is the
+        # first len(fo_p) renamed names; q's extends it with its own.
+        image_p = _renamed(len(fo_p))
+        if fo_q == fo_p:
+            image_q = image_p
+        else:
+            to = dict(zip(fo_p, image_p))
+            for n in fo_q:
+                if n not in to:
+                    to[n] = _renamed_name(len(to))
+            image_q = tuple([to[n] for n in fo_q])
+        if image_p == fo_p and image_q == fo_q:
             return pair
-        return (canonical_state(apply_subst(p, mapping)),
-                canonical_state(apply_subst(q, mapping)))
+        return (canonical_state(apply_image(p, image_p)),
+                canonical_state(apply_image(q, image_q)))
 
 
 class ReflexivityClosure:
@@ -284,14 +308,15 @@ class PartialProduct:
 # -- the worklist core -------------------------------------------------------
 
 class _Challenge:
-    """An OR-node: owner pair, pending candidates, current witness."""
+    """An OR-node: owner pair, pending candidates, current witness (all
+    pair ids of one search)."""
 
     __slots__ = ("owner", "pending", "witness")
 
-    def __init__(self, owner: PairKey, pending: list[PairKey]):
+    def __init__(self, owner: int, pending: list[int]):
         self.owner = owner
         self.pending = pending
-        self.witness: PairKey | None = None
+        self.witness: int | None = None
 
 
 def _explore(root: PairKey, challenges_of: ChallengeFn,
@@ -309,12 +334,22 @@ def _explore(root: PairKey, challenges_of: ChallengeFn,
     hits: dict[str, int] = {c.name: 0 for c in closures}
     unsafe_names = frozenset(c.name for c in closures
                              if not c.refutation_safe)
-    # candidate -> (its closed pair or None, the closures that fired):
-    # the same candidate recurs across many challenges, so the pipeline
-    # runs once per distinct candidate and a repeat replays its hits.
-    closed_memo: dict[PairKey, tuple[PairKey | None, tuple[str, ...]]] = {}
+    # Every closed pair gets an id, its index in these lists, so the
+    # search's own bookkeeping hashes small ints, not pairs of terms.
+    ids: dict[PairKey, int] = {}
+    pairs: list[PairKey] = []
+    # status: None until expanded, then True alive or False dead.
+    status: list[bool | None] = []
+    # depth: -1 until first enqueued, so it doubles as the "already
+    # enqueued" marker.
+    depth: list[int] = []
+    # candidate -> (its closed pair's id, -1 if discharged; the closures
+    # that fired): the same candidate recurs across many challenges, so
+    # the pipeline runs once per distinct candidate and a repeat replays
+    # its hits.
+    closed_memo: dict[PairKey, tuple[int, tuple[str, ...]]] = {}
 
-    def close(cand: PairKey) -> PairKey | None:
+    def close(cand: PairKey) -> int:
         got = closed_memo.get(cand)
         if got is None:
             fired: list[str] = []
@@ -326,30 +361,36 @@ def _explore(root: PairKey, challenges_of: ChallengeFn,
                 pair = nxt
                 if pair is None:
                     break
-            got = closed_memo[cand] = (pair, tuple(fired))
+            if pair is None:
+                pid = -1
+            else:
+                pid = ids.get(pair, -1)
+                if pid < 0:
+                    pid = ids[pair] = len(pairs)
+                    pairs.append(pair)
+                    status.append(None)
+                    depth.append(-1)
+            got = closed_memo[cand] = (pid, tuple(fired))
         for name in got[1]:
             hits[name] += 1
         return got[0]
 
-    # status: expanded pairs only — True alive, False dead.
-    status: dict[PairKey, bool] = {}
-    # depth: every pair ever seen (expanded or queued); doubles as the
-    # "already enqueued" marker.
-    depth: dict[PairKey, int] = {}
-    waiters: dict[PairKey, list[_Challenge]] = {}
-    queue: deque[PairKey] = deque()
+    waiters: dict[int, list[_Challenge]] = {}
+    queue: deque[int] = deque()
+    # Expanded ids in expansion order, for the evidence of a trip.
+    order: list[int] = []
     expanded = 0
     killed = 0
 
     def select_witness(chal: _Challenge) -> bool:
         """Install the next viable witness; False when exhausted."""
-        kept: list[PairKey] = []
+        kept: list[int] = []
         alive_at: int | None = None
         for cand in chal.pending:
-            st = status.get(cand)
+            st = status[cand]
             if st is False:
                 continue  # dead candidates drop out for good
-            if st is True and alive_at is None:
+            if st and alive_at is None:
                 alive_at = len(kept)
             kept.append(cand)
         if not kept:
@@ -361,15 +402,19 @@ def _explore(root: PairKey, challenges_of: ChallengeFn,
             w = kept.pop(alive_at)
         else:
             w = kept.pop(0)
-            if w not in status and w not in depth:
+            if depth[w] < 0:
                 depth[w] = depth[chal.owner] + 1
                 queue.append(w)
         chal.pending = kept
         chal.witness = w
-        waiters.setdefault(w, []).append(chal)
+        got = waiters.get(w)
+        if got is None:
+            waiters[w] = [chal]
+        else:
+            got.append(chal)
         return True
 
-    def kill(node: PairKey) -> None:
+    def kill(node: int) -> None:
         """Cascade a death through every challenge witnessing *node*."""
         nonlocal killed
         stack = [node]
@@ -377,7 +422,7 @@ def _explore(root: PairKey, challenges_of: ChallengeFn,
             n = stack.pop()
             for chal in waiters.pop(n, ()):
                 owner = chal.owner
-                if status.get(owner) is False:
+                if status[owner] is False:
                     continue
                 if chal.witness != n:
                     continue  # stale registration (witness moved on)
@@ -389,31 +434,32 @@ def _explore(root: PairKey, challenges_of: ChallengeFn,
                 stack.append(owner)
 
     with _tracing.span("product.explore") as sp:
-        root_key = close(root)
-        if root_key is None:
+        root_id = close(root)
+        if root_id < 0:
             # The root pair discharged outright (e.g. p == q up to the
             # Lemma-6 laws): TRUE without expanding anything.
             sp.set(verdict=True, pairs=0, closure_hits=sum(hits.values()))
             return True, False
-        depth[root_key] = 0
-        queue.append(root_key)
+        depth[root_id] = 0
+        queue.append(root_id)
         verdict: bool | None = None
         try:
             while queue:
                 n = queue.popleft()
-                if n in status:
+                if status[n] is not None:
                     continue  # expanded via an earlier queue entry
                 meter.charge()
                 expanded += 1
+                order.append(n)
                 node_chals: list[_Challenge] = []
                 dead = False
-                for cand_list in challenges_of(n):
-                    pending: list[PairKey] = []
-                    pend_seen: set[PairKey] = set()
+                for cand_list in challenges_of(pairs[n]):
+                    pending: list[int] = []
+                    pend_seen: set[int] = set()
                     discharged = False
                     for cand in cand_list:
                         closed = close(cand)
-                        if closed is None:
+                        if closed < 0:
                             discharged = True
                             break
                         if closed not in pend_seen:
@@ -435,7 +481,7 @@ def _explore(root: PairKey, challenges_of: ChallengeFn,
                     status[n] = False
                     killed += 1
                     kill(n)
-                    if status.get(root_key) is False:
+                    if status[root_id] is False:
                         verdict = False
                         break
                 if _OBS.enabled:
@@ -445,15 +491,14 @@ def _explore(root: PairKey, challenges_of: ChallengeFn,
             if verdict is None:
                 # Worklist drained with the root alive: the alive pairs
                 # are a post-fixpoint, i.e. a bisimulation up-to closures.
-                verdict = status.get(root_key, True) is not False
+                verdict = status[root_id] is not False
         except BudgetExceeded as exc:
             if exc.partial is None:
                 exc.partial = PartialProduct(
                     pairs_expanded=expanded,
                     frontier=len(queue),
-                    max_depth=max(depth.values(), default=0),
-                    relation=tuple(k for k, alive in status.items()
-                                   if alive),
+                    max_depth=max(depth),
+                    relation=tuple(pairs[i] for i in order if status[i]),
                 )
             sp.set(verdict="unknown", pairs=expanded,
                    budget_tripped=exc.reason)
@@ -463,8 +508,7 @@ def _explore(root: PairKey, challenges_of: ChallengeFn,
             _metrics.inc("product.closure_hits", total_hits)
             _metrics.inc("product.pairs_killed", killed)
         sp.set(verdict=verdict, pairs=expanded, killed=killed,
-               closure_hits=total_hits,
-               depth=max(depth.values(), default=0))
+               closure_hits=total_hits, depth=max(depth))
     unsafe_fired = any(hits[name] for name in unsafe_names)
     return verdict, unsafe_fired
 

@@ -14,6 +14,7 @@ checker, with only the left-to-right challenge family.
 from __future__ import annotations
 
 from ..calculi.backend import CalculusBackend
+from ..core.freenames import free_names
 from ..core.syntax import Process
 from ..engine.budget import (
     Budget,
@@ -31,7 +32,9 @@ class _SimulationGame(_LabelledGame):
 
     def challenges(self, key):
         p, q = key
-        return self._one_sided(p, q, lambda a, b: _pair_key(a, b))
+        fn_pair = free_names(p) | free_names(q)
+        return self._one_sided(p, q, False, fn_pair,
+                               self._inputs(p, q, fn_pair))
 
 
 def simulates(q: Process, p: Process, *, weak: bool = False,

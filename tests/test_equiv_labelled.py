@@ -8,6 +8,7 @@ one that never listened.
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.actions import OutputAction
 from repro.core.binders import freshen_action_binders
 from repro.core.builder import par
 from repro.core.canonical import canonical_state
@@ -19,8 +20,8 @@ from repro.equiv.barbed import strong_barbed_bisimilar, weak_barbed_bisimilar
 from repro.equiv.labelled import (
     _canonicalize_output,
     _LabelledGame,
+    _move_table,
     _output_shape,
-    _outputs,
     strong_bisimilar,
     weak_bisimilar,
 )
@@ -181,9 +182,15 @@ _output_rich = st.lists(
     min_size=1, max_size=3).map(lambda ps: canonical_state(par(*ps)))
 
 
+def _outputs(p, backend):
+    """Every output move of *p*, in step order."""
+    return [(a, t) for a, t in backend.step_transitions(p)
+            if isinstance(a, OutputAction)]
+
+
 def _scanned_answers(game, q, reference):
     """The output clause's answers as a rescan of every output finds them:
-    the loop the per-search output index replaced."""
+    the loop the per-state output index replaced."""
     answers = []
     starts = game.tau_closure(q) if game.weak else (q,)
     for q1 in starts:
@@ -213,7 +220,7 @@ def test_indexed_output_answers_equal_a_full_scan(x, y, weak, lazy,
     indexed, scanning = (
         _LabelledGame(weak, Budget(max_states=100_000).meter(), lazy=lazy,
                       backend=calculus) for _ in range(2))
-    moves, by_shape = indexed.outputs(x)
+    _, moves, by_shape = _move_table(x, indexed.backend)
     assert [(a, t) for _, a, t in moves] == _outputs(x, indexed.backend)
     assert set(by_shape) == {shape for shape, _, _ in moves}
     for shape, group in by_shape.items():
@@ -229,3 +236,31 @@ def test_indexed_output_answers_equal_a_full_scan(x, y, weak, lazy,
             assert (indexed._answer_outputs(y, ref, shape)
                     == _scanned_answers(scanning, y, ref))
     assert indexed.meter.states == scanning.meter.states
+
+
+def test_move_tables_are_kept_per_backend_and_cleared_with_the_kernel():
+    from repro.calculi import registry
+    from repro.core.cache import clear_caches
+
+    # A lossy broadcast may go unheard, so the two backends' tables for
+    # this state differ: one output target against two.
+    p = canonical_state(parse("a<b> | a(x).x! | tau.c!"))
+    q = canonical_state(parse("a<b> | a(x).x! | tau.tau.c!"))
+    bpi, lossy = registry.resolve("bpi"), registry.resolve("lossy")
+    clear_caches()
+    # A search leaves the table of each state it expanded on its backend
+    # (the global game expands the root pair as given, with no closure
+    # renaming it first), and later searches, strong or weak, read it.
+    for calculus in ("bpi", "lossy"):
+        assert strong_bisimilar(p, q, calculus=calculus,
+                                strategy="global").is_false
+    bpi_table = bpi.memo("labelled-moves")[p]
+    lossy_table = lossy.memo("labelled-moves")[p]
+    assert len(bpi_table[1]) == 1 and len(lossy_table[1]) == 2
+    assert weak_bisimilar(p, q, calculus="bpi", strategy="global").is_true
+    assert _move_table(p, bpi) is bpi_table
+    assert _move_table(p, lossy) is lossy_table
+    clear_caches()
+    assert not bpi.memo("labelled-moves")
+    assert not lossy.memo("labelled-moves")
+    assert _move_table(p, bpi) == bpi_table

@@ -2,12 +2,16 @@
 partial evidence, and the two-layer budget contract."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from benchmarks.helpers import idle_listener, relay_star
 from repro import obs
-from repro.core.builder import par
+from repro.core.builder import out, par
 from repro.core.parser import parse
 from repro.core.canonical import canonical_state
+from repro.core.freenames import free_occurrence_order
+from repro.core.substitution import apply_subst
 from repro.engine import Budget, BudgetExceeded, Verdict
 from repro.equiv.onthefly import (
     DEFAULT_CLOSURES,
@@ -22,6 +26,7 @@ from repro.equiv.onthefly import (
     reduction_challenges,
     validate_strategy,
 )
+from tests.strategies import finite_processes
 
 
 def table_solver(table):
@@ -383,3 +388,63 @@ class TestClosureMemo:
         assert v.is_true
         assert labelled_bisimilar(p, q, strategy="global").is_true
         assert labelled_bisimilar(parse("a!"), parse("a!.a!")).is_false
+
+
+# -- renaming by image against its definition --------------------------------
+
+def _renaming_by_definition(pair):
+    """The renaming closure as defined: one joint first-occurrence map of
+    both sides' free names to ``_c<i>``, applied with ``apply_subst``."""
+    p, q = pair
+    order, seen = [], set()
+    for side in (p, q):
+        for n in free_occurrence_order(side):
+            if n not in seen:
+                seen.add(n)
+                order.append(n)
+    mapping = {n: f"_c{i}" for i, n in enumerate(order) if n != f"_c{i}"}
+    if not mapping:
+        return pair
+    return (canonical_state(apply_subst(p, mapping)),
+            canonical_state(apply_subst(q, mapping)))
+
+
+def _wide(names):
+    """One output per name, so the term's free names are exactly *names*
+    in that order."""
+    return par(*(out(n) for n in names))
+
+
+#: Free names that already lie in the renamed space, in and out of order.
+_RENAMING_POOL = ("_c0", "_c1", "_c2", "a", "b")
+_renaming_sides = (
+    finite_processes(arity=1, free_pool=_RENAMING_POOL,
+                     bound_pool=("x", "_c1", "_c2"), max_leaves=5)
+    | st.lists(st.sampled_from([f"n{i}" for i in range(40)]
+                               + [f"_c{i}" for i in range(45)]),
+               min_size=30, max_size=45, unique=True).map(_wide))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=_renaming_sides, q=_renaming_sides, canonical=st.booleans())
+@example(p=parse("a!"), q=parse("b!"), canonical=True)
+@example(p=_wide(["_c0", "_c1"]), q=_wide(["_c1", "_c0", "_c2"]),
+         canonical=False)
+@example(p=_wide(["_c1", "_c0"]), q=_wide(["_c0"]), canonical=False)
+@example(p=_wide([f"n{i}" for i in range(40)]),
+         q=_wide([f"_c{i}" for i in range(44, 30, -1)]), canonical=True)
+def test_renaming_by_image_equals_its_definition(p, q, canonical):
+    if canonical:
+        p, q = canonical_state(p), canonical_state(q)
+    counts = []
+    got = []
+    for rename in (RenamingClosure().apply, _renaming_by_definition):
+        obs.reset()
+        obs.enable()
+        try:
+            got.append(rename((p, q)))
+            counts.append(obs.counter_value("core.substitutions_applied"))
+        finally:
+            obs.reset()
+    assert got[0] == got[1]
+    assert counts[0] == counts[1]
