@@ -3,7 +3,8 @@
 
 The ledger pair corpus (the behavioural-equivalence pairs the
 EXPERIMENTS rows are built from) is run twice through
-:func:`repro.store.run_batch` against one temporary
+:func:`repro.store.evaluate_request`, the verdict-level core of every
+``repro batch`` and ``repro serve`` line, against one temporary
 :class:`~repro.store.VerdictStore`:
 
 * **cold** — an empty store: every request misses, computes and records;
@@ -69,29 +70,39 @@ def _requests():
     return [request_from_record(dict(rec)) for rec in CORPUS]
 
 
-def _fingerprints(outcome) -> list[str]:
+def _fingerprints(results) -> list[str]:
     """One canonical line per result, in request order — the byte-level
     identity the warm run must reproduce."""
     lines = []
-    for r in outcome.results:
+    for req, verdict, _ in results:
         evidence = ""
-        if r.verdict.evidence is not None and hasattr(r.verdict.evidence,
-                                                      "summary"):
-            evidence = r.verdict.evidence.summary()
+        if verdict.evidence is not None and hasattr(verdict.evidence,
+                                                    "summary"):
+            evidence = verdict.evidence.summary()
         lines.append(json.dumps(
-            [r.request.id, r.verdict.truth.value, r.verdict.reason, evidence],
+            [req.id, verdict.truth.value, verdict.reason, evidence],
             separators=(",", ":")))
     return lines
 
 
 def _run(path: str, requests) -> tuple:
-    from repro.store import VerdictStore, run_batch
+    """``(request, verdict, source)`` per request, seconds, counters."""
+    from repro.store import VerdictStore, evaluate_request
     with VerdictStore(path) as store:
         t0 = time.perf_counter()
-        outcome = run_batch(requests, store=store, workers=0)
+        results = []
+        for req in requests:
+            verdict = evaluate_request(req, store)
+            results.append((req, verdict, "store"
+                            if verdict.stats.get("store") == "hit"
+                            else "computed"))
         seconds = time.perf_counter() - t0
         counters = store.stats()
-    return outcome, seconds, counters
+    return results, seconds, counters
+
+
+def _hits(results) -> int:
+    return sum(source == "store" for _, _, source in results)
 
 
 def store_block(quick: bool = False) -> dict:
@@ -107,18 +118,19 @@ def store_block(quick: bool = False) -> dict:
         if os.path.exists(path):
             os.unlink(path)
     identical = _fingerprints(cold) == _fingerprints(warm)
-    unknown = sum(r.verdict.is_unknown for r in cold.results)
-    recomputed = [w.request.id for c, w in zip(cold.results, warm.results)
-                  if not c.verdict.is_unknown and w.source != "store"]
+    unknown = sum(v.is_unknown for _, v, _ in cold)
+    recomputed = [req.id for (req, c, _), (_, _, source) in zip(cold, warm)
+                  if not c.is_unknown and source != "store"]
     n = len(requests)
     return {
         "requests": n,
         "quick": quick,
-        "cold": {"seconds": cold_s, "hits": cold.store_hits,
-                 "computed": cold.computed, "records": cold_counters["records"],
+        "cold": {"seconds": cold_s, "hits": _hits(cold),
+                 "computed": n - _hits(cold),
+                 "records": cold_counters["records"],
                  "unknown": unknown},
-        "warm": {"seconds": warm_s, "hits": warm.store_hits,
-                 "computed": warm.computed,
+        "warm": {"seconds": warm_s, "hits": _hits(warm),
+                 "computed": n - _hits(warm),
                  "hits_definite": warm_counters["hits_definite"],
                  "hits_unknown": warm_counters["hits_unknown"],
                  "hits_at_equal_budget": warm_counters["hits_at_equal_budget"],
@@ -127,7 +139,7 @@ def store_block(quick: bool = False) -> dict:
                  "hits_at_smaller_budget":
                      warm_counters["hits_at_smaller_budget"],
                  "recomputed_definite": recomputed},
-        "warm_hit_rate": warm.store_hits / n if n else 0.0,
+        "warm_hit_rate": _hits(warm) / n if n else 0.0,
         "seconds_saved": cold_s - warm_s,
         "identical_verdicts": identical,
     }

@@ -27,9 +27,12 @@ flow "<process>" [--closed] [--barb CHAN] [--format text|json]
     exploration), 2 on a parse failure.  `--corpus` summarises every
     apps/examples term.
 batch FILE [--store PATH] [--workers N] [--format text|json]
-    Answer many check requests (JSON-lines; `-` reads stdin), deduped
-    against each other and the store, misses fanned out over a process
-    pool.  Exit 0 all definite, 2 some UNKNOWN or malformed input.
+    Answer every request line of a JSON-lines file (`-` reads stdin)
+    with serve's request loop, always through a store (PATH, else a
+    temporary store deleted at exit), so a request repeated in the file
+    is a store hit; --workers N >= 2 fans the lines out over a process
+    pool.  Exit 0 when every line got a definite verdict, 2 when any
+    line is UNKNOWN or an error, or the file cannot be read.
 serve [--store PATH]
     Long-lived line service: one JSON-lines request in, one JSON verdict
     line out (flushed), until stdin closes.  Always exits 0 once stdin
@@ -37,8 +40,8 @@ serve [--store PATH]
     in-band as JSON lines (an ``{"error": ...}`` line per bad request),
     never via the exit status, so a supervisor restarting on non-zero
     exits does not bounce the service over one bad client line.  This
-    is deliberately different from `batch`, which exits 2 on any
-    UNKNOWN or malformed input.
+    is deliberately different from `batch`, whose exit status sums up a
+    finite job.
 graph "<process>" [--minimize]
     Print the step LTS as Graphviz DOT; exit 2 with a truncated graph
     when the budget trips.
@@ -278,9 +281,11 @@ def _cmd_flow(args: argparse.Namespace) -> int:
 
 def _cmd_batch(args: argparse.Namespace) -> int:
     import json
+    import os
+    import tempfile
+    import time
 
-    from .store import VerdictStore, parse_requests, run_batch
-    from .store.batch import RequestError
+    from .store.batch import answer_lines
 
     if args.requests == "-":
         lines = sys.stdin.read().splitlines()
@@ -292,40 +297,38 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             print(f"batch: cannot read {args.requests}: {exc}",
                   file=sys.stderr)
             return EXIT_UNKNOWN
-    try:
-        requests = parse_requests(lines)
-    except RequestError as exc:
-        print(f"batch: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN
-    store = VerdictStore(args.store) if args.store else None
-    try:
-        outcome = run_batch(requests, store=store, workers=args.workers)
-    finally:
-        if store is not None:
-            store.close()
+    t0 = time.perf_counter()
+    # Without --store the run still answers through a store, so a request
+    # repeated in the file is a store hit; the file goes with the run.
+    with tempfile.TemporaryDirectory(prefix="repro-batch-") as tmp:
+        answers, degraded = answer_lines(
+            lines, args.store or os.path.join(tmp, "verdicts.sqlite"),
+            workers=args.workers)
+    verdicts = [a for a in answers if "error" not in a]
+    hits = sum(a["source"] == "store" for a in verdicts)
+    unknown = sum(a["truth"] == "unknown" for a in verdicts)
+    errors = len(answers) - len(verdicts)
+    summary = {"requests": len(answers), "store_hits": hits,
+               "computed": len(verdicts) - hits, "unknown": unknown,
+               "errors": errors, "workers": max(0, args.workers),
+               "degraded": degraded,
+               "seconds": round(time.perf_counter() - t0, 6)}
     if args.format == "json":
-        payload = {
-            "results": [
-                {"id": r.request.id, "truth": r.verdict.truth.value,
-                 "reason": r.verdict.reason, "source": r.source}
-                for r in outcome.results],
-            "summary": {
-                "requests": len(outcome.results),
-                "store_hits": outcome.store_hits,
-                "computed": outcome.computed,
-                "deduped": outcome.deduped,
-                "workers": outcome.workers,
-                "degraded": outcome.degraded,
-                "seconds": round(outcome.seconds, 6)},
-            "store": outcome.store_stats,
-        }
-        print(json.dumps(payload, indent=2))
+        print(json.dumps({"results": answers, "summary": summary},
+                         indent=2))
     else:
-        for r in outcome.results:
-            print(f"{r.request.id or '-'}\t{r.verdict.truth.value}"
-                  f"\t{r.source}")
-        print(outcome.summary(), file=sys.stderr)
-    return 0 if outcome.all_definite else EXIT_UNKNOWN
+        for a in answers:
+            if "error" in a:
+                print(f"batch: line {a['line']}: {a['error']}",
+                      file=sys.stderr)
+            else:
+                print(f"{a['id'] or '-'}\t{a['truth']}\t{a['source']}")
+        print(f"{summary['requests']} requests: {hits} store hits, "
+              f"{summary['computed']} computed, {unknown} unknown, "
+              f"{errors} errors ({summary['seconds']:.2f}s, "
+              f"workers={summary['workers']}"
+              + (", DEGRADED" if degraded else "") + ")", file=sys.stderr)
+    return EXIT_UNKNOWN if unknown or errors else 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -421,8 +424,8 @@ def main(argv: list[str] | None = None) -> int:
         description="bpi-calculus tools (Ene & Muntean 2001)",
         epilog=f"decision commands (eq, barb) exit 0 for a definite yes, "
                f"1 for a definite no and {EXIT_UNKNOWN} when the budget "
-               f"tripped (UNKNOWN); batch exits 0 when every verdict is "
-               f"definite and {EXIT_UNKNOWN} otherwise; serve always "
+               f"tripped (UNKNOWN); batch exits 0 when every line got a "
+               f"definite verdict and {EXIT_UNKNOWN} otherwise; serve always "
                f"exits 0 once stdin is drained (per-request errors are "
                f"reported in-band, see 'serve --help')")
     from . import __version__
@@ -497,13 +500,19 @@ def main(argv: list[str] | None = None) -> int:
     s = sub.add_parser(
         "batch", help="answer many check requests (JSON-lines) through "
                       "the verdict store",
+        epilog="every line is answered, in order: a verdict, or an error "
+               "naming its line (on stderr in the text format).  exit "
+               f"status: 0 when every line got a definite verdict, "
+               f"{EXIT_UNKNOWN} when any line is UNKNOWN or an error, or "
+               "the file cannot be read",
         parents=[obs_parent])
     s.add_argument("requests", metavar="FILE",
                    help="JSON-lines request file, or '-' for stdin")
     s.add_argument("--store", metavar="PATH", default=None,
-                   help="persistent verdict cache (sqlite)")
+                   help="persistent verdict cache (sqlite); default: a "
+                        "temporary store for the run")
     s.add_argument("--workers", type=int, default=0, metavar="N",
-                   help="process-pool size for misses (0 = inline)")
+                   help="process-pool size (0 or 1 = inline)")
     s.add_argument("--format", default="text", choices=["text", "json"])
     s.set_defaults(func=_cmd_batch)
 
@@ -516,7 +525,8 @@ def main(argv: list[str] | None = None) -> int:
         epilog="exit status: always 0 once stdin is drained — malformed "
                "requests and UNKNOWN verdicts are reported in-band as "
                "JSON lines, never via the exit status (unlike batch, "
-               f"which exits {EXIT_UNKNOWN})",
+               f"which exits {EXIT_UNKNOWN} when any line is UNKNOWN or an "
+               "error)",
         parents=[obs_parent])
     s.add_argument("--store", metavar="PATH", default=None,
                    help="persistent verdict cache (sqlite)")

@@ -111,8 +111,7 @@ def check(p: "Process | str", q: "Process | str", *,
     recorded for later requests.  Verdicts served from the store carry
     ``stats["store"] == "hit"``.
     """
-    deciders = _relations()
-    if relation not in deciders:
+    if relation not in RELATIONS:
         raise ValueError(
             f"unknown relation {relation!r}; pick one of {RELATIONS}")
     if store is not None:
@@ -140,7 +139,7 @@ def check(p: "Process | str", q: "Process | str", *,
                 f"strategy= applies to {STRATEGY_RELATIONS}, "
                 f"not {relation!r}")
         kwargs["strategy"] = strategy
-    return deciders[relation](_as_process(p), _as_process(q), **kwargs)
+    return _relations()[relation](_as_process(p), _as_process(q), **kwargs)
 
 
 @dataclass(frozen=True)

@@ -6,15 +6,16 @@ Three layers (see ``docs/service.md``):
   (``decode(encode(p)) is p``) and the content addresses built on it;
 * :mod:`repro.store.db` — the sqlite-backed :class:`VerdictStore` with
   the budget-aware reuse rule;
-* :mod:`repro.store.batch` — the deduplicating batch front end behind
-  ``repro batch`` / ``repro serve``.
+* :mod:`repro.store.batch` — the one request loop behind ``repro serve``
+  (stdin) and ``repro batch`` (a file, always answered through a store,
+  so repeated requests are store hits).
 """
 
 from .._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    ".batch": ("BatchOutcome", "BatchResult", "CheckRequest",
-               "evaluate_request", "parse_requests", "run_batch", "serve"),
+    ".batch": ("CheckRequest", "answer_line", "answer_lines",
+               "evaluate_request", "request_from_record", "serve"),
     ".codec": ("CodecError", "decode", "encode", "pair_key",
                "state_digest"),
     ".db": ("SCHEMA_VERSION", "VerdictStore", "equivalence_name",

@@ -287,6 +287,41 @@ class TestCliStore:
         assert main(["batch", str(reqs)]) == 2
         assert "line 1" in capsys.readouterr().err
 
+    def test_deadline_trip_does_not_answer_a_duplicate(self, tmp_path,
+                                                       capsys, monkeypatch):
+        # A wall-clock trip is never a reusable answer: the same request
+        # without the deadline is computed on both paths.
+        import io
+        text = ('{"p": "a!", "q": "b!", "max_states": 5000, "deadline": 0}\n'
+                '{"p": "a!", "q": "b!", "max_states": 5000}\n')
+        reqs = tmp_path / "reqs.jsonl"
+        reqs.write_text(text)
+        assert main(["batch", str(reqs), "--format", "json"]) == 2
+        batched = json.loads(capsys.readouterr().out)["results"]
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["serve"]) == 0
+        served = [json.loads(ln)
+                  for ln in capsys.readouterr().out.splitlines()]
+        for first, second in (batched, served):
+            assert (first["truth"], first["reason"]) == ("unknown",
+                                                         "deadline")
+            assert (second["truth"], second["source"]) == ("false",
+                                                           "computed")
+
+    def test_batch_answers_every_line_of_a_bad_file(self, tmp_path,
+                                                    capsys):
+        reqs = tmp_path / "reqs.jsonl"
+        reqs.write_text('{"id": "t", "p": "a!", "q": "a!"}\n'
+                        '{"p": "X<a>", "q": "a!"}\n'
+                        '{nope\n'
+                        '{"id": "f", "p": "a!", "q": "b!"}\n')
+        assert main(["batch", str(reqs)]) == 2
+        captured = capsys.readouterr()
+        assert "t\ttrue\tcomputed" in captured.out
+        assert "f\tfalse\tcomputed" in captured.out
+        assert "batch: line 2: TypeError: " in captured.err
+        assert "batch: line 3: " in captured.err
+
     def test_batch_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["batch", str(tmp_path / "nope.jsonl")]) == 2
         assert "cannot read" in capsys.readouterr().err
@@ -295,8 +330,10 @@ class TestCliStore:
         from pathlib import Path
         example = Path(__file__).resolve().parent.parent \
             / "examples" / "batch_requests.jsonl"
-        from repro.store import parse_requests
-        reqs = parse_requests(example.read_text().splitlines())
+        from repro.store import request_from_record
+        reqs = [request_from_record(json.loads(line))
+                for line in example.read_text().splitlines()
+                if line.strip() and not line.startswith("#")]
         assert len(reqs) == 10
         ids = [r.id for r in reqs]
         assert len(set(ids)) == 10 and all(ids)

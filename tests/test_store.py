@@ -29,13 +29,15 @@ from repro.equiv.onthefly import PartialProduct
 from repro.store import (
     CheckRequest,
     VerdictStore,
+    answer_line,
+    answer_lines,
     equivalence_name,
     evaluate_request,
-    parse_requests,
-    run_batch,
+    request_from_record,
+    serve,
 )
 from repro.store import db as store_db
-from repro.store.batch import RequestError, request_from_record, serve
+from repro.store.batch import RequestError
 from repro.store.db import SCHEMA_VERSION, _improves, _row_checksum, request_cap
 
 from tests.strategies import processes1
@@ -362,14 +364,26 @@ class TestStoreMediatedAgreement:
         assert v.is_true and v.stats["store"] == "hit"
 
 
-class TestRequests:
-    def test_parse_requests_skips_blanks_and_comments(self):
-        reqs = parse_requests(["", "# comment", '{"p": "a!", "q": "b!"}'])
-        assert len(reqs) == 1 and reqs[0].relation == "labelled"
+def _answers(path, *lines, workers=0):
+    """``repro batch``'s request loop over *lines* through the store at
+    *path*; the run must not be degraded."""
+    answers, degraded = answer_lines(list(lines), str(path),
+                                     workers=workers)
+    assert not degraded
+    return answers
 
-    def test_line_numbers_in_errors(self):
-        with pytest.raises(RequestError, match="line 2"):
-            parse_requests(['{"p": "a!", "q": "a!"}', "{nope"])
+
+class TestRequests:
+    def test_blank_and_comment_lines_are_skipped(self, tmp_path):
+        answers = _answers(tmp_path / "v.sqlite",
+                           "", "# comment", '{"p": "a!", "q": "b!"}')
+        assert [a["truth"] for a in answers] == ["false"]
+
+    def test_line_numbers_in_errors(self, tmp_path):
+        first, second = _answers(tmp_path / "v.sqlite",
+                                 '{"p": "a!", "q": "a!"}', "{nope")
+        assert first["truth"] == "true"
+        assert second["line"] == 2 and "error" in second
 
     @pytest.mark.parametrize("rec, msg", [
         ({"q": "a!"}, "field 'p'"),
@@ -386,14 +400,22 @@ class TestRequests:
         ({"p": "a!", "q": "a!", "weak": 0}, "JSON boolean"),
         ({"p": "a!", "q": "a!", "max_states": True}, "positive"),
         ({"p": "a!", "q": "a!", "deadline": False}, "number"),
+        # json.loads reads NaN and ±Infinity; none of them is a deadline.
+        ({"p": "a!", "q": "a!", "deadline": float("nan")}, "finite"),
+        ({"p": "a!", "q": "a!", "deadline": float("inf")}, "finite"),
+        ({"p": "a!", "q": "a!", "deadline": float("-inf")}, "finite"),
     ])
     def test_record_validation(self, rec, msg):
         with pytest.raises(RequestError, match=msg):
             request_from_record(rec)
+        # ... and on the wire, the line is an error that names the rule.
+        answer = answer_line(4, json.dumps(rec), None)
+        assert answer["line"] == 4 and msg in answer["error"]
 
-    def test_process_parse_error_carries_line(self):
-        with pytest.raises(RequestError, match="line 1"):
-            parse_requests(['{"p": "a! +", "q": "a!"}'])
+    def test_process_parse_error_carries_line(self, tmp_path):
+        answers = _answers(tmp_path / "v.sqlite", "# header",
+                           '{"p": "a! +", "q": "a!"}')
+        assert answers == [{"line": 2, "error": answers[0]["error"]}]
 
     def test_request_cap_precedence(self):
         assert request_cap(Budget(max_states=7)) == 7
@@ -408,74 +430,120 @@ class TestRequests:
         assert equivalence_name("step", True) == "weak step"
 
 
-class TestBatch:
-    def _reqs(self, *lines):
-        return parse_requests(list(lines))
+#: A pair the global strategy cannot finish: UNKNOWN at any cap.
+_DIVERGING = ('"p": "rec X(). tau.(a! | X)", '
+              '"q": "rec Y(). tau.(a! | a! | Y)", "strategy": "global"')
 
-    def test_dedup_within_one_batch(self, store):
-        out = run_batch(self._reqs(
+
+def _die_in_worker(path, lineno, line):
+    """A pool worker killed before it answers (module-level: the pool
+    pickles it by name)."""
+    os._exit(1)
+
+
+class TestBatch:
+    def test_dedup_within_one_batch(self, tmp_path):
+        answers = _answers(
+            tmp_path / "v.sqlite",
             '{"id": "x", "p": "a!", "q": "a!"}',
             '{"id": "y", "p": "a! | 0", "q": "a!"}',  # congruent spelling
-            '{"id": "z", "p": "b!", "q": "b!"}'), store=store)
-        assert [r.source for r in out.results] == \
-            ["computed", "dedup", "computed"]
-        assert out.computed == 2 and out.deduped == 1
-        assert all(r.verdict.is_true for r in out.results)
+            '{"id": "z", "p": "b!", "q": "b!"}')
+        assert [a["source"] for a in answers] == \
+            ["computed", "store", "computed"]
+        assert all(a["truth"] == "true" for a in answers)
 
-    def test_warm_run_is_all_hits(self, store):
-        reqs = self._reqs('{"p": "a!", "q": "a!"}',
-                          '{"p": "a!", "q": "b!"}',
-                          '{"p": "tau.a!", "q": "a!", "weak": true}')
-        cold = run_batch(reqs, store=store)
-        warm = run_batch(reqs, store=store)
-        assert cold.store_hits == 0 and cold.computed == 3
-        assert warm.store_hits == 3 and warm.computed == 0
-        assert [r.verdict.truth for r in cold.results] == \
-            [r.verdict.truth for r in warm.results]
+    def test_warm_run_is_all_hits(self, tmp_path):
+        lines = ('{"p": "a!", "q": "a!"}', '{"p": "a!", "q": "b!"}',
+                 '{"p": "tau.a!", "q": "a!", "weak": true}')
+        cold = _answers(tmp_path / "v.sqlite", *lines)
+        warm = _answers(tmp_path / "v.sqlite", *lines)
+        assert [a["source"] for a in cold] == ["computed"] * 3
+        assert [a["source"] for a in warm] == ["store"] * 3
+        assert [a["truth"] for a in cold] == [a["truth"] for a in warm]
 
-    def test_different_budgets_do_not_dedup(self, store):
-        out = run_batch(self._reqs(
-            '{"p": "a!", "q": "a!", "max_states": 5}',
-            '{"p": "a!", "q": "a!", "max_states": 9}'), store=store)
-        assert out.deduped == 0 and out.computed == 2
+    def test_different_budgets_do_not_dedup(self, tmp_path):
+        # An UNKNOWN at cap 20 cannot answer cap 60, which might finish;
+        # the UNKNOWN at cap 60 answers the later cap-20 request.
+        answers = _answers(
+            tmp_path / "v.sqlite",
+            *(f'{{{_DIVERGING}, "max_states": {cap}}}' for cap in (20, 60,
+                                                                   20)))
+        assert [(a["truth"], a["reason"], a["source"]) for a in answers] \
+            == [("unknown", "max-states", "computed"),
+                ("unknown", "max-states", "computed"),
+                ("unknown", "max-states", "store")]
 
-    def test_exit_contract_unknown(self):
-        out = run_batch([CheckRequest(parse("rec X(). tau.(a! | X)"),
-                                      parse("rec Y(). tau.(a! | a! | Y)"),
-                                      strategy="global", max_states=50)])
-        assert not out.all_definite
-        assert out.results[0].verdict.is_unknown
+    def test_exit_contract_unknown(self, tmp_path):
+        (answer,) = _answers(tmp_path / "v.sqlite",
+                             f'{{{_DIVERGING}, "max_states": 50}}')
+        assert answer["truth"] == "unknown"
 
-    def test_worker_pool_matches_inline(self, store):
-        reqs = self._reqs(
+    def test_worker_pool_matches_inline(self, tmp_path):
+        lines = (
             '{"id": "1", "p": "a!", "q": "a!"}',
             '{"id": "2", "p": "a! + b!", "q": "b! + a!"}',
             '{"id": "3", "p": "a!", "q": "b!"}',
             '{"id": "4", "p": "nu c (c<a> | c(x).x!)", '
-            '"q": "nu d (d<a> | d(y).y!)"}')
-        pooled = run_batch(reqs, workers=2)
-        inline = run_batch(reqs, workers=0)
-        assert [r.verdict.truth for r in pooled.results] == \
-            [r.verdict.truth for r in inline.results]
-        assert pooled.workers == 2
-        # and pooled results are recordable/reusable like any others
-        for r in pooled.results:
-            store.record(r.request.p, r.request.q, r.verdict,
-                         cap=r.request.cap())
-        warm = run_batch(reqs, store=store)
-        assert warm.store_hits == len(reqs)
+            '"q": "nu d (d<a> | d(y).y!)"}',
+            '{"id": "5", "p": "X<a>", "q": "a!"}',
+            "{nope")
+        pooled = _answers(tmp_path / "pooled.sqlite", *lines, workers=2)
+        inline = _answers(tmp_path / "inline.sqlite", *lines)
+
+        def strip(answers):
+            return [{k: v for k, v in a.items() if k != "seconds"}
+                    for a in answers]
+        assert strip(pooled) == strip(inline)
+        # and what the workers recorded serves the next run
+        warm = _answers(tmp_path / "pooled.sqlite", *lines)
+        assert [a.get("source") for a in warm] == ["store"] * 4 + [None] * 2
+
+    def test_pool_that_cannot_start_degrades_to_inline(self, tmp_path,
+                                                       monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise OSError("no processes here")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            no_pool)
+        answers, degraded = answer_lines(
+            ['{"p": "a!", "q": "a!"}', '{"p": "a!", "q": "b!"}'],
+            str(tmp_path / "v.sqlite"), workers=2)
+        assert degraded
+        assert [a["truth"] for a in answers] == ["true", "false"]
+
+    def test_dead_worker_degrades_to_inline(self, tmp_path, monkeypatch):
+        from repro.store import batch
+        monkeypatch.setattr(batch, "_answer_in_worker", _die_in_worker)
+        answers, degraded = answer_lines(
+            ['{"p": "a!", "q": "a!"}', '{"p": "a!", "q": "b!"}'],
+            str(tmp_path / "v.sqlite"), workers=2)
+        assert degraded
+        assert [a["truth"] for a in answers] == ["true", "false"]
 
     def test_evaluate_request_degrades_to_unknown(self):
-        v = evaluate_request(parse("rec X(). tau.(a! | X)"),
-                             parse("rec Y(). tau.(a! | a! | Y)"),
-                             strategy="global", max_states=20)
+        v = evaluate_request(request_from_record(json.loads(
+            f'{{{_DIVERGING}, "max_states": 20}}')))
         assert isinstance(v, Verdict) and v.is_unknown
         assert v.reason == "max-states"
 
-    def test_run_batch_without_store(self):
-        out = run_batch(self._reqs('{"p": "a!", "q": "a!"}'))
-        assert out.store_hits == 0 and out.results[0].verdict.is_true
-        assert out.store_stats == {}
+    def test_batch_without_store_uses_a_temporary_store(self, tmp_path,
+                                                        capsys,
+                                                        monkeypatch):
+        import tempfile
+
+        from repro.__main__ import main
+        reqs = tmp_path / "reqs.jsonl"
+        reqs.write_text('{"p": "a!", "q": "a!"}\n'
+                        '{"p": "a! | 0", "q": "a!"}\n')
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        assert main(["batch", str(reqs), "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [a["source"] for a in payload["results"]] == \
+            ["computed", "store"]
+        assert list(scratch.iterdir()) == []  # the run's store is gone
 
 
 class TestServe:
@@ -539,3 +607,102 @@ class TestServe:
         assert err["error"].startswith(f"{raised}: ")
         assert ok["id"] == "ok" and ok["truth"] == "true"
         assert "answered 1 requests" in result.stderr
+
+
+# -- one request loop: serve and batch answer alike -------------------------
+
+#: Valid requests, each decided quickly (one UNKNOWN by its cap).
+_VALID = (
+    {"p": "a!", "q": "a!"},
+    {"p": "a!", "q": "b!"},
+    {"p": "a! | 0", "q": "a!"},
+    {"p": "tau.a!", "q": "a!", "weak": True},
+    {"p": "a! + b!", "q": "b! + a!", "relation": "barbed"},
+    {"p": "a!.b!", "q": "a!.c!", "relation": "step", "max_states": 500},
+    {"p": "a?", "q": "0", "relation": "noisy"},
+    {"p": "rec X(). tau.(a! | X)", "q": "rec Y(). tau.(a! | a! | Y)",
+     "strategy": "global", "max_states": 50},
+)
+
+#: Records that break one field rule each: wrong types, missing, unknown.
+_INVALID = (
+    {"q": "a!"}, {"p": "a!"}, {"p": 3, "q": "a!"}, {"p": "a!", "q": None},
+    {"p": "a!", "q": "a!", "weak": "yes"},
+    {"p": "a!", "q": "a!", "max_states": 0},
+    {"p": "a!", "q": "a!", "max_states": 1.5},
+    {"p": "a!", "q": "a!", "deadline": "soon"},
+    {"p": "a!", "q": "a!", "deadline": float("nan")},
+    {"p": "a!", "q": "a!", "deadline": float("-inf")},
+    {"p": "a!", "q": "a!", "relation": "magic"},
+    {"p": "a!", "q": "a!", "calculus": 7},
+    {"p": "a!", "q": "a!", "frobnicate": 1},
+)
+
+#: Process strings that do not parse, and open terms that parse but are
+#: no processes.  Unguarded recursions and the doubling pair are left
+#: out: each costs seconds before its error line and may overflow the
+#: stack (``test_a_request_that_raises_is_an_error_line`` runs them in a
+#: subprocess).
+_UNPARSABLE = ("a! +", "((a!", "nu", "a<", "a(x", ")")
+_OPEN = ("X<a>", "a?.X<b>", "X<a> | b!")
+
+_printable = st.text(st.characters(min_codepoint=32, max_codepoint=126),
+                     min_size=1, max_size=30)
+_request_line = st.one_of(
+    st.sampled_from(_VALID).map(lambda r: ("verdict", json.dumps(r))),
+    st.sampled_from(_INVALID).map(lambda r: ("error", json.dumps(r))),
+    # garbled JSON: a valid record cut short
+    st.sampled_from([json.dumps(r) for r in _VALID]).flatmap(
+        lambda text: st.integers(1, len(text) - 1).map(
+            lambda cut: ("error", text[:cut]))),
+    st.sampled_from(('[1, 2]', '"a!"', "3", "null", "true")).map(
+        lambda text: ("error", text)),
+    st.tuples(st.sampled_from(_UNPARSABLE + _OPEN), st.booleans()).map(
+        lambda t: ("error", json.dumps({"p": t[0], "q": "a!"} if t[1]
+                                       else {"p": "a!", "q": t[0]}))),
+    # Random text is almost never a valid request; either answer will do.
+    _printable.filter(lambda t: t.strip() and not t.strip().startswith("#"))
+    .map(lambda text: ("any", text)),
+)
+
+
+class TestOneRequestLoop:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_request_line, min_size=1, max_size=8))
+    def test_serve_and_batch_answer_every_line_alike(self, drawn):
+        import contextlib
+        import tempfile
+
+        from repro.__main__ import main
+        kinds = [kind for kind, _ in drawn]
+        text = "".join(line + "\n" for _, line in drawn)
+        with tempfile.TemporaryDirectory() as tmp:
+            requests = Path(tmp) / "requests.jsonl"
+            requests.write_text(text)
+            out, err = io.StringIO(), io.StringIO()
+            stdin = sys.stdin
+            sys.stdin = io.StringIO(text)
+            try:
+                with contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(err):
+                    assert main(["serve"]) == 0
+            finally:
+                sys.stdin = stdin
+            served = [json.loads(ln) for ln in out.getvalue().splitlines()]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                status = main(["batch", str(requests), "--format", "json"])
+            batched = json.loads(out.getvalue())["results"]
+        assert len(served) == len(batched) == len(drawn)
+        for lineno, (kind, s, b) in enumerate(
+                zip(kinds, served, batched), start=1):
+            for answer in (s, b):
+                if "error" in answer:
+                    assert kind != "verdict", answer
+                    assert answer["line"] == lineno
+                else:
+                    assert kind != "error", answer
+            assert s.get("truth") == b.get("truth")
+        definite = all(a.get("truth") in ("true", "false") for a in batched)
+        assert status == (0 if definite else 2)

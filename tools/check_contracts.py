@@ -26,13 +26,14 @@ Rule B (``unguarded-explorer``)
     otherwise the exception escapes the verdict layer.
 
 Rule C (``worker-not-verdict``)
-    Pool-worker entry points (:data:`VERDICT_WORKERS`, e.g.
-    ``store/batch.py``'s ``evaluate_request``) must exist and be
-    annotated ``-> Verdict``.  Workers cross a ``concurrent.futures``
-    process boundary: a ``BudgetExceeded`` leaking there surfaces as a
-    broken future in the coordinator, not as an UNKNOWN verdict — so the
-    worker itself must be verdict-level (the annotation also opts the
-    function into Rules A/B).
+    The verdict-level function every request runs (:data:`VERDICT_WORKERS`,
+    ``store/batch.py``'s ``evaluate_request``, which each process-pool
+    worker of ``repro batch`` and each ``repro serve`` line call) must
+    exist and be annotated ``-> Verdict``.  A ``BudgetExceeded`` leaking
+    from it would answer a tripped budget with an error, or a broken
+    future across the ``concurrent.futures`` process boundary, instead
+    of an UNKNOWN verdict — so the function itself must be verdict-level
+    (the annotation also opts it into Rules A/B).
 
 Rule E (``direct-semantics``)
     The Table 2/3 kernel (``core.semantics``, ``core.discard``) is
@@ -119,10 +120,10 @@ RAW_EXPLORERS = frozenset({
 #: exempt from Rules A and B only, every other rule checks them.
 EXEMPT_FILES = frozenset({"api.py", "__main__.py"})
 
-#: Pool-worker entry points, by file name: these run on the far side of a
-#: ``concurrent.futures`` process boundary and must be verdict-level —
-#: defined, and annotated ``-> Verdict`` — so a tripped budget ships back
-#: as UNKNOWN data rather than an exception through the futures protocol.
+#: The verdict-level functions pool workers run, by file name: they run
+#: on the far side of a ``concurrent.futures`` process boundary and must
+#: be defined and annotated ``-> Verdict``, so a tripped budget ships
+#: back as an UNKNOWN answer rather than an exception.
 VERDICT_WORKERS: dict[str, frozenset[str]] = {
     "batch.py": frozenset({"evaluate_request"}),
 }
@@ -378,7 +379,8 @@ def _check_semantic_imports(tree: ast.Module, path: str,
 
 def _check_workers(tree: ast.Module, path: str,
                    violations: list[Violation]) -> None:
-    """Rule C: required pool workers exist and are annotated -> Verdict."""
+    """Rule C: the verdict-level functions pool workers run exist and
+    are annotated -> Verdict."""
     required = VERDICT_WORKERS.get(Path(path).name)
     if not required:
         return
@@ -390,13 +392,13 @@ def _check_workers(tree: ast.Module, path: str,
             violations.append(Violation(
                 path, 1, "worker-not-verdict",
                 f"pool worker `{name}` must be defined in this module; "
-                f"it is the verdict-level core the process pool executes"))
+                f"it is the verdict-level core each pool worker runs"))
         elif not _returns_verdict(fn):
             violations.append(Violation(
                 path, fn.lineno, "worker-not-verdict",
                 f"pool worker `{name}` must be annotated `-> Verdict`; a "
-                f"BudgetExceeded crossing the pool boundary breaks the "
-                f"future instead of degrading to UNKNOWN"))
+                f"BudgetExceeded escaping it answers a tripped budget "
+                f"with an error instead of UNKNOWN"))
 
 
 def _check_flow_scope(nodes: list[ast.stmt], owner: str, is_verdict: bool,
