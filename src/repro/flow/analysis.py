@@ -39,9 +39,11 @@ sets exactly as the backend's ``input_capabilities`` does.
 
 Results are memoized per interned root term and backend key (module
 table, cleared by :func:`repro.core.cache.clear_caches`); the public
-:meth:`FlowAnalysis.capability_sets` projection is keyed by free names
-only and is therefore stable under ``canonical_state`` (bound-name
-spellings are not, see ``repro.core.canonical``).
+:meth:`FlowAnalysis.capability_sets` projection is keyed by the free
+names the reachable part of the term uses, and is therefore stable
+under ``canonical_state``: bound-name spellings are not (see
+``repro.core.canonical``), and neither is a free name met only in a
+match that ``canonical_state`` resolves away.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ import json
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from ..core.freenames import free_names
 from ..core.names import Name
 from ..core.syntax import (
     NIL,
@@ -74,7 +75,7 @@ __all__ = [
 
 #: Bumped whenever the abstraction changes meaning; part of every digest
 #: and store key, so stale cached summaries miss cleanly.
-FLOW_VERSION = 1
+FLOW_VERSION = 2
 
 #: Occurrence path (child indices from the root, ``children()`` order).
 Path = tuple[int, ...]
@@ -240,6 +241,7 @@ class FlowAnalysis:
 
     def __init__(self, term: Process, *, mode: str, calculus: str,
                  incomplete: bool,
+                 vocabulary: frozenset[Name],
                  broadcast_tokens: frozenset[Token],
                  listen_tokens: frozenset[Token],
                  extruded: frozenset[Token],
@@ -254,6 +256,7 @@ class FlowAnalysis:
         self.mode = mode
         self.calculus = calculus
         self.incomplete = incomplete
+        self.vocabulary = vocabulary
         self.broadcast_tokens = broadcast_tokens
         self.listen_tokens = listen_tokens
         self.extruded = extruded
@@ -266,14 +269,15 @@ class FlowAnalysis:
         self.restrictions = restrictions
         self._caps: dict[str, ChannelCaps] | None = None
 
-    # -- the public projection (free names only: canonicalisation-stable) --
+    # -- the public projection (the vocabulary: canonicalisation-stable) --
 
     def capability_sets(self) -> dict[str, dict[str, Any]]:
         """Per free channel: the four capability sets, JSON-shaped.
 
-        Keyed by free names only — ``canonical_state`` preserves those —
-        with restriction tokens rendered anonymously, so a term and its
-        canonical form produce identical mappings (property-tested)."""
+        Keyed by the :attr:`vocabulary` — the free names some reachable
+        site uses, which ``canonical_state`` preserves — with restriction
+        tokens rendered anonymously, so a term and its canonical form
+        produce identical mappings (property-tested)."""
         return {name: caps.to_json()
                 for name, caps in self.channels().items()}
 
@@ -284,7 +288,7 @@ class FlowAnalysis:
         all_arg_tokens: set[Token] = set()
         for values in self.carry.values():
             all_arg_tokens |= values
-        for name in sorted(free_names(self.term)):
+        for name in sorted(self.vocabulary):
             carried = self.carry.get(name, frozenset())
             if self.env_may_broadcast:
                 carried = carried | {ENV}
@@ -302,7 +306,7 @@ class FlowAnalysis:
     def may_broadcast_names(self) -> frozenset[Name]:
         """Free channels some reachable state may broadcast on."""
         if self.env_may_broadcast:
-            return frozenset(free_names(self.term))
+            return self.vocabulary
         return frozenset(t for t in self.broadcast_tokens
                          if isinstance(t, str))
 
@@ -349,6 +353,7 @@ class _Builder:
 
     def __init__(self) -> None:
         self.free_vars: dict[Name, _Var] = {}
+        self.uses: list[tuple[Name, _Guard]] = []   # free name, its site
         self.flows: list[tuple[_Var, _Var, _Guard]] = []
         self.sends: list[_Send] = []
         self.recvs: list[_Recv] = []
@@ -358,11 +363,15 @@ class _Builder:
         self._nu_index = 0
         self._off = _Guard(False)   # never activated; parents only read
 
-    def lookup(self, env: dict[Name, tuple[_Var, bool]],
-               name: Name) -> tuple[_Var, bool]:
+    def lookup(self, env: dict[Name, tuple[_Var, bool]], name: Name,
+               guard: _Guard | None) -> tuple[_Var, bool]:
+        """The var *name* denotes here.  A free *name* is recorded as
+        used under *guard* (``None``: the occurrence is not a use)."""
         hit = env.get(name)
         if hit is not None:
             return hit
+        if guard is not None:
+            self.uses.append((name, guard))
         var = self.free_vars.get(name)
         if var is None:
             var = self.free_vars[name] = _Var(name)
@@ -376,14 +385,14 @@ class _Builder:
         if isinstance(q, Tau):
             self.walk(q.cont, path + (0,), guard, env, idents)
         elif isinstance(q, Output):
-            chan, _ = self.lookup(env, q.chan)
-            args = tuple(self.lookup(env, a)[0] for a in q.args)
+            chan, _ = self.lookup(env, q.chan, guard)
+            args = tuple(self.lookup(env, a, guard)[0] for a in q.args)
             self.sends.append(_Send(guard, chan, args, path, q.chan))
             # noisy semantics: a send fires with zero listeners, so the
             # continuation is as reachable as the prefix itself
             self.walk(q.cont, path + (0,), guard, env, idents)
         elif isinstance(q, Input):
-            chan, rigid = self.lookup(env, q.chan)
+            chan, rigid = self.lookup(env, q.chan, guard)
             params = tuple(_Var() for _ in q.params)
             cont = _Guard(False)
             direct = rigid and all(isinstance(t, NuToken)
@@ -402,14 +411,18 @@ class _Builder:
             inner[q.name] = (_Var(token), True)
             self.walk(q.body, path + (0,), guard, inner, idents)
         elif isinstance(q, Match):
-            lv, l_rigid = self.lookup(env, q.left)
-            rv, r_rigid = self.lookup(env, q.right)
+            lv, l_rigid = self.lookup(env, q.left, None)
+            rv, r_rigid = self.lookup(env, q.right, None)
             if q.left == q.right:
                 then_g, dynamic = guard, False       # must-equal
             elif l_rigid and r_rigid:
                 then_g, dynamic = self._off, False   # distinct rigid names
             else:
                 then_g, dynamic = _Guard(False), True
+                # canonical_state resolves every decided match away, so
+                # only an undecided one uses its free operands
+                self.uses += [(n, guard) for n in (q.left, q.right)
+                              if n not in env]
             self.matches.append(_MatchSite(
                 guard, then_g, dynamic, lv, rv, q.left, q.right, path,
                 q.then is NIL))
@@ -424,7 +437,8 @@ class _Builder:
         elif isinstance(q, Rec):
             params = tuple(_Var() for _ in q.params)
             for a, pv in zip(q.args, params):
-                self.flows.append((self.lookup(env, a)[0], pv, guard))
+                self.flows.append((self.lookup(env, a, guard)[0], pv,
+                                   guard))
             inner = dict(env)
             for x, var in zip(q.params, params):
                 inner[x] = (var, False)
@@ -439,7 +453,8 @@ class _Builder:
                 self.incomplete = True
                 return
             for a, pv in zip(q.args, params):
-                self.flows.append((self.lookup(env, a)[0], pv, guard))
+                self.flows.append((self.lookup(env, a, guard)[0], pv,
+                                   guard))
         else:  # pragma: no cover - exhaustive over the node classes
             self.incomplete = True
 
@@ -694,6 +709,7 @@ def flow_analysis(p: Process, *, calculus: Any = None,
     analysis = FlowAnalysis(
         p, mode=mode, calculus=backend.key(),
         incomplete=builder.incomplete,
+        vocabulary=frozenset(n for n, g in builder.uses if g.on),
         broadcast_tokens=frozenset(broadcast),
         listen_tokens=frozenset(listen),
         extruded=frozenset(solver.escaped),
